@@ -9,6 +9,7 @@ otherwise make later rounds free and the timing meaningless.
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import clear_cache
 
 #: Reduced workload set covering INT / FP / memory-bound behaviour.
@@ -20,10 +21,17 @@ WARMUP = 4_000
 
 @pytest.fixture(autouse=True)
 def _fresh_run_cache():
-    """Each benchmark times real simulation work, not cache hits."""
+    """Each benchmark times real simulation work, not cache hits.
+
+    ``clear_cache`` keeps the per-process trace memo, so it is dropped
+    here too: otherwise every figure after the first would skip trace
+    generation, the largest share of a cold job.
+    """
     clear_cache()
+    runner._TRACE_MEMO.clear()
     yield
     clear_cache()
+    runner._TRACE_MEMO.clear()
 
 
 def run_once(benchmark, func, *args, **kwargs):

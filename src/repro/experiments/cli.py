@@ -58,12 +58,10 @@ from repro.experiments import (
     figure7, figure8, figure9, figure10, figure11, figure12, figure13,
     headline, related_work, reno, sensitivity, tables,
 )
-from repro.experiments import runner
-from repro.experiments.diskcache import DiskCache, code_version
+from repro.experiments import runner, sweepflags
+from repro.experiments.diskcache import code_version
 from repro.experiments.pool import (
-    FaultSpec,
     SweepAborted,
-    set_fault_injector,
     split_outcomes,
     total_wall_seconds,
 )
@@ -455,51 +453,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--warmup", type=int, default=30000,
         help="Functional warm-up instructions (default 30000).",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="Worker processes simulations fan out over (default 1).",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="On-disk result cache directory "
-             "(default ~/.cache/fxa-repro).",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="Disable the on-disk result cache (always re-simulate).",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="Per-job execution-time limit (queue wait is not charged); "
-             "a job over the limit is retried, then quarantined.",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="Re-run a failed job (crash, hang, dead worker) up to N "
-             "extra times before quarantining it (default 0).",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.25, metavar="SECONDS",
-        help="Base delay before retry n, scaled as BACKOFF*2^(n-1) "
-             "(default 0.25).",
-    )
+    sweepflags.add_sweep_args(parser)
     parser.add_argument(
         "--fail-fast", action="store_true",
         help="Abort the sweep on the first quarantined job (completed "
              "results are still persisted to the disk cache) instead "
              "of finishing with gaps.",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="Replay completed jobs from the disk cache and re-run "
-             "only missing or previously-failed ones (clears their "
-             "failure records); requires the cache.",
-    )
-    parser.add_argument(
-        "--inject-fault", default=None, metavar="SPEC",
-        help="Testing/CI hook: inject a worker fault, e.g. crash:lbm, "
-             "flaky:mcf:2, die:hmmer, hang:lbm:30, sleep::0.2 "
-             "(KIND[:BENCHMARK[:PARAM]]; empty benchmark = all jobs).",
     )
     parser.add_argument(
         "--chart", action="store_true",
@@ -660,21 +619,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         unknown = set(args.benchmarks) - set(ALL_BENCHMARKS)
         if unknown:
             parser.error(f"unknown benchmarks: {sorted(unknown)}")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.retry_backoff < 0:
-        parser.error("--retry-backoff must be >= 0")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
     if args.resume and args.no_cache:
         parser.error("--resume needs the disk cache; drop --no-cache")
-    if args.inject_fault:
-        try:
-            set_fault_injector(FaultSpec.parse(args.inject_fault))
-        except ValueError as error:
-            parser.error(f"--inject-fault: {error}")
     if (args.pipeview_benchmark
             and args.pipeview_benchmark not in ALL_BENCHMARKS):
         parser.error(
@@ -715,20 +661,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"{args.report_baseline}: {error}")
     started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     started_clock = time.time()
-    runner.pop_job_records()  # drain stale accounting (tests, REPLs)
-    runner.pop_served_runs()
-    runner.set_jobs(args.jobs)
-    runner.set_fault_policy(retries=args.retries,
-                            retry_backoff=args.retry_backoff,
-                            fail_fast=args.fail_fast,
-                            timeout=args.timeout,
-                            resume=args.resume)
-    fault_policy = runner.get_fault_policy()
-    previous_cache = runner.get_disk_cache()
-    if args.no_cache:
-        runner.set_disk_cache(None)
-    else:
-        runner.set_disk_cache(DiskCache(args.cache_dir))
     todo = names if args.experiment == "all" else [args.experiment]
     collected = {}
     stage_spans: List[Dict] = []  # harness stages, for the Perfetto view
@@ -741,112 +673,98 @@ def main(argv: Optional[List[str]] = None) -> int:
             "tid": 1,
         })
 
-    try:
-        for name in todo:
-            started = time.time()
-            text, results = _run_one(name, args.benchmarks, args.measure,
-                                     args.warmup, chart=args.chart)
-            _staged(f"experiment {name}", started)
-            print(text)
-            print(f"[{name}: {time.time() - started:.1f}s]")
-            print()
-            collected[name] = results
-        observed: Dict = {}
-        topdowns: Dict = {}
-        if (args.stall_report or args.stall_report_csv
-                or args.metrics_json or args.topdown or args.report):
-            started = time.time()
-            observed, topdowns = _obs_pass(
-                args.benchmarks, args.measure, args.warmup,
-                with_metrics=bool(args.metrics_json),
-                with_topdown=bool(args.topdown or args.report
-                                  or args.metrics_json))
-            _staged("observability pass", started)
-        if args.stall_report:
-            print(_format_stall_report(observed, args.benchmarks))
-            print()
-        if args.topdown:
-            merged = _merge_topdowns(topdowns)
-            print(format_topdown_report(merged))
-            print()
-            print(format_energy_by_class(merged))
-            print()
-        if args.stall_report_csv:
-            _write_stall_csv(observed, args.stall_report_csv)
-            print(f"stall report CSV written to {args.stall_report_csv}")
-        if args.metrics_json:
-            _write_metrics_json(observed, topdowns, args.metrics_json)
-            print(f"metrics written to {args.metrics_json}")
-        timeline_collectors = []
-        timeline_spans: List[Dict] = []
-        if args.timeline or args.timeline_report or args.report:
-            started = time.time()
-            timeline_collectors, timeline_spans = _timeline_pass(
-                args, started_clock)
-            _staged("timeline pass", started)
-        if args.timeline_report:
-            print(format_timeline_report(timeline_collectors))
-            print()
-        pipeview_note = None
-        if args.pipeview:
-            started = time.time()
-            pipeview_note = _write_pipeview(args)
-            _staged("pipeview pass", started)
-            print(pipeview_note)
-        if args.profile_sim:
-            started = time.time()
-            print(_profile_sim(args))
-            _staged("profile pass", started)
-        job_records = runner.pop_job_records()
-        served_runs = runner.pop_served_runs()
-        if args.timeline:
-            writer = TraceEventWriter()
-            for collector in timeline_collectors:
-                writer.add_timeline(collector)
-            for span in stage_spans + timeline_spans:
-                writer.add_span(span["name"], span["ts"], span["dur"],
-                                tid=span.get("tid", 0))
-            for record in job_records:
-                began = getattr(record, "started_ts", 0.0)
-                if not began:
-                    continue
-                writer.add_span(
-                    f"job {record.job.describe()}",
-                    (began - started_clock) * 1e6,
-                    record.wall_seconds * 1e6,
-                    tid=record.worker_pid,
-                    args={"attempts": record.attempts,
-                          "ok": record.ok})
-            writer.write(args.timeline)
-            print(f"timeline trace written to {args.timeline} "
-                  f"(load at https://ui.perfetto.dev)")
-        if job_records:
-            _print_job_summary(job_records)
-        failures = runner.failed_runs()
-        if failures:
-            _print_failure_summary(failures)
-        cache = runner.get_disk_cache()
-        cache_counts = cache.counters() if cache is not None else {}
-        if cache is not None and (cache.hits or cache.stores):
-            print(f"[disk cache: {cache.hits} hits, "
-                  f"{cache.stores} new entries under {cache.root}]")
-        if args.resume and cache is not None:
-            simulated = sum(1 for r in job_records if r.ok)
-            print(f"[resume: {cache.hits} job(s) replayed from cache, "
-                  f"{simulated} re-simulated]")
-    except SweepAborted as aborted:
-        completed, _ = split_outcomes(runner.pop_job_records())
-        print(f"sweep aborted (--fail-fast): {aborted}")
-        print(f"[{len(completed)} completed job(s) were persisted to "
-              f"the disk cache before the abort; re-run with --resume "
-              f"to retry only the failed jobs]")
-        return 2
-    finally:
-        runner.set_disk_cache(previous_cache)
-        runner.set_jobs(1)
-        runner.set_fault_policy()
-        if args.inject_fault:
-            set_fault_injector(None)
+    with sweepflags.applied(args) as settings:
+        fault_policy = runner.get_fault_policy()
+        try:
+            for name in todo:
+                started = time.time()
+                text, results = _run_one(name, args.benchmarks, args.measure,
+                                         args.warmup, chart=args.chart)
+                _staged(f"experiment {name}", started)
+                print(text)
+                print(f"[{name}: {time.time() - started:.1f}s]")
+                print()
+                collected[name] = results
+            observed: Dict = {}
+            topdowns: Dict = {}
+            if (args.stall_report or args.stall_report_csv
+                    or args.metrics_json or args.topdown or args.report):
+                started = time.time()
+                observed, topdowns = _obs_pass(
+                    args.benchmarks, args.measure, args.warmup,
+                    with_metrics=bool(args.metrics_json),
+                    with_topdown=bool(args.topdown or args.report
+                                      or args.metrics_json))
+                _staged("observability pass", started)
+            if args.stall_report:
+                print(_format_stall_report(observed, args.benchmarks))
+                print()
+            if args.topdown:
+                merged = _merge_topdowns(topdowns)
+                print(format_topdown_report(merged))
+                print()
+                print(format_energy_by_class(merged))
+                print()
+            if args.stall_report_csv:
+                _write_stall_csv(observed, args.stall_report_csv)
+                print(f"stall report CSV written to {args.stall_report_csv}")
+            if args.metrics_json:
+                _write_metrics_json(observed, topdowns, args.metrics_json)
+                print(f"metrics written to {args.metrics_json}")
+            timeline_collectors = []
+            timeline_spans: List[Dict] = []
+            if args.timeline or args.timeline_report or args.report:
+                started = time.time()
+                timeline_collectors, timeline_spans = _timeline_pass(
+                    args, started_clock)
+                _staged("timeline pass", started)
+            if args.timeline_report:
+                print(format_timeline_report(timeline_collectors))
+                print()
+            pipeview_note = None
+            if args.pipeview:
+                started = time.time()
+                pipeview_note = _write_pipeview(args)
+                _staged("pipeview pass", started)
+                print(pipeview_note)
+            if args.profile_sim:
+                started = time.time()
+                print(_profile_sim(args))
+                _staged("profile pass", started)
+            job_records = runner.pop_job_records()
+            served_runs = runner.pop_served_runs()
+            if args.timeline:
+                writer = TraceEventWriter()
+                for collector in timeline_collectors:
+                    writer.add_timeline(collector)
+                for span in stage_spans + timeline_spans:
+                    writer.add_span(span["name"], span["ts"], span["dur"],
+                                    tid=span.get("tid", 0))
+                writer.add_job_spans(job_records, started_clock)
+                writer.write(args.timeline)
+                print(f"timeline trace written to {args.timeline} "
+                      f"(load at https://ui.perfetto.dev)")
+            if job_records:
+                _print_job_summary(job_records)
+            failures = runner.failed_runs()
+            if failures:
+                _print_failure_summary(failures)
+            cache = settings.cache
+            cache_counts = cache.counters() if cache is not None else {}
+            if cache is not None and (cache.hits or cache.stores):
+                print(f"[disk cache: {cache.hits} hits, "
+                      f"{cache.stores} new entries under {cache.root}]")
+            if args.resume and cache is not None:
+                simulated = sum(1 for r in job_records if r.ok)
+                print(f"[resume: {cache.hits} job(s) replayed from cache, "
+                      f"{simulated} re-simulated]")
+        except SweepAborted as aborted:
+            completed, _ = split_outcomes(runner.pop_job_records())
+            print(f"sweep aborted (--fail-fast): {aborted}")
+            print(f"[{len(completed)} completed job(s) were persisted to "
+                  f"the disk cache before the abort; re-run with --resume "
+                  f"to retry only the failed jobs]")
+            return 2
     if args.json_path:
         with open(args.json_path, "w") as stream:
             json.dump(collected, stream, indent=2, sort_keys=True,
@@ -890,17 +808,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs_simulated=sum(1 for r in job_records if r.ok),
         jobs_failed=sum(1 for r in job_records if not r.ok),
         fault_policy=fault_policy,
-        job_records=[
-            JobRecord(job=r.job.describe(),
-                      wall_seconds=r.wall_seconds,
-                      worker_pid=r.worker_pid,
-                      attempts=r.attempts,
-                      status="ok" if r.ok else "failed",
-                      cause=getattr(r, "cause", ""),
-                      error=getattr(r, "error", ""),
-                      started_ts=getattr(r, "started_ts", 0.0))
-            for r in job_records
-        ],
+        job_records=[JobRecord.from_pool(r) for r in job_records],
         cache=cache_counts,
         outputs=outputs,
         aggregates=_build_aggregates(served_runs, job_records, observed,

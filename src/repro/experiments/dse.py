@@ -79,6 +79,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.atomicio import replace_json
 from repro.core import ClusterConfig, CoreConfig, IXUConfig
 from repro.mem.hierarchy import HierarchyConfig
 from repro.core.presets import model_config
@@ -88,6 +89,12 @@ from repro.experiments.pareto import (
     dominated_by_some,
     pareto_front_indices,
     pareto_ranks,
+)
+from repro.experiments.sweepflags import (
+    add_sweep_args,
+    applied,
+    float_at_least,
+    int_at_least,
 )
 from repro.experiments.textchart import scatter_chart
 from repro.workloads import ALL_BENCHMARKS
@@ -887,35 +894,6 @@ def format_charts(payload: Mapping) -> str:
 # ----------------------------------------------------------------------
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum} (got {value})")
-        return value
-    return parse
-
-
-def _float_at_least(minimum: float, exclusive: bool = False):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a number, got {text!r}") from None
-        if value < minimum or (exclusive and value == minimum):
-            op = ">" if exclusive else ">="
-            raise argparse.ArgumentTypeError(
-                f"must be {op} {minimum:g} (got {value:g})")
-        return value
-    return parse
-
-
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``dse`` arguments (shared by ``repro-exp dse`` and
     ``python -m repro.experiments.dse``)."""
@@ -924,24 +902,24 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="Preset name (%s) or JSON space file (default paper)."
              % ", ".join(sorted(PRESET_SPACES)))
     parser.add_argument(
-        "--samples", type=_int_at_least(1), default=64, metavar="N",
+        "--samples", type=int_at_least(1), default=64, metavar="N",
         help="Design points to draw (seeded points always included; "
              "default 64; capped at the space size).")
     parser.add_argument(
-        "--budget", type=_int_at_least(1), default=4000, metavar="N",
+        "--budget", type=int_at_least(1), default=4000, metavar="N",
         help="Final-rung measured instructions per run (default 4000).")
     parser.add_argument(
-        "--rungs", type=_int_at_least(1), default=3, metavar="N",
+        "--rungs", type=int_at_least(1), default=3, metavar="N",
         help="Successive-halving rungs (default 3; 1 = no screening).")
     parser.add_argument(
-        "--eta", type=_int_at_least(2), default=3, metavar="N",
+        "--eta", type=int_at_least(2), default=3, metavar="N",
         help="Halving rate: rung budgets grow and survivor counts "
              "shrink by this factor (default 3).")
     parser.add_argument(
-        "--min-measure", type=_int_at_least(1), default=200, metavar="N",
+        "--min-measure", type=int_at_least(1), default=200, metavar="N",
         help="Floor on any rung's measured instructions (default 200).")
     parser.add_argument(
-        "--warmup-factor", type=_float_at_least(0.0), default=4.0,
+        "--warmup-factor", type=float_at_least(0.0), default=4.0,
         metavar="F",
         help="Functional warm-up per rung = F x measured instructions "
              "(default 4.0).")
@@ -953,37 +931,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=0,
         help="Seed for the design-point sampler and trace generation "
              "(default 0).")
-    parser.add_argument(
-        "--jobs", type=_int_at_least(1), default=1,
-        help="Worker processes the sweep fans out over (default 1).")
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="On-disk result cache directory "
-             "(default ~/.cache/fxa-repro).")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="Disable the on-disk result cache (always re-simulate).")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="Replay completed jobs from the disk cache and re-run "
-             "only missing or previously-failed ones.")
-    parser.add_argument(
-        "--retries", type=_int_at_least(0), default=0, metavar="N",
-        help="Re-run a failed job up to N extra times before "
-             "quarantining it (default 0).")
-    parser.add_argument(
-        "--retry-backoff", type=_float_at_least(0.0), default=0.25,
-        metavar="SECONDS",
-        help="Base exponential-backoff delay between retries "
-             "(default 0.25).")
-    parser.add_argument(
-        "--timeout", type=_float_at_least(0.0, exclusive=True),
-        default=None, metavar="SECONDS",
-        help="Per-job execution-time limit (default: none).")
-    parser.add_argument(
-        "--inject-fault", default=None, metavar="SPEC",
-        help="Testing/CI hook: inject a worker fault "
-             "(KIND[:BENCHMARK[:PARAM]], e.g. crash:mcf).")
+    add_sweep_args(parser)
     parser.add_argument(
         "--out", default="dse-frontier.json", metavar="PATH",
         help="Frontier JSON output path (default dse-frontier.json).")
@@ -1035,8 +983,7 @@ def _cmd_verify(path: str) -> int:
 
 def cmd(args: argparse.Namespace) -> int:
     """Run the ``dse`` subcommand (already-parsed arguments)."""
-    from repro.experiments.diskcache import DiskCache, code_version
-    from repro.experiments.pool import FaultSpec, set_fault_injector
+    from repro.experiments.diskcache import code_version
 
     if args.verify:
         return _cmd_verify(args.verify)
@@ -1062,52 +1009,23 @@ def cmd(args: argparse.Namespace) -> int:
         print(f"dse: unknown benchmarks: {sorted(unknown)}",
               file=sys.stderr)
         return 2
-    injector = None
-    if args.inject_fault:
-        try:
-            injector = FaultSpec.parse(args.inject_fault)
-        except ValueError as error:
-            print(f"dse: --inject-fault: {error}", file=sys.stderr)
-            return 2
 
     started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     started_clock = time.time()
-    runner.pop_job_records()
-    runner.pop_served_runs()
-    runner.set_jobs(args.jobs)
-    runner.set_fault_policy(retries=args.retries,
-                            retry_backoff=args.retry_backoff,
-                            timeout=args.timeout,
-                            resume=args.resume)
-    fault_policy = runner.get_fault_policy()
-    previous_cache = runner.get_disk_cache()
-    runner.set_disk_cache(None if args.no_cache
-                          else DiskCache(args.cache_dir))
-    if injector is not None:
-        set_fault_injector(injector)
-    try:
+    with applied(args) as settings:
+        fault_policy = runner.get_fault_policy()
         result = explore(
             space, samples=args.samples, budget=args.budget,
             rungs=args.rungs, eta=args.eta, benchmarks=benchmarks,
             seed=args.seed, min_measure=args.min_measure,
             warmup_factor=args.warmup_factor, log=print)
         job_records = runner.pop_job_records()
-        # Drain the served-run log too, so repeated in-process
-        # invocations (tests) start from clean accounting.
-        runner.pop_served_runs()
-        cache = runner.get_disk_cache()
-        cache_counts = cache.counters() if cache is not None else {}
-    finally:
-        runner.set_disk_cache(previous_cache)
-        runner.set_jobs(1)
-        runner.set_fault_policy()
-        if injector is not None:
-            set_fault_injector(None)
+        cache_counts = (settings.cache.counters()
+                        if settings.cache is not None else {})
 
     payload = result.payload
-    with open(args.out, "w") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    replace_json(args.out, payload, indent=2, sort_keys=True,
+                 trailing_newline=True)
     table = format_frontier_table(payload)
     print(table)
     charts = None
@@ -1135,7 +1053,7 @@ def cmd(args: argparse.Namespace) -> int:
 
     if args.manifest:
         import repro
-        from repro.obs import JobRecord, RunManifest
+        from repro.obs import JobRecord, RunManifest, aggregate_entry
 
         wall = {}
         for record in job_records:
@@ -1144,28 +1062,11 @@ def cmd(args: argparse.Namespace) -> int:
                       record.job.measure)] = record.wall_seconds
         final_measure = rung_measure(args.budget, args.eta, args.rungs,
                                      args.rungs - 1, args.min_measure)
-        aggregates = []
-        for run in sorted(result.final_runs,
-                          key=lambda r: (r.model, r.benchmark)):
-            key = (run.model, run.benchmark, final_measure)
-            wall_seconds = wall.get(key, 0.0)
-            aggregates.append({
-                "model": run.model,
-                "benchmark": run.benchmark,
-                "ipc": run.ipc,
-                "cycles": run.stats.cycles,
-                "committed": run.stats.committed,
-                "energy_total": run.total_energy,
-                "energy_per_instruction":
-                    run.energy.energy_per_instruction,
-                "stalls": dict(run.stats.stalls),
-                "wall_seconds": wall_seconds,
-                "insts_per_second": (
-                    run.stats.committed / wall_seconds
-                    if wall_seconds else 0.0),
-                "ff_skipped_cycles": 0,
-                "topdown": None,
-            })
+        aggregates = [
+            aggregate_entry(run, wall_seconds=wall.get(
+                (run.model, run.benchmark, final_measure), 0.0))
+            for run in sorted(result.final_runs,
+                              key=lambda r: (r.model, r.benchmark))]
         manifest = RunManifest(
             command=list(sys.argv[1:]),
             experiments=["dse"],
@@ -1182,17 +1083,7 @@ def cmd(args: argparse.Namespace) -> int:
             jobs_simulated=sum(1 for r in job_records if r.ok),
             jobs_failed=sum(1 for r in job_records if not r.ok),
             fault_policy=fault_policy,
-            job_records=[
-                JobRecord(job=r.job.describe(),
-                          wall_seconds=r.wall_seconds,
-                          worker_pid=r.worker_pid,
-                          attempts=r.attempts,
-                          status="ok" if r.ok else "failed",
-                          cause=getattr(r, "cause", ""),
-                          error=getattr(r, "error", ""),
-                          started_ts=getattr(r, "started_ts", 0.0))
-                for r in job_records
-            ],
+            job_records=[JobRecord.from_pool(r) for r in job_records],
             cache=cache_counts,
             outputs={"frontier": args.out},
             aggregates=aggregates,
@@ -1207,16 +1098,7 @@ def cmd(args: argparse.Namespace) -> int:
         for name, began, ended in result.rung_spans:
             writer.add_span(name, (began - started_clock) * 1e6,
                             (ended - began) * 1e6, tid=1)
-        for record in job_records:
-            began = getattr(record, "started_ts", 0.0)
-            if not began:
-                continue
-            writer.add_span(
-                f"job {record.job.describe()}",
-                (began - started_clock) * 1e6,
-                record.wall_seconds * 1e6,
-                tid=record.worker_pid,
-                args={"attempts": record.attempts, "ok": record.ok})
+        writer.add_job_spans(job_records, started_clock)
         writer.write(args.timeline)
         print(f"timeline trace written to {args.timeline}")
     return 0

@@ -257,8 +257,10 @@ _FAULT_INJECTOR: Optional[Callable[[SimJob, int], None]] = None
 
 
 def set_fault_injector(
-        injector: Optional[Callable[[SimJob, int], None]]) -> None:
-    """Install (or with None remove) a fault-injection hook.
+        injector: Optional[Callable[[SimJob, int], None]],
+) -> Optional[Callable[[SimJob, int], None]]:
+    """Install (or with None remove) a fault-injection hook; returns
+    the hook it replaces.
 
     The hook runs inside the worker, before the simulation, on every
     attempt.  It is shipped to workers by value (pickled with the job),
@@ -266,7 +268,8 @@ def set_fault_injector(
     functions qualify.  Test and CI machinery only.
     """
     global _FAULT_INJECTOR
-    _FAULT_INJECTOR = injector
+    previous, _FAULT_INJECTOR = _FAULT_INJECTOR, injector
+    return previous
 
 
 def _available_start_method() -> Optional[str]:

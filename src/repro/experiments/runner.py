@@ -12,10 +12,13 @@ optional persistent :class:`~repro.experiments.diskcache.DiskCache`
 repeated invocations skip simulation entirely.  ``run_benchmark`` checks
 memory -> disk -> simulate.
 
-Experiment modules declare their whole job list up front via
-:func:`prefetch`, which fans uncached jobs over N worker processes
-(:func:`set_jobs` / the CLI ``--jobs`` flag) and seeds both caches, so
-the per-benchmark ``run_benchmark`` calls that follow are pure lookups.
+:func:`run_sweep` is the one sweep engine: disk cache, sticky failure
+records, then the fault-tolerant pool.  The job server and spool worker
+call it directly; experiment modules declare their whole job list up
+front via :func:`prefetch`, which hands the unmemoised jobs to
+:func:`run_sweep` under the active :class:`SweepSettings` (worker count,
+cache, fault policy) and seeds the memo, so the per-benchmark
+``run_benchmark`` calls that follow are pure lookups.
 
 Sweeps are fault tolerant: a job that crashes, hangs past the per-job
 timeout or kills its worker is retried per :func:`set_fault_policy` and,
@@ -33,6 +36,7 @@ missing or failed jobs.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import time
@@ -98,11 +102,29 @@ class BenchmarkRun:
         )
 
 
+@dataclass(frozen=True)
+class SweepSettings:
+    """How :func:`prefetch` sweeps run.
+
+    The fields are the :func:`run_sweep` keywords of the same names:
+    ``workers`` processes, the persistent ``cache`` (a
+    :class:`~repro.experiments.diskcache.DiskCache`, None = disabled)
+    and the fault policy (see :func:`set_fault_policy`).
+    :func:`set_jobs`, :func:`set_disk_cache` and :func:`set_fault_policy`
+    replace fields of the active record; :func:`configured` swaps in a
+    whole record for a block.
+    """
+
+    workers: int = 1
+    cache: Optional[object] = None
+    timeout: Optional[float] = None
+    retries: int = 0
+    retry_backoff: float = 0.25
+    resume: bool = False
+    fail_fast: bool = False
+
+
 _CACHE: Dict[Tuple, BenchmarkRun] = {}
-#: Persistent cache (None = disabled); see :func:`set_disk_cache`.
-_DISK_CACHE = None
-#: Worker processes :func:`prefetch` fans out over.
-_JOBS = 1
 #: Generated (warm, measure) trace pairs; every model simulating the
 #: same benchmark interval replays the identical immutable trace.
 _TRACE_MEMO: Dict[Tuple, Tuple[list, list]] = {}
@@ -119,12 +141,8 @@ _FAILED: Dict[Tuple, object] = {}
 #: per-(model, benchmark) aggregates, which must also cover sweeps that
 #: replayed entirely from cache.
 _SERVED: Dict[Tuple, BenchmarkRun] = {}
-#: Fault policy applied by :func:`prefetch`; see :func:`set_fault_policy`.
-_RETRIES = 0
-_RETRY_BACKOFF = 0.25
-_FAIL_FAST = False
-_TIMEOUT: Optional[float] = None
-_RESUME = False
+#: The active sweep settings.
+_SETTINGS = SweepSettings()
 
 
 class JobFailedError(RuntimeError):
@@ -220,16 +238,16 @@ def run_benchmark(
         if hit is not None:
             _SERVED[key] = hit
             return hit
-        if _DISK_CACHE is not None:
-            run = _DISK_CACHE.load(config, benchmark, measure, warmup,
-                                   seed)
+        disk = _SETTINGS.cache
+        if disk is not None:
+            run = disk.load(config, benchmark, measure, warmup, seed)
             if run is not None:
                 _CACHE[key] = run
                 _FAILED.pop(key, None)
                 _SERVED[key] = run
                 return run
-            if key not in _FAILED and not _RESUME:
-                record = _DISK_CACHE.load_failure(
+            if key not in _FAILED and not _SETTINGS.resume:
+                record = disk.load_failure(
                     config, benchmark, measure, warmup, seed)
                 if record is not None:
                     _FAILED[key] = JobFailure.from_dict(
@@ -255,9 +273,9 @@ def run_benchmark(
     _SERVED[key] = run
     if use_cache:
         _CACHE[key] = run
-        if _DISK_CACHE is not None:
-            _DISK_CACHE.store(config, benchmark, measure, warmup, seed,
-                              run)
+        if _SETTINGS.cache is not None:
+            _SETTINGS.cache.store(config, benchmark, measure, warmup,
+                                  seed, run)
     return run
 
 
@@ -294,21 +312,25 @@ def run_sweep(
     retries: int = 0,
     retry_backoff: float = 0.25,
     resume: bool = False,
+    fail_fast: bool = False,
     on_outcome=None,
     on_attempt=None,
 ) -> List[SweepOutcome]:
     """Serve a job list end to end: cache dedup, quarantine, pool.
 
-    The self-contained, re-entrant flavour of :func:`prefetch` that the
-    ``repro.serve`` job server schedules batches on.  No module globals
-    are read or written, so concurrent sweeps can run on different
-    threads against different caches.  Every job is answered — straight
-    from ``cache`` when its fingerprint is already stored (identical
-    digest ⇒ zero simulation), from a sticky quarantine record (unless
-    ``resume`` clears it), or by fanning the misses over the
-    fault-tolerant pool under the given retry/timeout policy.  Fresh
-    successes and failures are persisted back to ``cache`` as they
-    land, exactly like a CLI sweep.
+    The sweep engine: :func:`prefetch` runs the experiment modules'
+    sweeps through it, and the ``repro.serve`` job server and spool
+    worker call it directly.  No module globals are read or written,
+    so concurrent sweeps can run on different threads against
+    different caches.  Every job is answered — straight from ``cache``
+    when its fingerprint is already stored (identical digest ⇒ zero
+    simulation), from a sticky quarantine record (unless ``resume``
+    clears it), or by fanning the misses over the fault-tolerant pool
+    under the given retry/timeout policy.  Fresh successes and failures
+    are persisted back to ``cache`` as they land.  With ``fail_fast``
+    the first job to exhaust its retry budget aborts the sweep with
+    :class:`~repro.experiments.pool.SweepAborted`; the successes before
+    it are already persisted.
 
     ``on_outcome`` fires once per *distinct* job in serving order —
     cache hits and quarantine replays first, then pool completions in
@@ -317,70 +339,62 @@ def run_sweep(
     :func:`repro.experiments.pool.run_jobs`), passed through verbatim
     so the serving layer can record one trace span per execution
     attempt, retries included.  Returns one :class:`SweepOutcome` per
-    input job in submission order; duplicate jobs share a single
-    execution and outcome.
+    input job in submission order; duplicate (equal) jobs share a
+    single execution and outcome.
     """
     from repro.experiments.pool import JobFailure, SimJob, run_jobs
 
     jobs = list(jobs)
     outcomes: List[Optional[SweepOutcome]] = [None] * len(jobs)
-    indices: Dict[Tuple, List[int]] = {}
+    indices: Dict[SimJob, List[int]] = {}
     misses: List[SimJob] = []
-    miss_keys: List[Tuple] = []
 
-    def _emit(key: Tuple, outcome: SweepOutcome) -> None:
-        for index in indices[key]:
+    def _emit(job: SimJob, outcome: SweepOutcome) -> None:
+        for index in indices[job]:
             outcomes[index] = outcome
         if on_outcome is not None:
             on_outcome(outcome)
 
     for index, job in enumerate(jobs):
-        key = (_config_key(job.config), job.benchmark, job.measure,
-               job.warmup, job.seed)
-        if key in indices:
-            indices[key].append(index)
+        if job in indices:
+            indices[job].append(index)
             continue
-        indices[key] = [index]
+        indices[job] = [index]
         if cache is not None:
             run = cache.load(job.config, job.benchmark, job.measure,
                              job.warmup, job.seed)
             if run is not None:
-                _emit(key, SweepOutcome(job=job, source="cache",
+                _emit(job, SweepOutcome(job=job, source="cache",
                                         run=run))
                 continue
-            if resume:
-                cache.clear_failure(job.config, job.benchmark,
-                                    job.measure, job.warmup, job.seed)
-            else:
-                record = cache.load_failure(
-                    job.config, job.benchmark, job.measure, job.warmup,
-                    job.seed)
-                if record is not None:
+            record = cache.load_failure(job.config, job.benchmark,
+                                        job.measure, job.warmup, job.seed)
+            if record is not None:
+                if resume:
+                    cache.clear_failure(job.config, job.benchmark,
+                                        job.measure, job.warmup, job.seed)
+                else:
                     failure = JobFailure.from_dict(job, record)
-                    _emit(key, SweepOutcome(
+                    _emit(job, SweepOutcome(
                         job=job, source="quarantine", failure=failure,
                         attempts=failure.attempts,
                         wall_seconds=failure.wall_seconds,
                         worker_pid=failure.worker_pid))
                     continue
         misses.append(job)
-        miss_keys.append(key)
     if not misses:
         return outcomes  # type: ignore[return-value]
 
     def _landed(result) -> None:
-        # Completion-order incremental persistence + streaming, just
-        # like a CLI sweep: an interrupted batch loses nothing.  The
-        # key is recomputed from the result's own job: in pool mode the
-        # JobResult crossed a process boundary, so its job is an equal
-        # but not identical object.
+        # Completion-order incremental persistence + streaming: an
+        # interrupted sweep loses nothing.  In pool mode the JobResult
+        # crossed a process boundary, so its job is an equal (not
+        # identical) copy — which still finds its slots in ``indices``.
         job = result.job
         if cache is not None:
             cache.store(job.config, job.benchmark, job.measure,
                         job.warmup, job.seed, result.run)
-        key = (_config_key(job.config), job.benchmark, job.measure,
-               job.warmup, job.seed)
-        _emit(key, SweepOutcome(
+        _emit(job, SweepOutcome(
             job=job, source="simulated", run=result.run,
             wall_seconds=result.wall_seconds, attempts=result.attempts,
             worker_pid=result.worker_pid, started_ts=result.started_ts))
@@ -388,14 +402,15 @@ def run_sweep(
     pool_outcomes = run_jobs(misses, workers=workers, timeout=timeout,
                              retries=retries,
                              retry_backoff=retry_backoff,
-                             on_result=_landed, on_attempt=on_attempt)
-    for job, key, outcome in zip(misses, miss_keys, pool_outcomes):
+                             fail_fast=fail_fast, on_result=_landed,
+                             on_attempt=on_attempt)
+    for job, outcome in zip(misses, pool_outcomes):
         if isinstance(outcome, JobFailure):
             if cache is not None:
                 cache.store_failure(job.config, job.benchmark,
                                     job.measure, job.warmup, job.seed,
                                     outcome.to_dict())
-            _emit(key, SweepOutcome(
+            _emit(job, SweepOutcome(
                 job=job, source="simulated", failure=outcome,
                 attempts=outcome.attempts,
                 wall_seconds=outcome.wall_seconds,
@@ -412,73 +427,44 @@ def prefetch(
     """Simulate every uncached (config, benchmark) pair via the pool.
 
     Experiment modules call this with their complete job list before
-    reading any individual result: cached pairs (memory or disk) are
-    skipped, the misses fan out over :func:`set_jobs` workers under the
-    :func:`set_fault_policy` retry/timeout policy, and both caches are
-    seeded so the ``run_benchmark`` calls that follow never simulate.
-    Returns the number of jobs the pool actually ran (successes plus
-    quarantined failures).
+    reading any individual result.  Pairs already memoised — or
+    quarantined in this process, outside resume mode — are skipped;
+    the rest go to :func:`run_sweep` under the active
+    :class:`SweepSettings`, and its outcomes seed the memo and the
+    quarantine map so the ``run_benchmark`` calls that follow never
+    simulate.  Returns the number of jobs the pool actually ran
+    (successes plus quarantined failures); their
+    :class:`~repro.experiments.pool.JobResult` / ``JobFailure`` records
+    join :func:`pop_job_records` in submission order.
 
-    Jobs already quarantined — in this process or as a persisted disk
-    failure record — are skipped, not re-crashed; resume mode
-    (:func:`set_fault_policy` ``resume=True``) clears those records and
-    re-runs exactly the missing/failed subset.  Successful results are
-    persisted to the disk cache as they complete, so an interrupted
-    sweep (Ctrl-C, OOM) keeps everything already finished.
+    Jobs with a persisted disk failure record are quarantined, not
+    re-crashed; resume mode (:func:`set_fault_policy` ``resume=True``)
+    clears those records and re-runs exactly the missing/failed subset.
+    Successful results are persisted to the disk cache as they
+    complete, so an interrupted or ``fail_fast``-aborted sweep keeps
+    everything already finished.
     """
-    from repro.experiments.pool import (
-        JobFailure,
-        SimJob,
-        SweepAborted,
-        run_jobs,
-    )
+    from repro.experiments.pool import JobResult, SimJob, SweepAborted
 
+    settings = _SETTINGS
     todo: Dict[Tuple, SimJob] = {}
     for config, benchmark in pairs:
         key = (_config_key(config), benchmark, measure, warmup, seed)
         if key in _CACHE or key in todo:
             continue
         if key in _FAILED:
-            if not _RESUME:
+            if not settings.resume:
                 continue
-            _FAILED.pop(key)
-        job = SimJob(config=config, benchmark=benchmark,
-                     measure=measure, warmup=warmup, seed=seed)
-        if _DISK_CACHE is not None:
-            run = _DISK_CACHE.load(config, benchmark, measure, warmup,
-                                   seed)
-            if run is not None:
-                _CACHE[key] = run
-                continue
-            record = _DISK_CACHE.load_failure(config, benchmark,
-                                              measure, warmup, seed)
-            if record is not None:
-                if _RESUME:
-                    _DISK_CACHE.clear_failure(config, benchmark,
-                                              measure, warmup, seed)
-                else:
-                    _FAILED[key] = JobFailure.from_dict(job, record)
-                    continue
-        todo[key] = job
+            del _FAILED[key]
+        todo[key] = SimJob(config=config, benchmark=benchmark,
+                           measure=measure, warmup=warmup, seed=seed)
     if not todo:
         return 0
-
-    def _persist(result) -> None:
-        # Completion-order incremental store: an interrupted sweep
-        # keeps every job already finished.
-        if _DISK_CACHE is not None:
-            job = result.job
-            _DISK_CACHE.store(job.config, job.benchmark, job.measure,
-                              job.warmup, job.seed, result.run)
-
     try:
-        outcomes = run_jobs(list(todo.values()), workers=_JOBS,
-                            timeout=_TIMEOUT, retries=_RETRIES,
-                            retry_backoff=_RETRY_BACKOFF,
-                            fail_fast=_FAIL_FAST, on_result=_persist)
+        outcomes = run_sweep(list(todo.values()), **vars(settings))
     except SweepAborted as aborted:
-        # Completed results were already persisted by _persist; seed
-        # the memory cache too so the caller can salvage them.
+        # run_sweep already persisted the completed results; memoise
+        # them too so the caller can salvage them.
         _JOB_RECORDS.extend(aborted.completed)
         _JOB_RECORDS.append(aborted.failure)
         for result in aborted.completed:
@@ -486,19 +472,20 @@ def prefetch(
             _CACHE[(_config_key(job.config), job.benchmark, job.measure,
                     job.warmup, job.seed)] = result.run
         raise
-    _JOB_RECORDS.extend(outcomes)
+    simulated = 0
     for key, outcome in zip(todo, outcomes):
-        if isinstance(outcome, JobFailure):
-            _FAILED[key] = outcome
-            if _DISK_CACHE is not None:
-                job = outcome.job
-                _DISK_CACHE.store_failure(job.config, job.benchmark,
-                                          job.measure, job.warmup,
-                                          job.seed, outcome.to_dict())
-        else:
+        if outcome.ok:
             _CACHE[key] = outcome.run
-            _FAILED.pop(key, None)
-    return len(outcomes)
+        else:
+            _FAILED[key] = outcome.failure
+        if outcome.source == "simulated":
+            simulated += 1
+            _JOB_RECORDS.append(outcome.failure or JobResult(
+                job=outcome.job, run=outcome.run,
+                wall_seconds=outcome.wall_seconds,
+                worker_pid=outcome.worker_pid, attempts=outcome.attempts,
+                started_ts=outcome.started_ts))
+    return simulated
 
 
 def complete_subset(
@@ -581,53 +568,62 @@ def set_fault_policy(
 
     Calling with no arguments restores the defaults.
     """
-    global _RETRIES, _RETRY_BACKOFF, _FAIL_FAST, _TIMEOUT, _RESUME
+    global _SETTINGS
     if retries < 0:
         raise ValueError("retries must be >= 0")
     if retry_backoff < 0:
         raise ValueError("retry_backoff must be >= 0")
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive (or None)")
-    _RETRIES = retries
-    _RETRY_BACKOFF = retry_backoff
-    _FAIL_FAST = fail_fast
-    _TIMEOUT = timeout
-    _RESUME = resume
+    _SETTINGS = dataclasses.replace(
+        _SETTINGS, retries=retries, retry_backoff=retry_backoff,
+        fail_fast=fail_fast, timeout=timeout, resume=resume)
 
 
 def get_fault_policy() -> Dict:
     """The active :func:`set_fault_policy` settings as a plain dict."""
-    return {
-        "retries": _RETRIES,
-        "retry_backoff": _RETRY_BACKOFF,
-        "fail_fast": _FAIL_FAST,
-        "timeout": _TIMEOUT,
-        "resume": _RESUME,
-    }
+    return {name: getattr(_SETTINGS, name) for name in
+            ("retries", "retry_backoff", "fail_fast", "timeout", "resume")}
 
 
 def set_jobs(jobs: int) -> None:
     """Set the worker-process count :func:`prefetch` fans out over."""
-    global _JOBS
+    global _SETTINGS
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    _JOBS = jobs
-
-
-def get_jobs() -> int:
-    """Current worker-process count."""
-    return _JOBS
+    _SETTINGS = dataclasses.replace(_SETTINGS, workers=jobs)
 
 
 def set_disk_cache(cache) -> None:
     """Install (or with None remove) the persistent result cache."""
-    global _DISK_CACHE
-    _DISK_CACHE = cache
+    global _SETTINGS
+    _SETTINGS = dataclasses.replace(_SETTINGS, cache=cache)
 
 
-def get_disk_cache():
-    """The installed :class:`DiskCache`, or None when disabled."""
-    return _DISK_CACHE
+@contextlib.contextmanager
+def configured(settings: SweepSettings, injector=None):
+    """Run a block under ``settings`` and the fault ``injector`` (see
+    :func:`repro.experiments.pool.set_fault_injector`).
+
+    The block starts and ends with empty :func:`pop_job_records` /
+    :func:`pop_served_runs` accounting, so it reads only its own jobs;
+    the previous settings and injector come back on exit.
+    """
+    global _SETTINGS
+    from repro.experiments.pool import set_fault_injector
+
+    previous = _SETTINGS
+    previous_injector = set_fault_injector(injector)
+    _SETTINGS = settings
+    _JOB_RECORDS.clear()
+    _SERVED.clear()
+    try:
+        yield settings
+    finally:
+        _SETTINGS = previous
+        set_fault_injector(previous_injector)
+        _JOB_RECORDS.clear()
+        _SERVED.clear()
 
 
 def clear_cache() -> None:

@@ -66,6 +66,19 @@ class JobRecord:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @classmethod
+    def from_pool(cls, record) -> "JobRecord":
+        """From a pool record: a ``JobResult``, a ``JobFailure``, or
+        anything with their surface (a successful ``SweepOutcome``)."""
+        return cls(job=record.job.describe(),
+                   wall_seconds=record.wall_seconds,
+                   worker_pid=record.worker_pid,
+                   attempts=record.attempts,
+                   status="ok" if record.ok else "failed",
+                   cause=getattr(record, "cause", ""),
+                   error=getattr(record, "error", ""),
+                   started_ts=getattr(record, "started_ts", 0.0))
+
     def to_dict(self) -> Dict:
         return asdict(self)
 

@@ -86,6 +86,22 @@ class ConsoleFormatter(logging.Formatter):
         return line
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted.
+
+    Binding the stream at :func:`configure` time breaks when the caller
+    swaps stderr around it (pytest's capture does): a server thread that
+    logs after the swap is undone would write to a closed stream.
+    """
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def get_logger(name: str = ROOT) -> logging.Logger:
     """Logger under the ``repro`` tree (``name`` may already include it)."""
     if name != ROOT and not name.startswith(ROOT + "."):
@@ -104,7 +120,8 @@ def configure(json_lines: bool = False, level: str = "info",
     root = logging.getLogger(ROOT)
     root.setLevel(getattr(logging, level.upper(), logging.INFO))
     root.propagate = False
-    handler = logging.StreamHandler(stream or sys.stderr)
+    handler = (_StderrHandler() if stream is None
+               else logging.StreamHandler(stream))
     handler.setFormatter(JsonFormatter() if json_lines
                          else ConsoleFormatter())
     handler._repro_slog = True  # type: ignore[attr-defined]

@@ -25,9 +25,9 @@ Usage (what the CLI ``--timeline OUT.json`` does)::
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.atomicio import replace_json
 from repro.obs.stall import STALL_CAUSES
 from repro.obs.timeline import TimelineCollector
 
@@ -91,6 +91,20 @@ class TraceEventWriter:
             event["args"] = args
         self.events.append(event)
 
+    def add_job_spans(self, records, origin: float) -> None:
+        """One host span per sweep job record that carries a start time
+        (pool ``JobResult``/``JobFailure`` records); ``origin`` is the
+        run's start, host wall-clock epoch seconds."""
+        for record in records:
+            began = getattr(record, "started_ts", 0.0)
+            if began:
+                self.add_span(f"job {record.job.describe()}",
+                              (began - origin) * 1e6,
+                              record.wall_seconds * 1e6,
+                              tid=record.worker_pid,
+                              args={"attempts": record.attempts,
+                                    "ok": record.ok})
+
     # -- core timelines ------------------------------------------------
 
     def add_timeline(self, collector: TimelineCollector) -> int:
@@ -148,9 +162,10 @@ class TraceEventWriter:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle)
-            handle.write("\n")
+        """Publish the trace atomically: a reader polling ``path`` (the
+        job server rewrites a batch's trace as late streams end) sees
+        the old trace or the new one, never a torn file."""
+        replace_json(path, self.to_dict(), trailing_newline=True)
 
 
 def export_timelines(collectors: Sequence[TimelineCollector],

@@ -49,7 +49,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.atomicio import _HOST
 from repro.experiments.diskcache import DiskCache, code_version, fingerprint
+from repro.experiments.pool import set_fault_injector
 from repro.experiments.runner import SweepOutcome, run_sweep
+from repro.experiments.sweepflags import add_sweep_args
 from repro.obs import slog
 from repro.obs.manifest import (
     JobRecord,
@@ -392,20 +394,7 @@ class SimServer:
             if outcome.source != "simulated":
                 continue
             simulated += 1
-            if outcome.ok:
-                records.append(JobRecord(
-                    job=outcome.job.describe(),
-                    wall_seconds=outcome.wall_seconds,
-                    worker_pid=outcome.worker_pid,
-                    attempts=outcome.attempts,
-                    started_ts=outcome.started_ts))
-            else:
-                f = outcome.failure
-                records.append(JobRecord(
-                    job=outcome.job.describe(),
-                    wall_seconds=f.wall_seconds,
-                    worker_pid=f.worker_pid, attempts=f.attempts,
-                    status="failed", cause=f.cause, error=f.error))
+            records.append(JobRecord.from_pool(outcome.failure or outcome))
         specs = batch.spec.jobs
         measures = {spec.measure for spec in specs}
         warmups = {spec.warmup for spec in specs}
@@ -1004,22 +993,7 @@ def configure_parser(parser) -> None:
     parser.add_argument("--port", type=int, default=8023,
                         help="bind port; 0 picks a free port "
                              "(default 8023)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="content-addressed result cache "
-                             "(default ~/.cache/fxa-repro)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="pool worker processes per sweep "
-                             "(default 1)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-job execution deadline")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry budget before quarantine "
-                             "(default 0)")
-    parser.add_argument("--retry-backoff", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="base exponential-backoff delay "
-                             "(default 0.25)")
+    add_sweep_args(parser, in_process=False)
     parser.add_argument("--quotas", default=None, metavar="FILE",
                         help="per-tenant quota/priority policy JSON")
     parser.add_argument("--spool", default=None, metavar="DIR",
@@ -1038,10 +1012,6 @@ def configure_parser(parser) -> None:
                              "this (the owning worker died); server-"
                              "side complement of the worker's "
                              "--reclaim-after")
-    parser.add_argument("--inject-fault", default=None, metavar="SPEC",
-                        help="fault injector for smoke tests, e.g. "
-                             "crash:mcf (see fxa-experiments "
-                             "--inject-fault)")
     slog.add_logging_args(parser)
 
 
@@ -1051,10 +1021,7 @@ def cmd(args) -> int:
     quotas = (QuotaRegistry.from_file(args.quotas)
               if args.quotas else QuotaRegistry())
     spool = Spool(args.spool) if args.spool else None
-    if args.inject_fault:
-        from repro.experiments.pool import FaultSpec, set_fault_injector
-
-        set_fault_injector(FaultSpec.parse(args.inject_fault))
+    set_fault_injector(args.inject_fault)
     server = SimServer(
         cache=DiskCache(args.cache_dir),
         workers=args.jobs,

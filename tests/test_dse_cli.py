@@ -126,24 +126,29 @@ class TestCrashResume:
 
 class TestArgumentValidation:
     @pytest.mark.parametrize("argv", [
-        ["--rungs", "0"],
-        ["--rungs", "-2"],
-        ["--rungs", "two"],
-        ["--eta", "1"],
-        ["--eta", "0"],
-        ["--budget", "0"],
-        ["--samples", "0"],
-        ["--min-measure", "0"],
-        ["--warmup-factor", "-1"],
-        ["--jobs", "0"],
-        ["--retries", "-1"],
-        ["--retry-backoff", "-0.5"],
-        ["--timeout", "0"],
+        ["dse", "--rungs", "0"],
+        ["dse", "--rungs", "-2"],
+        ["dse", "--rungs", "two"],
+        ["dse", "--eta", "1"],
+        ["dse", "--eta", "0"],
+        ["dse", "--budget", "0"],
+        ["dse", "--samples", "0"],
+        ["dse", "--min-measure", "0"],
+        ["dse", "--warmup-factor", "-1"],
+        ["dse", "--jobs", "0"],
+        ["dse", "--retries", "-1"],
+        ["dse", "--retry-backoff", "-0.5"],
+        ["dse", "--timeout", "0"],
+        ["serve", "--jobs", "0"],
+        ["serve", "--retries", "-1"],
+        ["serve", "--retry-backoff", "-1"],
+        ["serve", "--timeout", "0"],
+        ["serve", "--timeout", "-1"],
     ])
     def test_bad_numeric_args_exit_2_with_clear_error(self, argv,
                                                       capsys):
         with pytest.raises(SystemExit) as excinfo:
-            repro_exp_main(["dse"] + argv)
+            repro_exp_main(argv)
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "must be" in message or "expected" in message
@@ -157,8 +162,14 @@ class TestArgumentValidation:
         assert "unknown benchmarks" in capsys.readouterr().err
 
     def test_bad_fault_spec_exits_2(self, capsys):
-        assert _run(SWEEP + ["--inject-fault", "explode:mcf"]) == 2
-        assert "fault" in capsys.readouterr().err
+        for argv in (["dse"] + SWEEP + ["--inject-fault", "explode:mcf"],
+                     ["serve", "--inject-fault", "explode"]):
+            with pytest.raises(SystemExit) as excinfo:
+                repro_exp_main(argv)
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err
+            assert "fault" in message
+            assert "Traceback" not in message
 
     def test_list_spaces(self, capsys):
         assert _run(["--list-spaces"]) == 0

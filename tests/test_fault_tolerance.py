@@ -7,6 +7,8 @@ attempt counts, and a subsequent resume re-executes only the failed
 subset (witnessed by the disk cache's hit counters).
 """
 
+import argparse
+
 import pytest
 
 from repro.core import model_config
@@ -22,7 +24,7 @@ from repro.experiments.pool import (
     set_fault_injector,
     split_outcomes,
 )
-from repro.experiments import runner
+from repro.experiments import pool, runner, sweepflags
 from repro.experiments.runner import (
     JobFailedError,
     clear_cache,
@@ -268,6 +270,28 @@ class TestResume:
                              **SMALL) is not None
 
 
+class TestSweepFlags:
+    def test_applied_flags_are_restored_after_the_block(self, tmp_path):
+        parser = argparse.ArgumentParser()
+        sweepflags.add_sweep_args(parser)
+        args = parser.parse_args([
+            "--jobs", "2", "--cache-dir", str(tmp_path), "--retries", "1",
+            "--timeout", "9", "--resume", "--inject-fault", "crash:mcf"])
+        outer = FaultSpec.parse("sleep")
+        set_jobs(3)
+        set_fault_injector(outer)
+        with sweepflags.applied(args) as settings:
+            assert runner._SETTINGS is settings
+            assert (settings.workers, settings.retries, settings.timeout,
+                    settings.resume, settings.fail_fast) == (
+                        2, 1, 9.0, True, False)
+            assert settings.cache.root == tmp_path
+            assert pool._FAULT_INJECTOR is args.inject_fault
+        assert runner._SETTINGS.workers == 3
+        assert runner._SETTINGS.cache is None
+        assert pool._FAULT_INJECTOR is outer
+
+
 class TestIncrementalPersistence:
     def test_completed_results_stored_before_abort(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
@@ -285,3 +309,16 @@ class TestIncrementalPersistence:
         assert run_benchmark(model_config("BIG"), "hmmer",
                              **SMALL) is not None
         assert cache.counters()["hits"] == 1
+
+    def test_run_sweep_fail_fast_stores_completed_before_abort(
+            self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        set_fault_injector(FaultSpec.parse("crash:mcf"))
+        with pytest.raises(SweepAborted) as excinfo:
+            runner.run_sweep(_jobs(), cache=cache, fail_fast=True)
+        assert [r.job.benchmark for r in excinfo.value.completed] == [
+            "hmmer", "lbm"]
+        assert cache.counters()["stores"] == 2
+        assert cache.counters()["failures_stored"] == 0
+        assert cache.load(model_config("BIG"), "lbm", SMALL["measure"],
+                          SMALL["warmup"], 0) is not None

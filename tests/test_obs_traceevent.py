@@ -125,3 +125,18 @@ def test_empty_writer_still_valid():
     writer = TraceEventWriter()
     data = writer.to_dict()
     assert [e["ph"] for e in data["traceEvents"]] == ["M"]
+
+
+def test_failed_rewrite_keeps_previous_trace(tmp_path):
+    """A reader polling the file sees the old trace or the new one: a
+    serialisation failure mid-rewrite leaves the old bytes, no temp."""
+    path = tmp_path / "batch.trace.json"
+    writer = TraceEventWriter()
+    writer.add_span("admit", 0.0, 10.0)
+    writer.write(str(path))
+    before = path.read_bytes()
+    writer.add_span("stream", 10.0, 5.0, args={"bad": object()})
+    with pytest.raises(TypeError):
+        writer.write(str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -257,6 +257,22 @@ class TestSlog:
         lines = [l for l in stream.getvalue().splitlines() if l]
         assert len(lines) == 1
 
+    def test_default_handler_follows_current_stderr(self, capsys):
+        """Configured while stderr was swapped (a CLI run under test
+        capture), the handler must not keep the swapped-out stream: a
+        server thread logging after it closed printed a logging error."""
+        swapped = io.StringIO()
+        real, sys.stderr = sys.stderr, swapped
+        try:
+            slog.configure()
+        finally:
+            sys.stderr = real
+        swapped.close()
+        slog.get_logger("serve").warning("after the swap")
+        err = capsys.readouterr().err
+        assert "Logging error" not in err
+        assert "after the swap" in err
+
 
 class TestSpoolTracePropagation:
     def test_execute_claim_returns_stitched_spans(self, tmp_path):
