@@ -57,16 +57,18 @@ def tmp_path_for(path) -> str:
 
 
 def replace_json(path, payload, *, indent=None, sort_keys: bool = False,
-                 trailing_newline: bool = False) -> None:
+                 default=None, trailing_newline: bool = False) -> None:
     """Serialise ``payload`` as JSON and atomically publish it at ``path``.
 
+    ``indent``, ``sort_keys`` and ``default`` are :func:`json.dump`'s.
     Readers never observe a torn file; a failure while serialising (or
     writing) leaves any existing file untouched and removes the temp.
     """
     tmp = tmp_path_for(path)
     try:
         with open(tmp, "w") as stream:
-            json.dump(payload, stream, indent=indent, sort_keys=sort_keys)
+            json.dump(payload, stream, indent=indent, sort_keys=sort_keys,
+                      default=default)
             if trailing_newline:
                 stream.write("\n")
         os.replace(tmp, path)

@@ -47,12 +47,12 @@ Regression gating (see :mod:`repro.obs.diffrun`)::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
 import repro
+from repro.atomicio import replace_json
 from repro.core import MODEL_NAMES, model_config
 from repro.experiments import (
     figure7, figure8, figure9, figure10, figure11, figure12, figure13,
@@ -222,9 +222,8 @@ def _write_metrics_json(observed: Dict, topdowns: Dict,
         }
         for (model, benchmark), stats in observed.items()
     ]
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    replace_json(path, payload, indent=2, sort_keys=True,
+                 trailing_newline=True)
 
 
 #: The four core types the timeline pass samples (one per
@@ -426,8 +425,8 @@ def _run_validation(parser, args) -> int:
             failed = True
         report_payload["fuzz"] = result.to_dict()
     if args.fuzz_report:
-        with open(args.fuzz_report, "w") as stream:
-            json.dump(report_payload, stream, indent=2, sort_keys=True)
+        replace_json(args.fuzz_report, report_payload, indent=2,
+                     sort_keys=True)
         print(f"validation report written to {args.fuzz_report}")
     return 1 if failed else 0
 
@@ -766,9 +765,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"to retry only the failed jobs]")
             return 2
     if args.json_path:
-        with open(args.json_path, "w") as stream:
-            json.dump(collected, stream, indent=2, sort_keys=True,
-                      default=_json_default)
+        replace_json(args.json_path, collected, indent=2, sort_keys=True,
+                     default=_json_default)
         print(f"raw results written to {args.json_path}")
     manifest_paths = []
     if args.manifest_path:

@@ -5,10 +5,14 @@ benchmark) pairs — every figure in the reproduction is a static job list
 with no cross-job data flow.  :func:`run_jobs` maps such a list over
 worker processes:
 
-* **Deterministic**: each job re-derives its trace from (benchmark,
-  seed), so a job's result is a pure function of the job tuple; results
-  return in submission order and are bit-for-bit identical to a serial
-  run regardless of worker count or scheduling.
+* **Deterministic**: a job's trace is a pure function of (benchmark,
+  measure, warmup, seed), so a job's result is a pure function of the
+  job tuple, whichever process generated the trace: the worker itself,
+  or, for a trace two or more jobs of the call share, the parent, just
+  before forking the first of them (the workers inherit it; the parent
+  drops it after forking the last).  Results return in submission
+  order and are bit-for-bit identical to a serial run regardless of
+  worker count or scheduling.
 * **Fault tolerant**: a worker exception, a wedged (timed-out) job or a
   worker process dying outright produces a structured
   :class:`JobFailure` in the job's result slot instead of tearing down
@@ -100,6 +104,12 @@ class SimJob:
         return (f"{self.config.name}/{self.benchmark}"
                 f"(measure={self.measure}, warmup={self.warmup},"
                 f" seed={self.seed})")
+
+    @property
+    def trace_key(self) -> Tuple[str, int, int, int]:
+        """The trace this job replays, as
+        :func:`~repro.experiments.runner.trace_pair` arguments."""
+        return (self.benchmark, self.measure, self.warmup, self.seed)
 
 
 @dataclass
@@ -373,14 +383,33 @@ def _run_parallel(
     starts at its worker's "started" signal, so queue wait is never
     charged against ``timeout``.  Outcomes are reassembled into
     submission order regardless of completion order.
+
+    First attempts are dispatched grouped by trace, groups in order of
+    first appearance.  A trace two or more jobs share is built into the
+    runner's memo just before its group's first fork and dropped right
+    after its last, so those workers inherit it instead of each
+    generating it, and the parent holds one such trace at a time.  A
+    trace already memoised is used and kept; so is a full memo, whose
+    workers generate their own.
     """
+    from repro.experiments import runner
+
     results_q = context.Queue()
     injector = _FAULT_INJECTOR
     outcomes: List[Optional[Union[JobResult, JobFailure]]] = (
         [None] * len(jobs))
-    pending = deque((index, 1) for index in range(len(jobs)))
+    groups: Dict[Tuple, List[int]] = {}
+    for index, job in enumerate(jobs):
+        groups.setdefault(job.trace_key, []).append(index)
+    pending = deque((index, 1) for group in groups.values()
+                    for index in group)
     waiting: List[Tuple[float, int, int]] = []  # (ready_at, idx, attempt)
     running: Dict[int, _Running] = {}
+    # The last job of each shared trace's group, by submission index.
+    last = {key: group[-1] for key, group in groups.items()
+            if len(group) > 1}
+    built: Optional[Tuple] = None  # the shared trace this call memoised
+    memo = runner._TRACE_MEMO
 
     def completed() -> List[JobResult]:
         return [o for o in outcomes if isinstance(o, JobResult)]
@@ -409,6 +438,16 @@ def _run_parallel(
                     pending.append((index, attempt))
             while pending and len(running) < workers:
                 index, attempt = pending.popleft()
+                key = jobs[index].trace_key
+                shared = attempt == 1 and key in last
+                if (shared and key not in memo
+                        and len(memo) < runner.TRACE_MEMO_LIMIT):
+                    try:
+                        runner.trace_pair(*key)
+                    except Exception:
+                        pass  # each worker re-raises it as its failure
+                    else:
+                        built = key
                 proc = context.Process(
                     target=_worker_main,
                     args=(jobs[index], attempt, index, results_q,
@@ -417,6 +456,9 @@ def _run_parallel(
                 proc.daemon = True
                 proc.start()
                 running[index] = _Running(proc, attempt)
+                if shared and index == last[key] and built == key:
+                    memo.pop(key, None)
+                    built = None
             if not running:
                 time.sleep(_POLL_SECONDS)
                 continue
@@ -508,6 +550,8 @@ def _run_parallel(
                             worker_pid=proc.pid or 0))
         return list(outcomes)
     finally:
+        if built is not None:
+            memo.pop(built, None)
         for state in running.values():
             _terminate(state.proc)
         results_q.close()

@@ -125,9 +125,13 @@ class SweepSettings:
 
 
 _CACHE: Dict[Tuple, BenchmarkRun] = {}
-#: Generated (warm, measure) trace pairs; every model simulating the
-#: same benchmark interval replays the identical immutable trace.
+#: Generated (warm, measure) trace pairs keyed by (benchmark, measure,
+#: warmup, seed); every model simulating the same benchmark interval
+#: replays the identical immutable trace.  See :func:`trace_pair`.
 _TRACE_MEMO: Dict[Tuple, Tuple[list, list]] = {}
+#: Most traces :data:`_TRACE_MEMO` holds; a miss on a full memo empties
+#: it first, which bounds memory on long sweeps.
+TRACE_MEMO_LIMIT = 64
 #: Accounting for every job actually simulated by this process (pool
 #: fan-outs and cache-miss ``run_benchmark`` calls alike); drained by
 #: :func:`pop_job_records` for the CLI's manifest and slowest-jobs view.
@@ -169,6 +173,30 @@ def _config_key(config: CoreConfig) -> Tuple:
     return dataclasses.astuple(config)
 
 
+def trace_pair(benchmark: str, measure: int, warmup: int,
+               seed: int = 0) -> Tuple[list, list]:
+    """The (warm-up, measured) traces of one benchmark interval.
+
+    Served from the process memo :data:`_TRACE_MEMO`, else derived from
+    the benchmark profile and seed and memoised.  :func:`simulate`
+    reads its traces here, and a parallel sweep calls it in the parent
+    to build a trace its forked workers share (see
+    :mod:`repro.experiments.pool`).
+    """
+    key = (benchmark, measure, warmup, seed)
+    traces = _TRACE_MEMO.get(key)
+    if traces is None:
+        generator = TraceGenerator(
+            build_program(get_profile(benchmark), seed=seed), seed=seed
+        )
+        traces = (generator.generate(warmup),
+                  renumber_trace(generator.generate(measure)))
+        if len(_TRACE_MEMO) >= TRACE_MEMO_LIMIT:
+            _TRACE_MEMO.clear()
+        _TRACE_MEMO[key] = traces
+    return traces
+
+
 def simulate(
     config: CoreConfig,
     benchmark: str,
@@ -181,28 +209,20 @@ def simulate(
 
     A pure function of its arguments (the trace is re-derived from the
     benchmark profile and seed), which is what makes the result safe to
-    compute in a worker process or load back from disk.  Traces are
-    memoised per process: ``DynInst`` records are immutable and the
+    compute in a worker process or load back from disk.  Traces come
+    from :func:`trace_pair`: ``DynInst`` records are immutable and the
     cores never mutate the trace list, so every model simulating the
-    same benchmark interval can replay one shared trace.
+    same benchmark interval replays one shared trace, memoised in this
+    process or, in a parallel sweep's worker, inherited from the parent
+    that forked it.
 
     ``obs`` optionally attaches a :class:`repro.obs.Observability`
     bundle to the simulated core (stall attribution, occupancy metrics,
     pipeline traces); observed runs are never cached, so the caching
     entry points don't take it.
     """
-    trace_key = (benchmark, measure, warmup, seed)
-    traces = _TRACE_MEMO.get(trace_key)
-    if traces is None:
-        generator = TraceGenerator(
-            build_program(get_profile(benchmark), seed=seed), seed=seed
-        )
-        traces = (generator.generate(warmup),
-                  renumber_trace(generator.generate(measure)))
-        if len(_TRACE_MEMO) >= 64:  # bound memory on long sweeps
-            _TRACE_MEMO.clear()
-        _TRACE_MEMO[trace_key] = traces
-    warm_trace, measure_trace = traces
+    warm_trace, measure_trace = trace_pair(benchmark, measure, warmup,
+                                           seed)
     core = build_core(config, obs=obs)
     functional_warmup(core, warm_trace)
     stats = core.run(measure_trace)

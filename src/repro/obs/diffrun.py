@@ -442,10 +442,8 @@ def _cmd_diff(args) -> int:
     print(format_diff_report(report, base_label=args.base,
                              new_label=args.new))
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        replace_json(args.json, report.to_dict(), indent=2,
+                     sort_keys=True, trailing_newline=True)
     if args.trajectory:
         append_trajectory(new, args.trajectory)
         print(f"trajectory appended to {args.trajectory}")

@@ -22,12 +22,12 @@ report (CI uploads it as an artifact on failure).
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.atomicio import replace_json
 from repro.core.config import ClusterConfig, CoreConfig, IXUConfig
 from repro.core.ooo import SimulationError
 from repro.validate.checker import ValidationReport, Violation
@@ -266,9 +266,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   case_index=args.case, max_len=args.max_len,
                   verbose=args.verbose)
     if args.report:
-        with open(args.report, "w") as stream:
-            json.dump(result.to_dict(), stream, indent=2,
-                      sort_keys=True)
+        replace_json(args.report, result.to_dict(), indent=2,
+                     sort_keys=True)
         print(f"fuzz report written to {args.report}")
     checked = len(result.reports)
     if result.ok:

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.core import model_config
+from repro.experiments import runner
 from repro.experiments.pool import (
     MAX_RETRY_DELAY,
+    FaultSpec,
     JobFailure,
+    JobResult,
     JobTimeoutError,
     SimJob,
     retry_delay,
     run_jobs,
+    set_fault_injector,
     total_wall_seconds,
 )
 from repro.experiments.runner import (
@@ -153,3 +157,101 @@ class TestPrefetchParallel:
         pairs = [(model_config("BIG"), "hmmer")]
         assert prefetch(pairs, **SMALL) == 1
         assert prefetch(pairs, **SMALL) == 0
+
+
+class _FirstAttemptOnly:
+    """Picklable injector: apply ``fault`` on a job's first attempt."""
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def __call__(self, job, attempt):
+        if attempt == 1:
+            self.fault(job, attempt)
+
+
+class TestSharedTraces:
+    """A parallel call builds each trace two or more of its jobs share
+    once, in the parent, and keeps none of them afterwards."""
+
+    @pytest.fixture
+    def parent_builds(self, monkeypatch):
+        """An empty trace memo; yields the benchmarks whose programs
+        this (the parent) process builds.  Forked workers append to
+        their own copy of the list, which the parent never sees."""
+        monkeypatch.setattr(runner, "_TRACE_MEMO", {})
+        built = []
+        build_program = runner.build_program
+
+        def counting(profile, seed=0):
+            built.append(profile.name)
+            return build_program(profile, seed=seed)
+
+        monkeypatch.setattr(runner, "build_program", counting)
+        return built
+
+    def test_each_shared_trace_is_built_once_in_the_parent(
+            self, parent_builds):
+        jobs = _jobs()
+        parallel = run_jobs(jobs, workers=2)
+        assert sorted(parent_builds) == ["hmmer", "lbm"]
+        assert list(runner._TRACE_MEMO) == []
+        serial = run_jobs(jobs, workers=1)
+        assert [r.job for r in parallel] == jobs
+        assert ([r.run.to_dict() for r in parallel]
+                == [r.run.to_dict() for r in serial])
+
+    def test_unshared_traces_are_built_in_the_workers(self, parent_builds):
+        jobs = [SimJob(config=model_config("BIG"), benchmark=bench,
+                       **SMALL) for bench in ("hmmer", "lbm")]
+        assert all(r.ok for r in run_jobs(jobs, workers=2))
+        assert parent_builds == []
+        assert list(runner._TRACE_MEMO) == []
+
+    def test_trace_memoised_before_the_call_is_kept(self, parent_builds):
+        key = _jobs()[0].trace_key
+        traces = runner.trace_pair(*key)
+        del parent_builds[:]
+        assert all(r.ok for r in run_jobs(_jobs(), workers=2))
+        assert parent_builds == ["lbm"]
+        assert list(runner._TRACE_MEMO) == [key]
+        assert runner._TRACE_MEMO[key] is traces
+
+    def test_full_memo_is_left_alone(self, parent_builds, monkeypatch):
+        monkeypatch.setattr(runner, "TRACE_MEMO_LIMIT", 1)
+        key = _jobs()[0].trace_key
+        runner.trace_pair(*key)
+        del parent_builds[:]
+        assert all(r.ok for r in run_jobs(_jobs(), workers=2))
+        assert parent_builds == []
+        assert list(runner._TRACE_MEMO) == [key]
+
+    def test_failed_parent_build_fails_the_jobs_not_the_sweep(
+            self, parent_builds):
+        jobs = [SimJob(config=model_config(model), benchmark="nope",
+                       **SMALL) for model in ("BIG", "HALF+FX")]
+        outcomes = run_jobs(jobs, workers=2)
+        assert [o.cause for o in outcomes] == ["exception", "exception"]
+        assert list(runner._TRACE_MEMO) == []
+
+    @pytest.mark.parametrize("fault", [
+        FaultSpec("flaky", "hmmer"),
+        _FirstAttemptOnly(FaultSpec("die", "hmmer")),
+    ], ids=["flaky", "die"])
+    def test_retry_after_the_trace_is_released_matches_serial(
+            self, parent_builds, fault):
+        jobs = _jobs()
+        serial = run_jobs(jobs, workers=1)
+        runner._TRACE_MEMO.clear()
+        previous = set_fault_injector(fault)
+        try:
+            parallel = run_jobs(jobs, workers=2, retries=1,
+                                retry_backoff=0.0)
+        finally:
+            set_fault_injector(previous)
+        assert all(isinstance(r, JobResult) for r in parallel)
+        assert [r.attempts for r in parallel] == [
+            2 if job.benchmark == "hmmer" else 1 for job in jobs]
+        assert ([r.run.to_dict() for r in parallel]
+                == [r.run.to_dict() for r in serial])
+        assert list(runner._TRACE_MEMO) == []
