@@ -8,9 +8,10 @@ sweep with ``--jobs N``, run manifests polled by progress streamers and
 sweeps, and the job-server spool directory shared between worker
 *hosts*.  They all need the same two primitives:
 
-* :func:`replace_json` — publish a JSON document with tmp-file +
-  ``os.replace`` so a reader sees either the complete old document or
-  the complete new one, never a torn intermediate.  The temp name
+* :func:`replacing` — write a file through a temp sibling published
+  with ``os.replace``, so a reader sees either the complete old file or
+  the complete new one, never a torn intermediate
+  (:func:`replace_json` is its JSON form).  The temp name
   (:func:`tmp_path_for`) embeds hostname, pid **and** a
   process-monotonic counter: pids collide across hosts on a shared
   filesystem, and one process can publish the same path twice from two
@@ -56,6 +57,29 @@ def tmp_path_for(path) -> str:
     return f"{path}.tmp.{_HOST}.{os.getpid()}.{next(_COUNTER)}"
 
 
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """Write ``path`` atomically: ``with replacing(path) as stream:``.
+
+    Yields a stream opened with ``open(tmp, mode, **kwargs)`` on a temp
+    sibling (:func:`tmp_path_for`) and publishes it at ``path`` with
+    ``os.replace`` once the block ends without an error.  If the block
+    (or the publish) fails, any existing file is left untouched and the
+    temp is removed.
+    """
+    tmp = tmp_path_for(path)
+    try:
+        with open(tmp, mode, **kwargs) as stream:
+            yield stream
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def replace_json(path, payload, *, indent=None, sort_keys: bool = False,
                  default=None, trailing_newline: bool = False) -> None:
     """Serialise ``payload`` as JSON and atomically publish it at ``path``.
@@ -64,20 +88,11 @@ def replace_json(path, payload, *, indent=None, sort_keys: bool = False,
     Readers never observe a torn file; a failure while serialising (or
     writing) leaves any existing file untouched and removes the temp.
     """
-    tmp = tmp_path_for(path)
-    try:
-        with open(tmp, "w") as stream:
-            json.dump(payload, stream, indent=indent, sort_keys=sort_keys,
-                      default=default)
-            if trailing_newline:
-                stream.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with replacing(path) as stream:
+        json.dump(payload, stream, indent=indent, sort_keys=sort_keys,
+                  default=default)
+        if trailing_newline:
+            stream.write("\n")
 
 
 #: In-process locks per path.  POSIX record locks are held per

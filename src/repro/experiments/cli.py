@@ -52,7 +52,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 import repro
-from repro.atomicio import replace_json
+from repro.atomicio import replace_json, replacing
 from repro.core import MODEL_NAMES, model_config
 from repro.experiments import (
     figure7, figure8, figure9, figure10, figure11, figure12, figure13,
@@ -190,7 +190,7 @@ def _write_stall_csv(observed: Dict, path: str) -> None:
     on the header)."""
     import csv
 
-    with open(path, "w", newline="") as handle:
+    with replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["model", "benchmark", "cycles", "committed",
                          "stall_cycles", *STALL_CAUSES])

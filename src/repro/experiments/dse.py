@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.atomicio import replace_json
+from repro.atomicio import replace_json, replacing
 from repro.core import ClusterConfig, CoreConfig, IXUConfig
 from repro.mem.hierarchy import HierarchyConfig
 from repro.core.presets import model_config
@@ -1035,7 +1035,7 @@ def cmd(args: argparse.Namespace) -> int:
         print()
         print(charts)
     if args.chart_out:
-        with open(args.chart_out, "w") as stream:
+        with replacing(args.chart_out) as stream:
             stream.write(table + "\n\n" + charts + "\n")
         print(f"charts written to {args.chart_out}")
     if payload["failed"]:

@@ -7,16 +7,17 @@ worker processes:
 
 * **Deterministic**: a job's trace is a pure function of (benchmark,
   measure, warmup, seed), so a job's result is a pure function of the
-  job tuple, whichever process generated the trace: the worker itself,
-  or, for a trace two or more jobs of the call share, the parent, just
-  before forking the first of them (the workers inherit it; the parent
-  drops it after forking the last).  Results return in submission
-  order and are bit-for-bit identical to a serial run regardless of
-  worker count or scheduling.
+  job tuple, whichever process generated the trace: the worker running
+  it (for itself or for an earlier job of the same trace), or the
+  parent before the call (the workers inherit its memo).  Results
+  return in submission order and are bit-for-bit identical to a serial
+  run regardless of worker count or scheduling.
 * **Fault tolerant**: a worker exception, a wedged (timed-out) job or a
   worker process dying outright produces a structured
   :class:`JobFailure` in the job's result slot instead of tearing down
-  the sweep; every healthy job still completes.  A per-job retry budget
+  the sweep; every healthy job still completes.  An exception leaves
+  its worker serving; a timeout or a death costs that worker only,
+  and a replacement is forked if work remains.  A per-job retry budget
   (``retries``, exponential ``retry_backoff``) re-runs transient
   failures before quarantining them; ``fail_fast`` instead aborts on the
   first exhausted job with :class:`SweepAborted`, which carries every
@@ -30,8 +31,9 @@ worker processes:
 Timeout semantics: ``timeout`` bounds a job's *execution* time, measured
 from the moment a worker actually starts it — time spent queued behind
 other jobs while ``workers < len(jobs)`` is never charged (each job is
-scheduled into a free worker slot and its deadline starts at its own
-worker-side start signal).  In the serial path the check is necessarily
+sent to a free worker and its deadline starts at that worker's own
+start message).  A job past its deadline has its worker terminated
+(SIGTERM, then SIGKILL).  In the serial path the check is necessarily
 post-hoc: the job has already run to completion in-process when the
 over-budget wall time is observed, so it is quarantined without retry
 (a deterministic job would only run long again) and all prior completed
@@ -43,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import queue as queue_lib
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -51,11 +52,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import CoreConfig
 
-#: Parent-side poll interval while waiting on worker results.
-_POLL_SECONDS = 0.02
-#: How long a silently-exited worker may owe its (possibly in-flight)
-#: result message before the parent declares a worker-death.
-_DEATH_GRACE_SECONDS = 0.5
 #: Extra allowance on top of ``timeout`` for a worker that never even
 #: reported its execution start (covers process startup / import cost).
 _START_GRACE_SECONDS = 5.0
@@ -273,9 +269,10 @@ def set_fault_injector(
     the hook it replaces.
 
     The hook runs inside the worker, before the simulation, on every
-    attempt.  It is shipped to workers by value (pickled with the job),
-    so it must be picklable — :class:`FaultSpec` instances and top-level
-    functions qualify.  Test and CI machinery only.
+    attempt.  Each worker process gets it as it starts (pickled under a
+    start method other than fork), so it must be picklable —
+    :class:`FaultSpec` instances and top-level functions qualify.  Test
+    and CI machinery only.
     """
     global _FAULT_INJECTOR
     previous, _FAULT_INJECTOR = _FAULT_INJECTOR, injector
@@ -305,24 +302,51 @@ def _execute_job(job: SimJob) -> JobResult:
                      started_ts=started_ts)
 
 
-def _worker_main(job: SimJob, attempt: int, index: int, results,
-                 injector) -> None:
-    """Per-job worker process: report start, simulate, report outcome."""
-    pid = os.getpid()
-    started = time.perf_counter()
+def _worker_loop(conn, parent_end, injector) -> None:
+    """Persistent worker body: run the tasks ``conn`` brings, one at a time.
+
+    A task is ``(job, attempt)``.  The worker answers ``("started",
+    None)`` and then ``("ok", JobResult)`` or ``("error", (type,
+    message, seconds))``, and stops at the ``None`` sentinel or when the
+    parent's end closes.  Its trace memo holds what the parent's held
+    when it forked, plus at most one trace this worker generated: that
+    one is dropped when the worker moves on to a job of another trace.
+    """
+    import signal
+
+    from repro.experiments import runner
+
+    # Ctrl-C is the parent's to handle; it terminates its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Without this the worker's own copy of the parent's end would keep
+    # it from seeing EOF should the parent die.
+    parent_end.close()
+    memo = runner._TRACE_MEMO
+    built = None  # the trace key this worker memoised itself
     try:
-        results.put((index, attempt, "started", pid))
-        if injector is not None:
-            injector(job, attempt)
-        result = _execute_job(job)
-        results.put((index, attempt, "ok", result))
-    except BaseException as exc:  # noqa: BLE001 — isolation is the point
-        try:
-            results.put((index, attempt, "error",
-                         (type(exc).__name__, str(exc), pid,
-                          time.perf_counter() - started)))
-        except BaseException:
-            os._exit(1)
+        while True:
+            task = conn.recv()
+            if task is None:
+                return
+            job, attempt = task
+            key = job.trace_key
+            if built is not None and built != key:
+                memo.pop(built, None)
+                built = None
+            inherited = key in memo
+            started = time.perf_counter()
+            try:
+                conn.send(("started", None))
+                if injector is not None:
+                    injector(job, attempt)
+                conn.send(("ok", _execute_job(job)))
+            except Exception as exc:  # isolation is the point: serve on
+                conn.send(("error", (type(exc).__name__, str(exc),
+                                     time.perf_counter() - started)))
+            if not inherited and key in memo:
+                built = key
+    except (EOFError, OSError):
+        pass  # the parent has gone; there is no one left to report to
 
 
 def _terminate(proc) -> None:
@@ -335,22 +359,32 @@ def _terminate(proc) -> None:
         proc.join(0.5)
 
 
-class _Running:
-    """Parent-side state of one in-flight attempt."""
+class _Worker:
+    """Parent-side handle on one worker process and its task in flight."""
 
-    __slots__ = ("proc", "attempt", "launched", "launched_ts",
-                 "exec_started", "exec_started_ts", "deadline",
-                 "dead_since")
+    __slots__ = ("proc", "conn", "key", "index", "attempt", "launched",
+                 "launched_ts", "exec_started", "exec_started_ts",
+                 "deadline")
 
-    def __init__(self, proc, attempt: int):
+    def __init__(self, proc, conn):
         self.proc = proc
+        self.conn = conn
+        self.key: Optional[Tuple] = None   # trace of the latest task
+        self.index: Optional[int] = None   # job in flight; None = idle
+
+    def assign(self, index: int, attempt: int, key: Tuple,
+               timeout: Optional[float]) -> None:
+        self.index = index
         self.attempt = attempt
+        self.key = key
         self.launched = time.monotonic()
         self.launched_ts = time.time()
         self.exec_started: Optional[float] = None
         self.exec_started_ts: Optional[float] = None
-        self.deadline: Optional[float] = None
-        self.dead_since: Optional[float] = None
+        # Until the worker reports the start, allow for a slow start.
+        self.deadline: Optional[float] = (
+            None if timeout is None
+            else self.launched + timeout + _START_GRACE_SECONDS)
 
 
 def _notify_attempt(on_attempt, job: SimJob, attempt: int,
@@ -377,39 +411,37 @@ def _run_parallel(
     context,
     on_attempt=None,
 ) -> List[Union[JobResult, JobFailure]]:
-    """Slot-based scheduler: one process per attempt, deadline per job.
+    """Persistent-worker scheduler: at most ``workers`` processes, forked
+    at first need, each fed one task at a time over its own pipe.
 
-    At most ``workers`` attempts run at once; a job's execution deadline
-    starts at its worker's "started" signal, so queue wait is never
-    charged against ``timeout``.  Outcomes are reassembled into
-    submission order regardless of completion order.
+    A job's execution deadline starts at its worker's "started"
+    message, so queue wait is never charged against ``timeout``.
+    Outcomes are reassembled into submission order regardless of
+    completion order.
 
-    First attempts are dispatched grouped by trace, groups in order of
-    first appearance.  A trace two or more jobs share is built into the
-    runner's memo just before its group's first fork and dropped right
-    after its last, so those workers inherit it instead of each
-    generating it, and the parent holds one such trace at a time.  A
-    trace already memoised is used and kept; so is a full memo, whose
-    workers generate their own.
+    Jobs queue per trace, traces in order of first appearance.  A free
+    worker takes the next job of the trace it ran last, else the first
+    trace no busy worker is on, else one from the trace with the most
+    jobs left, so a trace's jobs mostly share the worker that generated
+    it (see :func:`_worker_loop`); the parent's memo is only read.
+    Every worker that runs a trace's jobs generates that trace, so
+    workers beyond the number of traces, which start on a trace another
+    worker is on, trade one generation each for parallelism.  An
+    exception leaves its worker serving.  A timeout terminates the
+    worker; EOF on a worker's pipe, read after all it sent, means it
+    died, and the task it held fails with its exit code.  A worker lost
+    either way is replaced only when a pending job finds no free one.
     """
-    from repro.experiments import runner
+    from multiprocessing.connection import wait
 
-    results_q = context.Queue()
     injector = _FAULT_INJECTOR
     outcomes: List[Optional[Union[JobResult, JobFailure]]] = (
         [None] * len(jobs))
-    groups: Dict[Tuple, List[int]] = {}
+    pending: Dict[Tuple, deque] = {}  # trace key -> (index, attempt)s
     for index, job in enumerate(jobs):
-        groups.setdefault(job.trace_key, []).append(index)
-    pending = deque((index, 1) for group in groups.values()
-                    for index in group)
+        pending.setdefault(job.trace_key, deque()).append((index, 1))
     waiting: List[Tuple[float, int, int]] = []  # (ready_at, idx, attempt)
-    running: Dict[int, _Running] = {}
-    # The last job of each shared trace's group, by submission index.
-    last = {key: group[-1] for key, group in groups.items()
-            if len(group) > 1}
-    built: Optional[Tuple] = None  # the shared trace this call memoised
-    memo = runner._TRACE_MEMO
+    pool: List[_Worker] = []
 
     def completed() -> List[JobResult]:
         return [o for o in outcomes if isinstance(o, JobResult)]
@@ -428,60 +460,104 @@ def _run_parallel(
                      else SweepAborted)
             raise error(failure, completed())
 
+    def take(worker: _Worker) -> Tuple[int, int]:
+        """The next (index, attempt) for free ``worker``."""
+        queue = pending.get(worker.key)
+        if not queue:
+            busy = {w.key for w in pool if w.index is not None}
+            queue = next((q for key, q in pending.items()
+                          if q and key not in busy),
+                         None) or max(pending.values(), key=len)
+        return queue.popleft()
+
+    def spawn() -> _Worker:
+        ours, theirs = context.Pipe()
+        proc = context.Process(target=_worker_loop,
+                               args=(theirs, ours, injector), daemon=True)
+        proc.start()
+        theirs.close()
+        worker = _Worker(proc, ours)
+        pool.append(worker)
+        return worker
+
+    def retire(worker: _Worker) -> None:
+        pool.remove(worker)
+        worker.conn.close()
+        _terminate(worker.proc)
+
+    def fail(worker: _Worker, cause: str, error: str, error_type: str,
+             wall: float) -> None:
+        """Charge ``worker``'s task with a failed attempt."""
+        index, attempt, pid = worker.index, worker.attempt, worker.proc.pid
+        worker.index = None
+        _notify_attempt(on_attempt, jobs[index], attempt,
+                        worker.exec_started_ts or worker.launched_ts,
+                        wall, cause, pid)
+        settle(index, JobFailure(
+            job=jobs[index], cause=cause, error=error,
+            error_type=error_type, attempts=attempt, wall_seconds=wall,
+            worker_pid=pid))
+
+    def ran_for(worker: _Worker) -> float:
+        return time.monotonic() - (worker.exec_started
+                                   if worker.exec_started is not None
+                                   else worker.launched)
+
     try:
-        while pending or waiting or running:
+        while None in outcomes:
             now = time.monotonic()
             if waiting:
                 due = [entry for entry in waiting if entry[0] <= now]
                 waiting = [e for e in waiting if e[0] > now]
                 for _, index, attempt in due:
-                    pending.append((index, attempt))
-            while pending and len(running) < workers:
-                index, attempt = pending.popleft()
-                key = jobs[index].trace_key
-                shared = attempt == 1 and key in last
-                if (shared and key not in memo
-                        and len(memo) < runner.TRACE_MEMO_LIMIT):
-                    try:
-                        runner.trace_pair(*key)
-                    except Exception:
-                        pass  # each worker re-raises it as its failure
-                    else:
-                        built = key
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(jobs[index], attempt, index, results_q,
-                          injector),
-                )
-                proc.daemon = True
-                proc.start()
-                running[index] = _Running(proc, attempt)
-                if shared and index == last[key] and built == key:
-                    memo.pop(key, None)
-                    built = None
-            if not running:
-                time.sleep(_POLL_SECONDS)
-                continue
-            block = True
-            while True:
-                try:
-                    message = results_q.get(
-                        timeout=_POLL_SECONDS if block else 0.0)
-                except (queue_lib.Empty, OSError, EOFError):
+                    pending[jobs[index].trace_key].append((index, attempt))
+            while any(pending.values()):
+                idle = [w for w in pool if w.index is None]
+                if idle:
+                    worker = next((w for w in idle if pending.get(w.key)),
+                                  idle[0])
+                elif len(pool) < workers:
+                    worker = spawn()
+                else:
                     break
-                block = False
-                index, attempt, kind, payload = message
-                state = running.get(index)
-                if state is None or attempt != state.attempt:
-                    continue  # stale message from a terminated attempt
+                index, attempt = take(worker)
+                try:
+                    worker.conn.send((jobs[index], attempt))
+                except OSError:  # it died idle: replace it, charge nobody
+                    pending[jobs[index].trace_key].appendleft(
+                        (index, attempt))
+                    retire(worker)
+                    continue
+                worker.assign(index, attempt, jobs[index].trace_key,
+                              timeout)
+            wakeups = [ready_at for ready_at, _, _ in waiting] + [
+                w.deadline for w in pool
+                if w.index is not None and w.deadline is not None]
+            wait_for = (max(0.0, min(wakeups) - time.monotonic())
+                        if wakeups else None)
+            by_conn = {w.conn: w for w in pool}
+            for conn in wait(list(by_conn), wait_for):
+                worker = by_conn[conn]
+                try:
+                    kind, payload = conn.recv()
+                except (EOFError, OSError):
+                    worker.proc.join(1.0)  # reap it for its exit code
+                    retire(worker)
+                    if worker.index is not None:
+                        fail(worker, "worker-death",
+                             f"worker pid {worker.proc.pid} exited with "
+                             f"code {worker.proc.exitcode} before "
+                             f"returning a result",
+                             "WorkerDeath", ran_for(worker))
+                    continue
                 if kind == "started":
-                    state.exec_started = time.monotonic()
-                    state.exec_started_ts = time.time()
+                    worker.exec_started = time.monotonic()
+                    worker.exec_started_ts = time.time()
                     if timeout is not None:
-                        state.deadline = state.exec_started + timeout
+                        worker.deadline = worker.exec_started + timeout
                 elif kind == "ok":
-                    del running[index]
-                    state.proc.join(5.0)
+                    index, attempt = worker.index, worker.attempt
+                    worker.index = None
                     payload.attempts = attempt
                     outcomes[index] = payload
                     _notify_attempt(on_attempt, jobs[index], attempt,
@@ -491,70 +567,32 @@ def _run_parallel(
                     if on_result is not None:
                         on_result(payload)
                 else:  # "error"
-                    del running[index]
-                    state.proc.join(5.0)
-                    error_type, error, pid, wall = payload
-                    _notify_attempt(
-                        on_attempt, jobs[index], attempt,
-                        state.exec_started_ts or state.launched_ts,
-                        wall, "exception", pid)
-                    settle(index, JobFailure(
-                        job=jobs[index], cause="exception", error=error,
-                        error_type=error_type, attempts=attempt,
-                        wall_seconds=wall, worker_pid=pid))
+                    error_type, error, wall = payload
+                    fail(worker, "exception", error, error_type, wall)
             now = time.monotonic()
-            for index, state in list(running.items()):
-                proc = state.proc
-                ran_for = now - (state.exec_started
-                                 if state.exec_started is not None
-                                 else state.launched)
-                deadline = state.deadline
-                if deadline is None and timeout is not None:
-                    deadline = state.launched + timeout + _START_GRACE_SECONDS
-                if (deadline is not None and now > deadline
-                        and proc.is_alive()):
-                    _terminate(proc)
-                    del running[index]
-                    _notify_attempt(
-                        on_attempt, jobs[index], state.attempt,
-                        state.exec_started_ts or state.launched_ts,
-                        ran_for, "timeout", proc.pid or 0)
-                    settle(index, JobFailure(
-                        job=jobs[index], cause="timeout",
-                        error=(f"exceeded the {timeout:.1f}s per-job "
-                               f"execution timeout"),
-                        error_type="JobTimeoutError",
-                        attempts=state.attempt, wall_seconds=ran_for,
-                        worker_pid=proc.pid or 0))
-                elif not proc.is_alive():
-                    # Exited without an ok/error message: give any
-                    # in-flight message a grace period, then declare a
-                    # worker-death (OOM kill, segfault, os._exit).
-                    if state.dead_since is None:
-                        state.dead_since = now
-                    elif now - state.dead_since > _DEATH_GRACE_SECONDS:
-                        proc.join(1.0)
-                        del running[index]
-                        _notify_attempt(
-                            on_attempt, jobs[index], state.attempt,
-                            state.exec_started_ts or state.launched_ts,
-                            ran_for, "worker-death", proc.pid or 0)
-                        settle(index, JobFailure(
-                            job=jobs[index], cause="worker-death",
-                            error=(f"worker pid {proc.pid} exited with "
-                                   f"code {proc.exitcode} before "
-                                   f"returning a result"),
-                            error_type="WorkerDeath",
-                            attempts=state.attempt,
-                            wall_seconds=ran_for,
-                            worker_pid=proc.pid or 0))
+            for worker in [w for w in pool if w.index is not None]:
+                # A message already in the pipe (a result that came in
+                # while the parent was busy) is read next round first.
+                if (worker.deadline is not None and now > worker.deadline
+                        and not worker.conn.poll()):
+                    retire(worker)
+                    fail(worker, "timeout",
+                         f"exceeded the {timeout:.1f}s per-job "
+                         f"execution timeout",
+                         "JobTimeoutError", ran_for(worker))
         return list(outcomes)
     finally:
-        if built is not None:
-            memo.pop(built, None)
-        for state in running.values():
-            _terminate(state.proc)
-        results_q.close()
+        for worker in pool:
+            if worker.index is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+        for worker in pool:
+            if worker.index is None:
+                worker.proc.join(1.0)
+            _terminate(worker.proc)
+            worker.conn.close()
 
 
 def _run_serial(

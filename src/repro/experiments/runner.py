@@ -179,9 +179,9 @@ def trace_pair(benchmark: str, measure: int, warmup: int,
 
     Served from the process memo :data:`_TRACE_MEMO`, else derived from
     the benchmark profile and seed and memoised.  :func:`simulate`
-    reads its traces here, and a parallel sweep calls it in the parent
-    to build a trace its forked workers share (see
-    :mod:`repro.experiments.pool`).
+    reads its traces here, in a parallel sweep's workers too, each of
+    which keeps the trace it built for as long as it runs that trace's
+    jobs (see :mod:`repro.experiments.pool`).
     """
     key = (benchmark, measure, warmup, seed)
     traces = _TRACE_MEMO.get(key)
@@ -195,6 +195,19 @@ def trace_pair(benchmark: str, measure: int, warmup: int,
             _TRACE_MEMO.clear()
         _TRACE_MEMO[key] = traces
     return traces
+
+
+def retain_traces(keys: Iterable[Tuple]) -> None:
+    """Drop every :data:`_TRACE_MEMO` entry whose key is not in ``keys``.
+
+    A long-lived process that serves one sweep after another (the job
+    server) calls this before each sweep with the trace keys it
+    replays, so the memo holds at most one sweep's traces while a sweep
+    over the same intervals as the one before still reuses them.
+    """
+    keep = set(keys)
+    for key in [key for key in _TRACE_MEMO if key not in keep]:
+        del _TRACE_MEMO[key]
 
 
 def simulate(
@@ -213,8 +226,8 @@ def simulate(
     from :func:`trace_pair`: ``DynInst`` records are immutable and the
     cores never mutate the trace list, so every model simulating the
     same benchmark interval replays one shared trace, memoised in this
-    process or, in a parallel sweep's worker, inherited from the parent
-    that forked it.
+    process: in a parallel sweep, the worker that runs the trace's jobs
+    (its memo also holds what the parent's held when it was forked).
 
     ``obs`` optionally attaches a :class:`repro.obs.Observability`
     bundle to the simulated core (stall attribution, occupancy metrics,

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.atomicio import replacing
+
 KANATA_HEADER = "Kanata\t0004"
 
 
@@ -110,11 +112,14 @@ class KanataWriter:
         if self.path.endswith(".gz"):
             import gzip
 
-            # mtime=0 keeps repeated runs byte-identical.
-            with gzip.GzipFile(self.path, "wb", mtime=0) as stream:
-                stream.write(text.encode())
+            # mtime=0 keeps repeated runs byte-identical; the header
+            # names the final file, not the temp one.
+            with replacing(self.path, "wb") as raw:
+                with gzip.GzipFile(self.path, "wb", mtime=0,
+                                   fileobj=raw) as stream:
+                    stream.write(text.encode())
         else:
-            with open(self.path, "w") as stream:
+            with replacing(self.path) as stream:
                 stream.write(text)
 
     # ------------------------------------------------------------------

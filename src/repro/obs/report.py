@@ -29,6 +29,7 @@ from __future__ import annotations
 from html import escape
 from typing import Dict, List, Optional, Sequence
 
+from repro.atomicio import replacing
 from repro.obs.manifest import RunManifest
 from repro.obs.topdown import (
     ENERGY_CLASSES,
@@ -407,7 +408,7 @@ def render_report(manifest: RunManifest, *,
 def write_report(path: str, manifest: RunManifest, **kwargs) -> None:
     """Render and write the report to ``path``."""
     document = render_report(manifest, **kwargs)
-    with open(path, "w") as stream:
+    with replacing(path) as stream:
         stream.write(document)
         stream.write("\n")
 

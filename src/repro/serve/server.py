@@ -50,7 +50,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.atomicio import _HOST
 from repro.experiments.diskcache import DiskCache, code_version, fingerprint
 from repro.experiments.pool import set_fault_injector
-from repro.experiments.runner import SweepOutcome, run_sweep
+from repro.experiments.runner import (
+    SweepOutcome,
+    retain_traces,
+    run_sweep,
+)
 from repro.experiments.sweepflags import add_sweep_args
 from repro.obs import slog
 from repro.obs.manifest import (
@@ -516,12 +520,19 @@ class SimServer:
                       "benchmark": job.benchmark, "attempt": attempt,
                       "status": status, "worker_pid": worker_pid}))
 
-        outcomes = await loop.run_in_executor(None, lambda: run_sweep(
-            jobs, workers=self.workers, cache=self.cache,
-            timeout=self.timeout, retries=self.retries,
-            retry_backoff=self.retry_backoff,
-            resume=batch.spec.resume, on_outcome=on_outcome,
-            on_attempt=on_attempt))
+        def sweep() -> List[SweepOutcome]:
+            # Keep only this batch's traces: the memo stays one batch
+            # big in a long-lived server, and a batch over the intervals
+            # of the one before (per-config batches) still reuses them.
+            retain_traces(job.trace_key for job in jobs)
+            return run_sweep(
+                jobs, workers=self.workers, cache=self.cache,
+                timeout=self.timeout, retries=self.retries,
+                retry_backoff=self.retry_backoff,
+                resume=batch.spec.resume, on_outcome=on_outcome,
+                on_attempt=on_attempt)
+
+        outcomes = await loop.run_in_executor(None, sweep)
         await self._finish_batch(batch, outcomes, started_at,
                                  time.perf_counter() - perf)
 

@@ -17,6 +17,7 @@ import io
 from pathlib import Path
 from typing import Iterable, List, TextIO, Union
 
+from repro.atomicio import replacing
 from repro.isa.instruction import DynInst
 from repro.isa.opclass import OpClass
 from repro.isa.registers import Reg, RegClass, fp_reg, int_reg
@@ -97,19 +98,20 @@ def _inst_from_line(seq: int, line: str) -> DynInst:
 
 def save_trace(trace: Iterable[DynInst],
                destination: Union[str, Path, TextIO]) -> int:
-    """Write a trace; returns the instruction count."""
-    own = isinstance(destination, (str, Path))
-    stream = open(destination, "w") if own else destination
-    try:
-        stream.write(HEADER + "\n")
-        count = 0
-        for inst in trace:
-            stream.write(_inst_to_line(inst) + "\n")
-            count += 1
-        return count
-    finally:
-        if own:
-            stream.close()
+    """Write a trace; returns the instruction count.
+
+    A path is published atomically: a failed write leaves any previous
+    file there untouched.
+    """
+    if isinstance(destination, (str, Path)):
+        with replacing(destination) as stream:
+            return save_trace(trace, stream)
+    destination.write(HEADER + "\n")
+    count = 0
+    for inst in trace:
+        destination.write(_inst_to_line(inst) + "\n")
+        count += 1
+    return count
 
 
 def load_trace(source: Union[str, Path, TextIO]) -> List[DynInst]:

@@ -1,5 +1,9 @@
 """Tests for the parallel experiment pool (determinism, accounting)."""
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.core import model_config
@@ -171,8 +175,8 @@ class _FirstAttemptOnly:
 
 
 class TestSharedTraces:
-    """A parallel call builds each trace two or more of its jobs share
-    once, in the parent, and keeps none of them afterwards."""
+    """A parallel call's workers build its traces, the parent none, and
+    the parent's memo keeps exactly the entries it had before."""
 
     @pytest.fixture
     def parent_builds(self, monkeypatch):
@@ -190,11 +194,37 @@ class TestSharedTraces:
         monkeypatch.setattr(runner, "build_program", counting)
         return built
 
-    def test_each_shared_trace_is_built_once_in_the_parent(
-            self, parent_builds):
+    @pytest.fixture
+    def builds(self, monkeypatch, tmp_path):
+        """An empty trace memo; yields a reader of every program build
+        as ``(pid, benchmark)``, in this process or any worker forked
+        from it (each appends one line to a shared ``O_APPEND`` file)."""
+        monkeypatch.setattr(runner, "_TRACE_MEMO", {})
+        log = tmp_path / "builds.log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        build_program = runner.build_program
+
+        def logging(profile, seed=0):
+            os.write(fd, f"{os.getpid()} {profile.name}\n".encode())
+            return build_program(profile, seed=seed)
+
+        monkeypatch.setattr(runner, "build_program", logging)
+
+        def read():
+            return [(int(pid), name) for pid, name in
+                    (line.split() for line in log.read_text().splitlines())]
+
+        yield read
+        os.close(fd)
+
+    def test_workers_build_each_trace_the_parent_none(self, builds):
         jobs = _jobs()
         parallel = run_jobs(jobs, workers=2)
-        assert sorted(parent_builds) == ["hmmer", "lbm"]
+        pids, names = zip(*builds())
+        assert os.getpid() not in pids
+        assert set(names) == {"hmmer", "lbm"}
+        # Two workers on two traces: at most one tail steal rebuilds one.
+        assert len(names) in (2, 3)
         assert list(runner._TRACE_MEMO) == []
         serial = run_jobs(jobs, workers=1)
         assert [r.job for r in parallel] == jobs
@@ -208,12 +238,14 @@ class TestSharedTraces:
         assert parent_builds == []
         assert list(runner._TRACE_MEMO) == []
 
-    def test_trace_memoised_before_the_call_is_kept(self, parent_builds):
+    def test_trace_memoised_before_the_call_is_used_and_kept(
+            self, builds):
         key = _jobs()[0].trace_key
         traces = runner.trace_pair(*key)
-        del parent_builds[:]
         assert all(r.ok for r in run_jobs(_jobs(), workers=2))
-        assert parent_builds == ["lbm"]
+        pids, names = zip(*builds())
+        assert pids.count(os.getpid()) == 1  # the trace_pair call above
+        assert set(names[1:]) == {"lbm"} and len(names) in (2, 3)
         assert list(runner._TRACE_MEMO) == [key]
         assert runner._TRACE_MEMO[key] is traces
 
@@ -255,3 +287,100 @@ class TestSharedTraces:
         assert ([r.run.to_dict() for r in parallel]
                 == [r.run.to_dict() for r in serial])
         assert list(runner._TRACE_MEMO) == []
+
+
+class _OnAttempts(list):
+    """``on_attempt`` hook recording ``(benchmark, status, worker_pid)``."""
+
+    def __call__(self, job, attempt, started_ts, duration, status, pid):
+        self.append((job.benchmark, status, pid))
+
+
+class TestPersistentWorkers:
+    """A parallel call forks at most ``workers`` processes and feeds
+    them one job after another; a fault costs at most its own worker."""
+
+    def test_fault_free_jobs_share_the_workers(self):
+        outcomes = run_jobs(_jobs(), workers=2)
+        pids = {o.worker_pid for o in outcomes}
+        assert len(pids) <= 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_exception_keeps_its_worker(self):
+        previous = set_fault_injector(FaultSpec("crash", "hmmer"))
+        try:
+            outcomes = run_jobs(_jobs(), workers=2)
+        finally:
+            set_fault_injector(previous)
+        assert [o.ok for o in outcomes] == [
+            job.benchmark != "hmmer" for job in _jobs()]
+        pids = {o.worker_pid for o in outcomes}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    def test_more_workers_than_cores_match_serial(self):
+        jobs = [SimJob(config=model_config(model), benchmark=bench,
+                       measure=300, warmup=600)
+                for model in ("LITTLE", "BIG", "HALF+FX")
+                for bench in ("hmmer", "lbm", "mcf", "gcc")]
+        serial = run_jobs(jobs, workers=1)
+        workers = 2 * (os.cpu_count() or 1) + 1
+        previous = set_fault_injector(FaultSpec("flaky", "lbm"))
+        try:
+            parallel = run_jobs(jobs, workers=workers, timeout=60.0,
+                                retries=1, retry_backoff=0.0)
+        finally:
+            set_fault_injector(previous)
+        assert [r.job for r in parallel] == jobs
+        assert ([r.run.to_dict() for r in parallel]
+                == [r.run.to_dict() for r in serial])
+        assert len({r.worker_pid for r in parallel}) <= workers
+        assert multiprocessing.active_children() == []
+
+    def test_result_waiting_in_its_pipe_is_not_charged_a_timeout(self):
+        # The parent sits in on_result past the other job's deadline
+        # while that job's result already waits in its pipe.
+        jobs = [SimJob(config=model_config("BIG"), benchmark=bench,
+                       measure=200, warmup=500)
+                for bench in ("hmmer", "lbm")]
+        results = []
+
+        def slow(result):
+            results.append(result.job.benchmark)
+            if len(results) == 1:
+                time.sleep(2.5)
+
+        previous = set_fault_injector(FaultSpec("sleep", "lbm", 0.2))
+        try:
+            outcomes = run_jobs(jobs, workers=2, timeout=1.5,
+                                on_result=slow)
+        finally:
+            set_fault_injector(previous)
+        assert [o.ok for o in outcomes] == [True, True]
+        assert sorted(results) == ["hmmer", "lbm"]
+
+    @pytest.mark.parametrize("fault, status, timeout", [
+        (FaultSpec("die", "hmmer"), "worker-death", None),
+        (FaultSpec("hang", "hmmer", 60), "timeout", 2.0),
+    ], ids=["die", "hang"])
+    def test_lost_worker_costs_one_replacement(self, fault, status,
+                                               timeout):
+        jobs = [job for job in _jobs()
+                if job.benchmark == "lbm" or job.config.name == "BIG"]
+        serial = run_jobs(jobs, workers=1)
+        attempts = _OnAttempts()
+        previous = set_fault_injector(_FirstAttemptOnly(fault))
+        try:
+            parallel = run_jobs(jobs, workers=2, timeout=timeout,
+                                retries=1, retry_backoff=0.0,
+                                on_attempt=attempts)
+        finally:
+            set_fault_injector(previous)
+        assert ([r.run.to_dict() for r in parallel]
+                == [r.run.to_dict() for r in serial])
+        assert [r.attempts for r in parallel] == [2, 1, 1]
+        lost = [pid for _, seen, pid in attempts if seen == status]
+        assert len(lost) == 1
+        pids = [pid for _, _, pid in attempts]
+        assert pids.count(lost[0]) == 1
+        assert len(set(pids)) <= 3 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.core import model_config
+from repro.experiments import runner
 from repro.experiments.diskcache import DiskCache, fingerprint
 from repro.experiments.pool import FaultSpec, SimJob, set_fault_injector
 from repro.experiments.runner import run_sweep
@@ -277,6 +278,27 @@ class TestServeEndToEnd:
         # The per-batch manifest landed on disk too.
         manifest_path = warm_end["manifest_path"]
         assert json.load(open(manifest_path))["jobs_simulated"] == 0
+
+    def test_trace_memo_holds_only_the_latest_batchs_traces(
+            self, serve, monkeypatch):
+        # A batch reuses and keeps the traces it replays, whether
+        # memoised before it or by the batch before, and drops the rest.
+        server, client, cache = serve
+        monkeypatch.setattr(runner, "_TRACE_MEMO", {})
+        hmmer = ("hmmer", SMALL["measure"], SMALL["warmup"], 0)
+        lbm = ("lbm",) + hmmer[1:]
+        traces = runner.trace_pair(*hmmer)
+        end = client.run_batch({"jobs": [job_spec(),
+                                         job_spec(benchmark="lbm")]})[-1]
+        assert end["by_source"] == {"simulated": 2}
+        assert set(runner._TRACE_MEMO) == {hmmer, lbm}
+        assert runner._TRACE_MEMO[hmmer] is traces
+        lbm_traces = runner._TRACE_MEMO[lbm]
+        end = client.run_batch(
+            {"jobs": [job_spec(benchmark="lbm", model="BIG")]})[-1]
+        assert end["by_source"] == {"simulated": 1}
+        assert list(runner._TRACE_MEMO) == [lbm]
+        assert runner._TRACE_MEMO[lbm] is lbm_traces
 
     def test_results_byte_identical_to_direct_sweep(self, serve,
                                                     tmp_path):
