@@ -176,19 +176,21 @@ class ClusteredCore(OutOfOrderCore):
             ]
         return issued_total
 
-    def _topdown_leaf(self, cause: str) -> str:
-        """An ``operand_wait`` head whose cluster-aware wake cycle has
-        already passed is not waiting on operands at all — it lost the
-        per-cluster select (issue-port starvation).  Fast-forward
-        stable: the wake heap's head bounds the kernel's jump horizon,
-        so this predicate cannot flip inside a skipped gap."""
+    def _classify(self) -> Tuple[str, str]:
+        """An ``operand_wait`` head that has not issued although its
+        cluster-aware wake cycle has passed is not waiting on operands
+        at all — it lost the per-cluster select (issue-port
+        starvation).  (The base reports an unissued head as
+        ``operand_wait`` only once it sits in the IQ, so its wake cycle
+        is defined.)  Fast-forward stable: the wake heap's head bounds
+        the kernel's jump horizon, so this predicate cannot flip inside
+        a skipped gap."""
+        cause, leaf = super()._classify()
         if cause == "operand_wait":
             head = self.rob.head()
-            if (head is not None and not head.issued and not head.done
-                    and head.issue_ready >= 0
-                    and self._entry_wake(head) <= self.cycle):
-                return "backend_bound.core.fu_port"
-        return super()._topdown_leaf(cause)
+            if not head.issued and self._entry_wake(head) <= self.cycle:
+                return cause, "backend_bound.core.fu_port"
+        return cause, leaf
 
     def _count_cross_cluster(self, entry: InFlight) -> None:
         for cls, preg in entry.renamed.srcs:

@@ -28,11 +28,11 @@ completed in the OXU during their IXU transit enter the IQ marked ready.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Tuple
 
 from repro.core.config import CoreConfig
 from repro.core.inflight import InFlight
-from repro.core.ooo import OutOfOrderCore
+from repro.core.ooo import OutOfOrderCore, memory_bound_leaf
 from repro.backend import BypassNetwork
 from repro.isa.opclass import FUType
 from repro.ixu.pipeline import BypassRegistry, StageFUUsage
@@ -318,20 +318,27 @@ class FXACore(OutOfOrderCore):
         if entry.inst.is_branch:
             stats.ixu_branches += 1
 
-    def _topdown_leaf(self, cause: str) -> str:
-        """IXU-executed entries never dispatch into the IQ, so the
-        flat taxonomy reports a not-done IXU head as ``frontend_fill``
+    def _classify(self) -> Tuple[str, str]:
+        """IXU-executed entries never dispatch into the IQ, so the base
+        classification reports a not-done IXU head as ``frontend_fill``
         (``issue_ready`` stays unset).  Its completion is scheduled,
-        though — classify by what it actually waits on: the memory
-        sub-tree for loads, operand/writeback latency otherwise."""
+        though: the leaf names what it actually waits on — the memory
+        sub-tree for loads, operand latency otherwise.  The cause stays
+        ``frontend_fill``, which is why the hook returns both values:
+        those leaves are also reached from ``dcache_miss`` and
+        ``operand_wait``, so no leaf->cause map could rebuild the stall
+        table."""
+        cause, leaf = super()._classify()
         if cause == "frontend_fill":
             head = self.rob.head()
             if (head is not None and not head.done
                     and head.executed_in_ixu):
                 if head.inst.is_load:
-                    return self._memory_bound_leaf(head)
-                return "backend_bound.core.iq_not_ready"
-        return super()._topdown_leaf(cause)
+                    return cause, memory_bound_leaf(
+                        self.config.hierarchy,
+                        head.complete_cycle - head.issue_cycle)
+                return cause, "backend_bound.core.iq_not_ready"
+        return cause, leaf
 
     def _prf_write_cycle(self, entry: InFlight) -> int:
         """IXU results reach the PRF only after exiting the IXU

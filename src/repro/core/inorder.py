@@ -21,7 +21,7 @@ from repro.core.inflight import InFlight
 from repro.core.stats import CoreStats, EventCounts
 from repro.isa.instruction import DynInst
 from repro.isa.opclass import FUType, FU_FOR_OPCLASS, LATENCY, OpClass
-from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS, Reg
+from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS
 from repro.mem.hierarchy import CacheHierarchy
 
 from repro.core import kernel
@@ -29,7 +29,7 @@ from repro.core.kernel import NO_EVENT
 from repro.core.ooo import (
     DEADLOCK_LIMIT,
     SimulationError,
-    _TOPDOWN_LEAVES,
+    frontend_stall,
     memory_bound_leaf,
 )
 
@@ -150,7 +150,7 @@ class InOrderCore:
         if self._obs is not None:
             # In-order issue is commitment: an issued instruction
             # retires, so zero-issue cycles are the stall cycles.
-            self._obs.on_cycle(self, issued)
+            self._obs.on_cycles(self, issued, 1)
         if self._validator is not None:
             self._validator.on_cycle(self, issued)
         self.cycle += 1
@@ -275,9 +275,6 @@ class InOrderCore:
     # ------------------------------------------------------------------
     # In-order issue
     # ------------------------------------------------------------------
-
-    def _ready(self, reg: Reg, cycle: int) -> bool:
-        return self._reg_ready[reg.flat] <= cycle
 
     def _issue(self) -> int:
         issue_q = self.issue_q
@@ -406,11 +403,15 @@ class InOrderCore:
                     self.fetch_resume_cycle = self.cycle + 1
 
     # ------------------------------------------------------------------
-    # Stall attribution (read by repro.obs on zero-issue cycles)
+    # Cycle classification (read by repro.obs)
     # ------------------------------------------------------------------
 
-    def _stall_cause(self) -> str:
-        """Why did this cycle issue nothing?  One taxonomy cause."""
+    def _classify(self) -> Tuple[str, str]:
+        """Why did this cycle issue nothing?  The flat stall cause and
+        its slot-tree leaf (see ``OutOfOrderCore._classify``).  A
+        load-operand stall's leaf is the blocking load's miss level,
+        from its frozen total latency; an FU structural conflict (head
+        due, operands ready, pool refused) is ``fu_port``."""
         entry = self.issue_q[0] if self.issue_q else None
         if entry is not None and entry.issue_ready <= self.cycle:
             cycle = self.cycle
@@ -418,54 +419,20 @@ class InOrderCore:
             for flat in entry.inst.src_flats:
                 if reg_ready[flat] > cycle:
                     if self._load_dest[flat]:
-                        return "dcache_miss"
-                    return "operand_wait"
+                        return "dcache_miss", memory_bound_leaf(
+                            self.config.hierarchy, self._load_wait[flat])
+                    return "operand_wait", "backend_bound.core.iq_not_ready"
             dest_flat = entry.inst.dest_flat
             if dest_flat is not None and reg_ready[dest_flat] > cycle:
-                return "operand_wait"  # WAW on an in-flight writer
-            return "other"             # FU structural conflict
-        if self.waiting_branch is not None:
-            return "branch_recovery"
-        if self.cycle < self.fetch_resume_cycle:
-            if self._fetch_stall_kind == "icache":
-                return "icache_miss"
-            return "branch_recovery"
-        return "frontend_fill"
-
-    # ------------------------------------------------------------------
-    # Top-down slot refinement (read by repro.obs.topdown)
-    # ------------------------------------------------------------------
+                # WAW on an in-flight writer.
+                return "operand_wait", "backend_bound.core.iq_not_ready"
+            return "other", "backend_bound.core.fu_port"
+        return frontend_stall(self)
 
     def _topdown_width(self) -> int:
         """In-order issue == commit, so the slot budget is the issue
         width."""
         return self.config.issue_width
-
-    def _topdown_leaf(self, cause: str) -> str:
-        """Flat cause -> slot-tree leaf.  ``dcache_miss`` re-walks the
-        head's sources (the same scan ``_stall_cause`` did) and
-        classifies the blocking load by its frozen total latency;
-        ``other`` on this core is exactly the FU structural-conflict
-        path (head ready, operands ready, pool refused)."""
-        if cause == "dcache_miss":
-            entry = self.issue_q[0] if self.issue_q else None
-            if entry is not None:
-                cycle = self.cycle
-                reg_ready = self._reg_ready
-                for flat in entry.inst.src_flats:
-                    if reg_ready[flat] > cycle and self._load_dest[flat]:
-                        return memory_bound_leaf(
-                            self.config.hierarchy,
-                            self._load_wait[flat])
-            return "backend_bound.memory.l1d_bound"
-        if cause == "branch_recovery":
-            if (self.waiting_branch is None
-                    and self._fetch_stall_kind == "redirect"):
-                return "frontend_bound.redirect"
-            return "bad_speculation.branch_recovery"
-        if cause == "other":
-            return "backend_bound.core.fu_port"
-        return _TOPDOWN_LEAVES.get(cause, "backend_bound.core.other")
 
     # ------------------------------------------------------------------
 

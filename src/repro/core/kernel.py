@@ -26,8 +26,9 @@ Correctness rests on two facts the cores uphold:
 
 The jump is bounded by the deadlock detector's trip point and by
 ``max_cycles`` so error cycles and truncated runs stay bit-identical to
-the serial loop.  Skipped-cycle accounting replays occupancy samples,
-stall attribution and timeline accumulation in bulk; an attached
+the serial loop.  Skipped-cycle accounting charges the IQ occupancy
+sample and the observability views in bulk, through the same
+``Observability.on_cycles`` call a ticked cycle makes; an attached
 validator is replayed cycle-by-cycle to preserve its periodic-audit
 cadence (validated runs trade most of the speedup for full checking).
 
@@ -76,13 +77,15 @@ def advance(core, progress_cycle: int) -> None:
         return
     core._ff_skipped += skipped
     # Bulk accounting for the skipped cycles, in the serial tick's
-    # order: occupancy sample, observability hook, validator hook.
+    # order: occupancy sample, observability, validator.  The skipped
+    # cycles commit nothing and leave the state frozen, so one
+    # ``on_cycles`` call classifies once and charges them all.
     iq = getattr(core, "iq", None)
     if iq is not None:
         iq.sample_occupancy_many(skipped)
     obs = core._obs
     if obs is not None:
-        obs.on_cycles(core, skipped)
+        obs.on_cycles(core, 0, skipped)
     validator = core._validator
     if validator is not None:
         # Replayed per cycle: the validator's periodic audits key on

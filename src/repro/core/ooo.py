@@ -51,31 +51,44 @@ from repro.rename.prf import NEVER
 #: FP arithmetic classes the commit stage counts (not FP loads/stores).
 _FP_ARITH = frozenset({OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV})
 
-#: Flat stall causes whose slot-tree leaf needs no per-cycle state
-#: (see ``_topdown_leaf``; dcache_miss and branch_recovery are refined
-#: there, retiring/squash slots are charged by the collector itself).
-_TOPDOWN_LEAVES = {
+#: Slot-tree leaf of each rename stall (see ``_classify``).
+_RENAME_STALL_LEAVES = {
     "iq_full": "backend_bound.core.iq_full",
     "rob_full": "backend_bound.core.rob_full",
     "lsq_full": "backend_bound.core.lsq_full",
     "prf_full": "backend_bound.core.prf_full",
-    "operand_wait": "backend_bound.core.iq_not_ready",
-    "icache_miss": "frontend_bound.icache_miss",
-    "frontend_fill": "frontend_bound.queue_empty",
-    "other": "backend_bound.core.other",
 }
 
 
 def memory_bound_leaf(hier, wait: int) -> str:
-    """Bucket a load's total latency into the memory sub-tree.  The
-    thresholds mirror CacheHierarchy's access results (+1 covers the
-    issue->execute cycle): L1 hit <= 1+l1, L2 hit <= 1+l1+l2, else
+    """Bucket a stalled load by its *frozen* total latency (complete -
+    issue cycle, never the remaining wait, which would diverge between
+    serial ticks and fast-forwarded gaps) into the memory sub-tree.
+    The thresholds mirror CacheHierarchy's access results (+1 covers
+    the issue->execute cycle): L1 hit <= 1+l1, L2 hit <= 1+l1+l2, else
     DRAM.  Store-forward hits (latency 1) land in l1d_bound."""
     if wait <= 1 + hier.l1_latency:
         return "backend_bound.memory.l1d_bound"
     if wait <= 1 + hier.l1_latency + hier.l2_latency:
         return "backend_bound.memory.l2_bound"
     return "backend_bound.memory.dram_bound"
+
+
+def frontend_stall(core) -> Tuple[str, str]:
+    """Classify a stall no back-end instruction is to blame for (the
+    tail of every family's ``_classify``): the front end is waiting on
+    a branch, an L1I refill or a decode redirect, or has nothing to
+    deliver."""
+    if core.waiting_branch is not None:
+        return "branch_recovery", "bad_speculation.branch_recovery"
+    if core.cycle < core.fetch_resume_cycle:
+        kind = core._fetch_stall_kind
+        if kind == "icache":
+            return "icache_miss", "frontend_bound.icache_miss"
+        if kind == "redirect":
+            return "branch_recovery", "frontend_bound.redirect"
+        return "branch_recovery", "bad_speculation.branch_recovery"
+    return "frontend_fill", "frontend_bound.queue_empty"
 
 
 class SimulationError(RuntimeError):
@@ -227,7 +240,7 @@ class OutOfOrderCore:
         fetch_moved = self._fetch()
         self.iq.sample_occupancy()
         if self._obs is not None:
-            self._obs.on_cycle(self, committed)
+            self._obs.on_cycles(self, committed, 1)
         if self._validator is not None:
             self._validator.on_cycle(self, committed)
         self.cycle += 1
@@ -726,19 +739,6 @@ class OutOfOrderCore:
     def _bypass_network(self, in_ixu: bool) -> BypassNetwork:
         return self.oxu_bypass
 
-    def _claim_prf_port(self, cycle: int) -> None:
-        """The OXU takes a shared PRF read port unconditionally."""
-        self._prf_port_use[cycle] = self._prf_port_use.get(cycle, 0) + 1
-        if len(self._prf_port_use) > 64:
-            self._prf_port_use = {
-                c: n for c, n in self._prf_port_use.items() if c >= cycle
-            }
-
-    def _prf_port_free(self, cycle: int) -> bool:
-        """Is a shared PRF read port left for the front end this cycle?"""
-        used = self._prf_port_use.get(cycle, 0)
-        return used < self.config.prf_read_ports
-
     # ------------------------------------------------------------------
     # Completion / writeback
     # ------------------------------------------------------------------
@@ -863,77 +863,48 @@ class OutOfOrderCore:
         """Hook for subclasses (FXA clears the IXU pipe)."""
 
     # ------------------------------------------------------------------
-    # Stall attribution (read by repro.obs on zero-commit cycles)
+    # Cycle classification (read by repro.obs; never feeds back into
+    # simulation)
     # ------------------------------------------------------------------
 
-    def _stall_cause(self) -> str:
-        """Why did this cycle commit nothing?  One taxonomy cause.
+    def _classify(self) -> Tuple[str, str]:
+        """Why did this cycle's slots go unused?  Returns the flat stall
+        cause (repro.obs.stall) and its top-down slot-tree leaf
+        (repro.obs.topdown) from one read of the post-tick state.
 
         Priority order: a rename stall on a full backend structure wins
         (window pressure is the actionable signal), then the ROB head's
-        execution state, then front-end conditions.
+        execution state, then front-end conditions.  The leaf splits
+        what one cause folds together: ``dcache_miss`` by the ROB-head
+        load's miss level, ``branch_recovery`` into decode-redirect
+        bubbles (frontend) and misprediction recovery (bad speculation).
         """
         reason = self._stall_reason
         if reason is not None:
-            return reason
+            return reason, _RENAME_STALL_LEAVES[reason]
         head = self.rob.head()
-        if head is not None:
-            if not head.done:
-                if head.mispredicted:
-                    return "branch_recovery"
-                if head.issued:
-                    if head.inst.is_load:
-                        return "dcache_miss"
-                    return "operand_wait"
-                if head.issue_ready < 0:
-                    return "frontend_fill"  # still in dispatch transit
-                return "operand_wait"
-            return "other"  # done, but writeback/commit-timing limited
-        if self.waiting_branch is not None:
-            return "branch_recovery"
-        if self.cycle < self.fetch_resume_cycle:
-            if self._fetch_stall_kind == "icache":
-                return "icache_miss"
-            return "branch_recovery"
-        return "frontend_fill"
-
-    # ------------------------------------------------------------------
-    # Top-down slot refinement (read by repro.obs.topdown; never feeds
-    # back into simulation, so the flat _stall_cause taxonomy above —
-    # pinned by the stall-report tests — is left untouched)
-    # ------------------------------------------------------------------
+        if head is None:
+            return frontend_stall(self)
+        if head.done:
+            # Writeback/commit-timing limited.
+            return "other", "backend_bound.core.other"
+        if head.mispredicted:
+            return "branch_recovery", "bad_speculation.branch_recovery"
+        if head.issued:
+            if head.inst.is_load:
+                return "dcache_miss", memory_bound_leaf(
+                    self.config.hierarchy,
+                    head.complete_cycle - head.issue_cycle)
+            return "operand_wait", "backend_bound.core.iq_not_ready"
+        if head.issue_ready < 0:
+            # Still in dispatch transit.
+            return "frontend_fill", "frontend_bound.queue_empty"
+        return "operand_wait", "backend_bound.core.iq_not_ready"
 
     def _topdown_width(self) -> int:
         """Slots per cycle the top-down tree accounts (commit
         bandwidth on the backend cores)."""
         return self.config.commit_width
-
-    def _memory_bound_leaf(self, entry: Optional[InFlight]) -> str:
-        """Classify a stalled load by its *frozen* total latency
-        (complete - issue cycle), never the remaining wait: the frozen
-        value is constant while the load is in flight, so serial ticks
-        and bulk fast-forward replay attribute identically."""
-        if entry is None or entry.complete_cycle < 0 \
-                or entry.issue_cycle < 0:
-            return "backend_bound.memory.l1d_bound"
-        return memory_bound_leaf(
-            self.config.hierarchy,
-            entry.complete_cycle - entry.issue_cycle)
-
-    def _topdown_leaf(self, cause: str) -> str:
-        """Map a flat stall cause to its slot-tree leaf, refining the
-        two causes that fold distinct bottlenecks together:
-        ``dcache_miss`` splits by the ROB-head load's miss level, and
-        ``branch_recovery`` splits decode-redirect bubbles (frontend)
-        from misprediction recovery (bad speculation)."""
-        if cause == "dcache_miss":
-            return self._memory_bound_leaf(self.rob.head())
-        if cause == "branch_recovery":
-            if (self.waiting_branch is None and self.rob.head() is None
-                    and self._fetch_stall_kind == "redirect"):
-                return "frontend_bound.redirect"
-            return "bad_speculation.branch_recovery"
-        return _TOPDOWN_LEAVES.get(cause, "backend_bound.core.other")
 
     def _on_commit(self, entry: InFlight) -> None:
         """Hook for subclasses (FXA records IXU-execution statistics)."""

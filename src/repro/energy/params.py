@@ -25,10 +25,6 @@ class DeviceParams:
     l2_ioff_na_per_um: float = 0.0968
     clock_ghz: float = 2.0
 
-    @property
-    def cycle_time_ns(self) -> float:
-        return 1.0 / self.clock_ghz
-
 
 #: Reference geometry the base energies are quoted at (BIG, Table I).
 REF_IQ_ENTRIES = 64

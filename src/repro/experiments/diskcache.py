@@ -237,11 +237,6 @@ class DiskCache:
             "root": str(self.root),
         }
 
-    def reset_counters(self) -> None:
-        """Zero the per-invocation counters (the entries stay)."""
-        self.hits = self.misses = self.stores = 0
-        self.failures_seen = self.failures_stored = 0
-
     def clear(self) -> int:
         """Delete every entry (results and failure records alike);
         returns the number of *result* entries removed."""

@@ -27,7 +27,12 @@ package adds the *why* behind those aggregates, at three granularities:
 Everything is **off by default and free when off**: a core built without
 an :class:`Observability` object pays one ``is None`` test per cycle and
 nothing else, keeping the hot-loop throughput and the simulated results
-bit-identical to an uninstrumented build.  Enable it per run::
+bit-identical to an uninstrumented build.  An observed core makes one
+:meth:`Observability.on_cycles` call per ticked cycle and one per
+fast-forwarded gap; that call classifies the cycle once (the core's
+``_classify()`` returns the stall cause and the top-down leaf together)
+and hands the results to the stall, timeline and top-down views.
+Enable it per run::
 
     from repro import build_core, generate_trace
     from repro.obs import Observability
@@ -54,8 +59,6 @@ from repro.obs.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
     occupancy_bounds,
 )
 from repro.obs.pipeview import KanataWriter
@@ -84,6 +87,19 @@ from repro.obs.topdown import (
 )
 
 
+def _backend_occupancy(core):
+    """IQ, ROB, LQ and SQ fill of an out-of-order core."""
+    lsq = core.lsq
+    return (len(core.iq), len(core.rob),
+            lsq.load_capacity - lsq.loads_free,
+            lsq.store_capacity - lsq.stores_free)
+
+
+def _frontend_occupancy(core):
+    """Front-end queue fill of the in-order core."""
+    return (len(core.issue_q),)
+
+
 class Observability:
     """Per-run bundle of enabled collectors, attached to one core.
 
@@ -98,11 +114,11 @@ class Observability:
             slot hierarchically into (None = no top-down tree).
 
     One instance observes one core for one run; the core calls
-    :meth:`attach` when built and :meth:`finalize` when its ``run``
-    completes, which copies the collected data onto ``core.stats``.
-    (Timeline samples and the top-down tree stay on their collectors,
-    not on ``stats``, so an observed run's ``CoreStats`` round trip is
-    unchanged.)
+    :meth:`attach` when built, :meth:`on_cycles` for every observed
+    cycle and :meth:`finalize` when its ``run`` completes, which copies
+    the collected data onto ``core.stats``.  (Timeline samples and the
+    top-down tree stay on their collectors, not on ``stats``, so an
+    observed run's ``CoreStats`` round trip is unchanged.)
     """
 
     def __init__(self, metrics: bool = True, stalls: bool = True,
@@ -114,120 +130,107 @@ class Observability:
         self.pipeview = pipeview
         self.timeline = timeline
         self.topdown = topdown
+        self.cycles = 0
         self.commit_cycles = 0
         self._attached = False
-        self._iq_hist = None
-        self._rob_hist = None
-        self._lq_hist = None
-        self._sq_hist = None
-        self._fq_hist = None
+        self._classifies = (stalls or timeline is not None
+                            or topdown is not None)
+        self._read_occupancy = None
+        self._occupancy_hists = []
 
     # ------------------------------------------------------------------
 
     def attach(self, core) -> None:
-        """Bind occupancy histograms to ``core``'s structures."""
+        """Bind the views to ``core`` and decide which occupancies it
+        has: IQ/ROB/LQ/SQ on the backend cores, the front-end queue on
+        the in-order core."""
         if self._attached:
             raise RuntimeError(
                 "an Observability instance observes exactly one core run; "
                 "build a fresh one per simulation"
             )
         self._attached = True
+        # Name -> capacity, in the reader's order; the names key the
+        # occupancy.* histograms and the timeline's occupancy means.
+        if getattr(core, "iq", None) is not None:
+            lsq = core.lsq
+            capacities = {"iq": core.iq.capacity, "rob": core.rob.capacity,
+                          "lq": lsq.load_capacity,
+                          "sq": lsq.store_capacity}
+            reader = _backend_occupancy
+        else:
+            capacities = {
+                "frontend_queue": core.config.frontend_queue_depth}
+            reader = _frontend_occupancy
         if self.timeline is not None:
-            self.timeline.attach(core)
+            self.timeline.attach(core, tuple(capacities))
         if self.topdown is not None:
             self.topdown.attach(core)
         metrics = self.metrics
-        if metrics is None:
-            return
-        iq = getattr(core, "iq", None)
-        if iq is not None:
-            self._iq_hist = metrics.histogram(
-                "occupancy.iq", occupancy_bounds(iq.capacity))
-            self._rob_hist = metrics.histogram(
-                "occupancy.rob", occupancy_bounds(core.rob.capacity))
-            self._lq_hist = metrics.histogram(
-                "occupancy.lq", occupancy_bounds(core.lsq.load_capacity))
-            self._sq_hist = metrics.histogram(
-                "occupancy.sq", occupancy_bounds(core.lsq.store_capacity))
-        else:
-            self._fq_hist = metrics.histogram(
-                "occupancy.frontend_queue",
-                occupancy_bounds(core.config.frontend_queue_depth))
+        if metrics is not None:
+            self._occupancy_hists = [
+                metrics.histogram(f"occupancy.{name}",
+                                  occupancy_bounds(capacity))
+                for name, capacity in capacities.items()
+            ]
+        if metrics is not None or self.timeline is not None:
+            self._read_occupancy = reader
 
-    def on_cycle(self, core, committed: int) -> None:
-        """Per-cycle sampling hook (the cores call this once per tick)."""
-        cause = None
+    def on_cycles(self, core, committed: int, cycles: int) -> None:
+        """Charge ``cycles`` observed cycles to every enabled view.
+
+        A ticked cycle passes its commit count and ``cycles=1``;
+        ``kernel.advance`` passes ``committed=0`` and the number of
+        cycles it skipped, which are identical zero-commit cycles with
+        frozen state.  Either way the core is classified at most once
+        (``core._classify()`` returns the stall cause and the top-down
+        leaf together) and each occupancy is read once; the views
+        charge those values ``cycles`` times.  A commit cycle is
+        classified only by the top-down view, and only when slots stay
+        empty after retiring and squash debt.
+        """
+        self.cycles += cycles
+        cause = leaf = None
         if committed:
             self.commit_cycles += 1
-        elif (self.stalls is not None or self.timeline is not None
-                or self.topdown is not None):
-            # _stall_cause only reads core state, so computing it for
-            # the timeline keeps the simulated results bit-identical.
-            cause = core._stall_cause()
-            if self.stalls is not None:
-                self.stalls.charge(cause)
-        if self.timeline is not None:
-            self.timeline.on_cycle(core, committed, cause)
-        if self.topdown is not None:
-            self.topdown.on_cycle(core, committed, cause)
-        if self.metrics is not None:
-            iq_hist = self._iq_hist
-            if iq_hist is not None:
-                iq_hist.observe(len(core.iq))
-                self._rob_hist.observe(len(core.rob))
-                lsq = core.lsq
-                self._lq_hist.observe(
-                    lsq.load_capacity - lsq.loads_free)
-                self._sq_hist.observe(
-                    lsq.store_capacity - lsq.stores_free)
-            else:
-                self._fq_hist.observe(len(core.issue_q))
-
-    def on_cycles(self, core, cycles: int) -> None:
-        """Bulk hook for ``cycles`` fast-forwarded idle ticks.
-
-        The core guarantees the skipped ticks are identical zero-commit
-        cycles with frozen state, so the stall cause and every sampled
-        occupancy are computed once and charged ``cycles`` times —
-        bit-identical to calling :meth:`on_cycle` per skipped tick.
-        """
-        cause = None
-        if (self.stalls is not None or self.timeline is not None
-                or self.topdown is not None):
-            cause = core._stall_cause()
+        elif self._classifies:
+            cause, leaf = core._classify()
             if self.stalls is not None:
                 self.stalls.charge(cause, cycles)
+        occupancy = None
+        if self._read_occupancy is not None:
+            occupancy = self._read_occupancy(core)
+            if self.metrics is not None:
+                for hist, value in zip(self._occupancy_hists, occupancy):
+                    hist.observe(value, cycles)
         if self.timeline is not None:
-            self.timeline.on_cycles(core, cause, cycles)
+            self.timeline.charge(core, committed, cycles, cause, occupancy)
         if self.topdown is not None:
-            self.topdown.on_cycles(core, cause, cycles)
-        if self.metrics is not None:
-            iq_hist = self._iq_hist
-            if iq_hist is not None:
-                iq_hist.observe_many(len(core.iq), cycles)
-                self._rob_hist.observe_many(len(core.rob), cycles)
-                lsq = core.lsq
-                self._lq_hist.observe_many(
-                    lsq.load_capacity - lsq.loads_free, cycles)
-                self._sq_hist.observe_many(
-                    lsq.store_capacity - lsq.stores_free, cycles)
-            else:
-                self._fq_hist.observe_many(len(core.issue_q), cycles)
+            self.topdown.charge(core, committed, cycles, leaf)
 
     def finalize(self, core) -> None:
         """Harvest per-core counters and publish onto ``core.stats``."""
         stats = core.stats
+        drain = stats.cycles - self.cycles
+        if drain > 0:
+            # The in-order core's reported cycle count extends past its
+            # last tick to drain in-flight completions: zero-commit
+            # cycles that issued nothing.  Every view charges them (the
+            # timeline into its open interval, or a final zero-commit
+            # sample); the occupancy histograms stay per ticked cycle.
+            self.cycles = stats.cycles
+            if self.stalls is not None:
+                self.stalls.charge("other", drain)
+            if self.timeline is not None:
+                self.timeline.charge(core, 0, drain, "other",
+                                     self._read_occupancy(core))
+            if self.topdown is not None:
+                self.topdown.charge(core, 0, drain,
+                                    "backend_bound.core.other")
         if self.timeline is not None:
             self.timeline.finalize(core)
         if self.topdown is not None:
             self.topdown.finalize(core)
-        if self.stalls is not None:
-            # The in-order core's reported cycle count extends past its
-            # last tick to drain in-flight completions; charge that tail
-            # so causes always sum to cycles - commit_cycles.
-            drain = stats.cycles - self.commit_cycles - self.stalls.total
-            if drain > 0:
-                self.stalls.charge("other", drain)
         metrics = self.metrics
         if metrics is not None:
             metrics.counter("cycles.total").add(stats.cycles)
@@ -271,8 +274,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
     "occupancy_bounds",
     "StallCollector",
     "STALL_CAUSES",

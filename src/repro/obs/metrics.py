@@ -8,10 +8,7 @@ The observability layer records two kinds of measurements:
   (IQ/ROB/LSQ occupancy), cheap enough to take every simulated cycle.
 
 Everything here is disabled-by-default and zero-cost when off: the cores
-only touch the registry behind a single ``is None`` guard per cycle, and
-library users who want unconditional instrumentation sites can hold the
-:data:`NULL_METRICS` registry, whose counters and histograms are shared
-no-op singletons.
+only touch the registry behind a single ``is None`` guard per cycle.
 
 The registry serialises to a plain JSON-safe dict (``to_dict``), which is
 how it rides inside :class:`~repro.core.stats.CoreStats` through the disk
@@ -62,13 +59,9 @@ class Histogram:
         self.total = 0.0
         self.samples = 0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.samples += 1
-
-    def observe_many(self, value: float, count: int) -> None:
-        """Record ``count`` identical samples (fast-forwarded cycles)."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` identical samples (several for the cycles of
+        a fast-forwarded gap)."""
         self.counts[bisect_left(self.bounds, value)] += count
         self.total += value * count
         self.samples += count
@@ -181,81 +174,8 @@ class Family:
                 f"children={len(self._children)}>")
 
 
-class _NullCounter:
-    """Shared do-nothing counter (the disabled registry hands it out)."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def add(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullHistogram:
-    """Shared do-nothing histogram."""
-
-    __slots__ = ()
-    name = "<null>"
-    bounds: List[float] = []
-    counts: List[int] = []
-    total = 0.0
-    samples = 0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, value: float, count: int) -> None:
-        pass
-
-
-class _NullGauge:
-    """Shared do-nothing gauge."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float = 1.0) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_HISTOGRAM = _NullHistogram()
-_NULL_GAUGE = _NullGauge()
-
-
-class _NullFamily:
-    """Shared do-nothing family: ``labels(...)`` returns a no-op child."""
-
-    __slots__ = ("_child",)
-    name = "<null>"
-    label_names: Tuple[str, ...] = ()
-    help = ""
-
-    def __init__(self, child):
-        self._child = child
-
-    def labels(self, **labels: object):
-        return self._child
-
-    def children(self) -> List:
-        return []
-
-
-_NULL_COUNTER_FAMILY = _NullFamily(_NULL_COUNTER)
-_NULL_GAUGE_FAMILY = _NullFamily(_NULL_GAUGE)
-_NULL_HISTOGRAM_FAMILY = _NullFamily(_NULL_HISTOGRAM)
-
-
 class MetricsRegistry:
     """Create-on-demand store of named counters and histograms."""
-
-    enabled = True
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
@@ -362,67 +282,6 @@ class MetricsRegistry:
         for name, value in data.get("gauges", {}).items():
             registry._gauges[name] = Gauge(name, value)
         return registry
-
-
-class NullMetricsRegistry:
-    """Disabled registry: every lookup returns a shared no-op object.
-
-    Instrumentation sites that cannot afford a branch can hold this and
-    call ``counter(...).add()`` unconditionally; nothing is recorded.
-    """
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
-    def histogram(self, name: str,
-                  bounds: Optional[Sequence[float]] = None) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def family(self, name: str, kind: str,
-               label_names: Sequence[str], help_text: str = "",
-               bounds: Optional[Sequence[float]] = None) -> _NullFamily:
-        if kind == "gauge":
-            return _NULL_GAUGE_FAMILY
-        if kind == "histogram":
-            return _NULL_HISTOGRAM_FAMILY
-        return _NULL_COUNTER_FAMILY
-
-    def counter_family(self, name: str, label_names: Sequence[str],
-                       help_text: str = "") -> _NullFamily:
-        return _NULL_COUNTER_FAMILY
-
-    def gauge_family(self, name: str, label_names: Sequence[str],
-                     help_text: str = "") -> _NullFamily:
-        return _NULL_GAUGE_FAMILY
-
-    def histogram_family(self, name: str, label_names: Sequence[str],
-                         bounds: Sequence[float],
-                         help_text: str = "") -> _NullFamily:
-        return _NULL_HISTOGRAM_FAMILY
-
-    def counters(self) -> Dict[str, int]:
-        return {}
-
-    def histograms(self) -> Dict:
-        return {}
-
-    def gauges(self) -> Dict[str, float]:
-        return {}
-
-    def families(self) -> Dict:
-        return {}
-
-    def to_dict(self) -> Dict:
-        return {"counters": {}, "histograms": {}}
-
-
-#: The registry handed out when observability is off.
-NULL_METRICS = NullMetricsRegistry()
 
 
 def occupancy_bounds(capacity: int, buckets: int = 8) -> List[int]:

@@ -5,9 +5,10 @@ cycle*, and the collector charges it to exactly one cause from a fixed
 taxonomy — so the per-cause counts always sum to the total number of
 stall cycles, and stall cycles plus commit cycles always sum to the
 simulated cycle count.  The cause itself comes from the core's
-``_stall_cause()`` hook, which inspects the pipeline state the moment
-the stall is observed (rename blocked on a full structure, ROB head
-waiting on memory, front end recovering from a branch, ...).
+``_classify()`` hook, which inspects the pipeline state the moment the
+stall is observed (rename blocked on a full structure, ROB head
+waiting on memory, front end recovering from a branch, ...) and
+returns the cause together with its top-down slot-tree leaf.
 
 The attribution is *hierarchical*: a cycle is charged to the most
 specific blocking condition, with backend resource exhaustion taking

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import EventCounts
 from repro.obs.stall import STALL_CAUSES
@@ -142,10 +142,10 @@ class TimelineCollector:
         for sample in timeline.samples:
             print(sample.index, sample.ipc, sample.stalls)
 
-    The per-cycle hook only accumulates occupancy sums and the commit
-    count; everything else (counter deltas, energy pricing) happens on
-    the cold interval boundary, so the enabled overhead stays small and
-    the disabled overhead stays zero.
+    :meth:`charge` only accumulates cycles, stall causes, occupancy
+    sums and the commit count; everything else (counter deltas, energy
+    pricing) happens on the cold interval boundary, so the enabled
+    overhead stays small and the disabled overhead stays zero.
     """
 
     def __init__(self, interval: int = DEFAULT_INTERVAL):
@@ -160,22 +160,19 @@ class TimelineCollector:
         self._cycles = 0
         self._committed = 0
         self._stalls: Dict[str, int] = {}
-        self._occ_iq = 0
-        self._occ_rob = 0
-        self._occ_lq = 0
-        self._occ_sq = 0
-        self._occ_fq = 0
+        self._occupancy_names: Tuple[str, ...] = ()
+        self._occupancy_sums: List[int] = []
         # Cumulative baselines of the previous boundary.
         self._cycle_base = 0
         self._prev = _CounterSnapshot()
         self._prev_events = EventCounts()
         self._energy_model = None
-        self._has_backend = False
 
     # ------------------------------------------------------------------
 
-    def attach(self, core) -> None:
-        """Bind to ``core`` (called by ``Observability.attach``)."""
+    def attach(self, core, occupancy_names: Tuple[str, ...]) -> None:
+        """Bind to ``core`` (called by ``Observability.attach``, which
+        names the occupancies :meth:`charge` receives, in order)."""
         from repro.energy import EnergyModel
 
         if self._attached:
@@ -186,50 +183,31 @@ class TimelineCollector:
         self._attached = True
         self.model = core.config.name
         self._energy_model = EnergyModel(core.config)
-        self._has_backend = getattr(core, "iq", None) is not None
+        self._occupancy_names = occupancy_names
+        self._occupancy_sums = [0] * len(occupancy_names)
 
-    def on_cycle(self, core, committed: int,
-                 cause: Optional[str]) -> None:
-        """Per-cycle hook (hot): accumulate, sample on the boundary."""
-        self._cycles += 1
-        if committed:
-            self._committed += committed
-        elif cause is not None:
-            stalls = self._stalls
-            stalls[cause] = stalls.get(cause, 0) + 1
-        if self._has_backend:
-            self._occ_iq += len(core.iq)
-            self._occ_rob += len(core.rob)
-            lsq = core.lsq
-            self._occ_lq += lsq.load_capacity - lsq.loads_free
-            self._occ_sq += lsq.store_capacity - lsq.stores_free
-        else:
-            self._occ_fq += len(core.issue_q)
-        if self._committed >= self.interval:
-            self._take_sample(core)
+    def charge(self, core, committed: int, cycles: int,
+               cause: Optional[str], occupancy: Sequence[int]) -> None:
+        """Accumulate ``cycles`` cycles; sample on the boundary (hot).
 
-    def on_cycles(self, core, cause: Optional[str],
-                  cycles: int) -> None:
-        """Bulk accumulation for ``cycles`` fast-forwarded idle ticks.
-
-        The skipped ticks commit nothing and freeze every occupancy, so
-        the accumulators advance by ``cycles`` times the current values.
-        No interval boundary can fall inside the gap: sampling is
-        commit-gated and ``_committed`` does not change here.
+        ``cycles > 1`` only for zero-commit cycles with frozen state
+        (a fast-forwarded gap, the in-order drain tail), so the
+        accumulators advance by ``cycles`` times the current values and
+        no interval boundary can fall inside them: sampling is
+        commit-gated.  ``cause`` is the stall cause of a zero-commit
+        cycle.
         """
         self._cycles += cycles
-        if cause is not None:
+        if committed:
+            self._committed += committed
+        else:
             stalls = self._stalls
             stalls[cause] = stalls.get(cause, 0) + cycles
-        if self._has_backend:
-            self._occ_iq += len(core.iq) * cycles
-            self._occ_rob += len(core.rob) * cycles
-            lsq = core.lsq
-            self._occ_lq += (lsq.load_capacity - lsq.loads_free) * cycles
-            self._occ_sq += (
-                lsq.store_capacity - lsq.stores_free) * cycles
-        else:
-            self._occ_fq += len(core.issue_q) * cycles
+        sums = self._occupancy_sums
+        for index, value in enumerate(occupancy):
+            sums[index] += value * cycles
+        if self._committed >= self.interval:
+            self._take_sample(core)
 
     def finalize(self, core) -> None:
         """Flush the trailing partial interval (if it saw any cycles)."""
@@ -248,15 +226,11 @@ class TimelineCollector:
         breakdown = self._energy_model.price_events(
             delta, benchmark=self.benchmark,
             committed=self._committed)
-        if self._has_backend:
-            occupancy = {
-                "iq": self._occ_iq / cycles,
-                "rob": self._occ_rob / cycles,
-                "lq": self._occ_lq / cycles,
-                "sq": self._occ_sq / cycles,
-            }
-        else:
-            occupancy = {"frontend_queue": self._occ_fq / cycles}
+        occupancy = {
+            name: total / cycles
+            for name, total in zip(self._occupancy_names,
+                                   self._occupancy_sums)
+        }
         prev = self._prev
         mix = ClassMix(
             committed=self._committed,
@@ -297,8 +271,7 @@ class TimelineCollector:
         self._cycles = 0
         self._committed = 0
         self._stalls = {}
-        self._occ_iq = self._occ_rob = 0
-        self._occ_lq = self._occ_sq = self._occ_fq = 0
+        self._occupancy_sums = [0] * len(self._occupancy_names)
 
     # ------------------------------------------------------------------
 

@@ -102,8 +102,6 @@ ENERGY_CLASSES = (
     "unattributed",
 )
 
-_FALLBACK_LEAF = "backend_bound.core.other"
-
 
 def rollup_slots(slots: Dict[str, int]) -> Dict[str, int]:
     """Sum every dotted prefix of the leaf counts (``backend_bound``,
@@ -120,20 +118,19 @@ def rollup_slots(slots: Dict[str, int]) -> Dict[str, int]:
 class TopDownCollector:
     """Attributes every issue slot of one core run to the slot tree.
 
-    The per-cycle hook charges ``width`` slots: first to retiring
-    (split IXU/OXU via the commit-side ``stats.ixu_executed`` delta),
-    then to the outstanding squash debt (``stats.squashed`` delta),
-    and the remaining empty slots to the leaf the core's
-    ``_topdown_leaf`` refines from its flat stall cause.  The bulk
-    hook (fast-forwarded gaps) charges ``width x cycles`` slots the
-    same way in O(1) — the gap is zero-commit with frozen state, so no
-    new debt accrues and the cause leaf is constant, which makes the
-    bulk charge provably equal to the per-cycle sum.
+    :meth:`charge` takes every observed cycle from
+    :class:`~repro.obs.Observability` — one call per ticked cycle, one
+    per fast-forwarded gap — and charges ``width`` slots per cycle:
+    first to retiring (split IXU/OXU via the commit-side
+    ``stats.ixu_executed`` delta), then to the outstanding squash debt
+    (``stats.squashed`` delta), and the remaining empty slots to the
+    leaf of the core's ``_classify()``.  ``Observability.finalize``
+    charges the in-order drain tail (reported cycles past the last
+    tick) to ``backend_bound.core.other`` the same way, so the tree
+    always sums to ``width x stats.cycles``.
 
-    ``finalize`` charges the in-order drain tail (reported cycles past
-    the last tick) to ``backend_bound.core.other`` so the tree always
-    sums to ``width x stats.cycles``, prices the full run through
-    :class:`~repro.energy.EnergyModel`, and attributes it by class.
+    ``finalize`` prices the full run through
+    :class:`~repro.energy.EnergyModel` and attributes it by class.
     Squash debt that never found an empty slot is reported, not
     silently re-charged (``unpaid_squash_debt``).
     """
@@ -165,17 +162,26 @@ class TopDownCollector:
         self.model = core.config.name
         self.width = core._topdown_width()
 
-    def on_cycle(self, core, committed: int,
-                 cause: Optional[str]) -> None:
-        """Per-cycle hook: charge this cycle's ``width`` slots."""
-        self.cycles += 1
+    def charge(self, core, committed: int, cycles: int,
+               leaf: Optional[str]) -> None:
+        """Charge ``width x cycles`` slots: retiring first, then the
+        outstanding squash debt, then the empty rest to ``leaf``.
+
+        ``cycles > 1`` only for zero-commit cycles with frozen state
+        (a fast-forwarded gap, the in-order drain tail): no retiring
+        slots, no new squash debt and one constant leaf, so the bulk
+        charge equals the per-cycle sum.  ``leaf`` is None on a commit
+        cycle, which the other views never classify; the collector
+        then classifies only if slots remain after retiring and debt.
+        """
+        self.cycles += cycles
         slots = self.slots
         stats = core.stats
         squashed = stats.squashed
         if squashed != self._last_squashed:
             self._squash_debt += squashed - self._last_squashed
             self._last_squashed = squashed
-        empty = self.width
+        empty = self.width * cycles
         if committed:
             ixu_now = stats.ixu_executed
             ixu = ixu_now - self._last_ixu
@@ -193,53 +199,15 @@ class TopDownCollector:
             empty -= pay
             if not empty:
                 return
-        if cause is None:
-            # Partial-commit cycle: the shared hook only computes the
-            # stall cause on zero-commit cycles, so refine it here
-            # (read-only, post-commit state).
-            cause = core._stall_cause()
-        leaf = core._topdown_leaf(cause)
-        if leaf not in slots:
-            leaf = _FALLBACK_LEAF
+        if leaf is None:
+            leaf = core._classify()[1]
         slots[leaf] += empty
 
-    def on_cycles(self, core, cause: Optional[str],
-                  cycles: int) -> None:
-        """Bulk hook for ``cycles`` fast-forwarded idle ticks.
-
-        Zero commits and frozen state across the gap: no retiring
-        slots, no new squash debt, and one constant cause leaf — the
-        serial per-cycle charges collapse into two bulk adds.
-        """
-        self.cycles += cycles
-        empty = self.width * cycles
-        debt = self._squash_debt
-        if debt:
-            pay = debt if debt < empty else empty
-            self.slots["bad_speculation.squash"] += pay
-            self._squash_debt = debt - pay
-            empty -= pay
-            if not empty:
-                return
-        if cause is None:
-            cause = core._stall_cause()
-        leaf = core._topdown_leaf(cause)
-        if leaf not in self.slots:
-            leaf = _FALLBACK_LEAF
-        self.slots[leaf] += empty
-
     def finalize(self, core) -> None:
-        """Drain-tail charge, fast-forward counter, energy join."""
+        """Fast-forward counter and energy join."""
         from repro.energy import EnergyModel
 
         stats = core.stats
-        drain = stats.cycles - self.cycles
-        if drain > 0:
-            # The in-order core's reported cycle count extends past its
-            # last tick to drain in-flight completions; those cycles
-            # issued nothing (mirrors the stall collector's tail).
-            self.slots[_FALLBACK_LEAF] += drain * self.width
-            self.cycles = stats.cycles
         self.ff_skipped = getattr(core, "_ff_skipped", 0)
         breakdown = EnergyModel(core.config).evaluate(stats)
         self.energy_total = breakdown.total

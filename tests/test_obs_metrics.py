@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
-    occupancy_bounds,
-)
+from repro.obs import MetricsRegistry, occupancy_bounds
 
 
 class TestCounter:
@@ -145,25 +140,6 @@ class TestFamily:
         registry = MetricsRegistry()
         registry.counter_family("req", ()).labels().add()
         assert set(registry.to_dict()) == {"counters", "histograms"}
-
-
-class TestNullRegistry:
-    def test_null_is_free_and_silent(self):
-        assert isinstance(NULL_METRICS, NullMetricsRegistry)
-        NULL_METRICS.counter("anything").add(5)
-        NULL_METRICS.histogram("h", bounds=(1,)).observe(3)
-        assert NULL_METRICS.to_dict() == {"counters": {},
-                                          "histograms": {}}
-
-    def test_null_gauges_and_families_are_no_ops(self):
-        NULL_METRICS.gauge("g").set(9)
-        NULL_METRICS.counter_family("c", ("l",)).labels(l="x").add()
-        NULL_METRICS.gauge_family("g2", ()).labels().set(1)
-        NULL_METRICS.histogram_family("h", (), (1,)).labels().observe(2)
-        assert NULL_METRICS.gauges() == {}
-        assert NULL_METRICS.families() == {}
-        assert NULL_METRICS.to_dict() == {"counters": {},
-                                          "histograms": {}}
 
 
 class TestOccupancyBounds:

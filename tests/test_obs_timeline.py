@@ -51,10 +51,14 @@ class TestSampling:
         for sample in samples[:-1]:
             assert sample.committed >= collector.interval
 
-    @pytest.mark.parametrize("model", ("HALF", "HALF+FX", "CA"))
-    def test_cycles_match_stats_on_ooo_cores(self, model):
-        collector, stats = observed_run(model)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_cycles_and_stalls_match_stats(self, model):
+        """Samples cover every cycle of the run, the in-order drain
+        tail included, and every stall cycle the stall table charges."""
+        collector, stats = observed_run(model, stalls=True)
         assert sum(s.cycles for s in collector.samples) == stats.cycles
+        assert sum(sum(s.stalls.values()) for s in collector.samples) \
+            == stats.stall_cycles
 
     def test_stalls_cover_every_zero_commit_cycle(self):
         """Per-interval stall cycles account for every cycle in which
@@ -147,9 +151,7 @@ class TestBitIdentity:
         assert sum(stats.stalls.values()) > 0
         timeline_stalls = sum(
             sum(s.stalls.values()) for s in collector.samples)
-        # finalize() charges the post-tick drain tail to the run-level
-        # collector only, so the timeline's total can trail by it.
-        assert timeline_stalls <= sum(stats.stalls.values())
+        assert timeline_stalls == sum(stats.stalls.values())
 
     def test_samples_deterministic_across_runs(self):
         one, _ = observed_run("HALF+FX")
