@@ -22,14 +22,14 @@ from repro.workloads import (
     TraceGenerator,
     build_program,
     get_profile,
-    renumber_trace,
 )
 
 
 def _simulate(config, bench="gcc"):
     generator = TraceGenerator(build_program(get_profile(bench)))
     warm = generator.generate(WARMUP)
-    measure = renumber_trace(generator.generate(MEASURE * 2))
+    generator.seq = 0  # number the measured slice from 0
+    measure = generator.generate(MEASURE * 2)
     core = build_core(config)
     functional_warmup(core, warm)
     return core.run(measure)

@@ -19,7 +19,6 @@ from repro.workloads import (
     TraceGenerator,
     build_program,
     get_profile,
-    renumber_trace,
 )
 
 #: Browser/app-like foreground work: branchy INT code.
@@ -34,7 +33,8 @@ MEASURE = 5_000
 def simulate(model_name: str, benchmark: str):
     generator = TraceGenerator(build_program(get_profile(benchmark)))
     warm = generator.generate(WARMUP)
-    measure = renumber_trace(generator.generate(MEASURE))
+    generator.seq = 0  # number the measured slice from 0
+    measure = generator.generate(MEASURE)
     core = build_core(model_name)
     functional_warmup(core, warm)
     stats = core.run(measure)

@@ -17,7 +17,6 @@ from repro.workloads import (
     Mix,
     TraceGenerator,
     build_program,
-    renumber_trace,
     trace_mix,
 )
 
@@ -65,7 +64,8 @@ def study(profile: BenchmarkProfile) -> None:
     for model in ("BIG", "HALF+FX"):
         generator = TraceGenerator(program)
         warm = generator.generate(WARMUP)
-        measure = renumber_trace(generator.generate(MEASURE))
+        generator.seq = 0  # number the measured slice from 0
+        measure = generator.generate(MEASURE)
         core = build_core(model)
         functional_warmup(core, warm)
         results[model] = core.run(measure)

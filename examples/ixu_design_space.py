@@ -20,7 +20,6 @@ from repro.workloads import (
     TraceGenerator,
     build_program,
     get_profile,
-    renumber_trace,
 )
 
 BENCHMARKS = ("libquantum", "gcc", "hmmer", "lbm")
@@ -47,7 +46,8 @@ def evaluate(config):
     for bench in BENCHMARKS:
         generator = TraceGenerator(build_program(get_profile(bench)))
         warm = generator.generate(WARMUP)
-        measure = renumber_trace(generator.generate(MEASURE))
+        generator.seq = 0  # number the measured slice from 0
+        measure = generator.generate(MEASURE)
         core = build_core(config)
         functional_warmup(core, warm)
         stats = core.run(measure)

@@ -15,7 +15,6 @@ from repro.workloads import (
     TraceGenerator,
     build_program,
     get_profile,
-    renumber_trace,
 )
 
 BENCHMARK = "libquantum"
@@ -27,7 +26,8 @@ def simulate(model_name: str):
     """Warm up and run one model on the shared instruction stream."""
     generator = TraceGenerator(build_program(get_profile(BENCHMARK)))
     warm = generator.generate(WARMUP)
-    measure = renumber_trace(generator.generate(MEASURE))
+    generator.seq = 0  # number the measured slice from 0
+    measure = generator.generate(MEASURE)
     core = build_core(model_name)
     functional_warmup(core, warm)
     stats = core.run(measure)

@@ -103,8 +103,8 @@ class SimJob:
 
     @property
     def trace_key(self) -> Tuple[str, int, int, int]:
-        """The trace this job replays, as
-        :func:`~repro.experiments.runner.trace_pair` arguments."""
+        """The interval this job replays, as
+        :func:`~repro.experiments.runner.interval` arguments."""
         return (self.benchmark, self.measure, self.warmup, self.seed)
 
 

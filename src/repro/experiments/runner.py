@@ -3,7 +3,10 @@
 Mirrors the paper's methodology at Python scale: the paper skips 4 G
 instructions and measures 100 M; we functionally warm the predictor and
 caches on a prefix of the same instruction stream and measure a cycle-
-accurate interval after it.
+accurate interval after it.  Each interval's measured trace, and the
+warmed caches and predictor of every geometry that has replayed it, are
+memoised per process (:func:`interval`), so the models sharing an
+interval and a geometry build and warm up once between them.
 
 Results are cached at two levels.  A per-process memo keeps the figures
 sharing a (model, benchmark) pair from re-simulating within one run; an
@@ -39,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -46,12 +50,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core import CoreConfig, CoreStats, build_core
 from repro.core.warmup import functional_warmup
 from repro.energy import EnergyBreakdown, EnergyModel
-from repro.workloads import (
-    TraceGenerator,
-    build_program,
-    get_profile,
-    renumber_trace,
-)
+from repro.workloads import TraceGenerator, build_program, get_profile
 
 #: Default measured-interval length (dynamic instructions).
 DEFAULT_MEASURE = 8_000
@@ -124,12 +123,62 @@ class SweepSettings:
     fail_fast: bool = False
 
 
+class Interval:
+    """One benchmark interval as :data:`_TRACE_MEMO` holds it.
+
+    ``trace`` is the measured trace, numbered from 0.  ``warm_states``
+    maps a :func:`warm_state_key` to the pickled ``(CacheHierarchy,
+    BranchPredictor)`` pair that a functional warm-up on the interval's
+    warm-up stream leaves behind; the stream itself is not kept, and
+    :meth:`warm_up` regenerates it from ``program`` for a key it has not
+    seen.  Every model replaying the interval shares ``trace``: the
+    cores never write to a trace record.
+    """
+
+    __slots__ = ("program", "seed", "warmup", "trace", "warm_states")
+
+    def __init__(self, program, seed: int, warmup: int, trace: list):
+        self.program = program
+        self.seed = seed
+        self.warmup = warmup
+        self.trace = trace
+        self.warm_states: Dict[Tuple, bytes] = {}
+
+    def warm_up(self, core, warm_trace: Optional[list] = None) -> None:
+        """Leave ``core``'s caches and predictor as a functional warm-up
+        on this interval would, restoring a memoised state if another
+        core of the same :func:`warm_state_key` has warmed up here.
+
+        ``warm_trace`` is the warm-up stream when the caller already
+        has it.  (A pickle round trip is several times faster than
+        ``copy.deepcopy`` of the same state.)
+        """
+        key = warm_state_key(core.config)
+        state = self.warm_states.get(key)
+        if state is not None:
+            core.hierarchy, core.predictor = pickle.loads(state)
+            return
+        if warm_trace is None:
+            warm_trace = TraceGenerator(
+                self.program, seed=self.seed).generate(self.warmup)
+        functional_warmup(core, warm_trace)
+        self.warm_states[key] = pickle.dumps(
+            (core.hierarchy, core.predictor), pickle.HIGHEST_PROTOCOL)
+
+
+def warm_state_key(config: CoreConfig) -> Tuple:
+    """The configuration fields a functional warm-up depends on: those
+    that :func:`~repro.core.warmup.functional_warmup` and the
+    ``CacheHierarchy`` and ``BranchPredictor`` constructors read."""
+    return (config.hierarchy, config.pht_entries, config.btb_entries,
+            config.ras_depth, config.predictor_kind)
+
+
 _CACHE: Dict[Tuple, BenchmarkRun] = {}
-#: Generated (warm, measure) trace pairs keyed by (benchmark, measure,
-#: warmup, seed); every model simulating the same benchmark interval
-#: replays the identical immutable trace.  See :func:`trace_pair`.
-_TRACE_MEMO: Dict[Tuple, Tuple[list, list]] = {}
-#: Most traces :data:`_TRACE_MEMO` holds; a miss on a full memo empties
+#: :class:`Interval` entries keyed by (benchmark, measure, warmup,
+#: seed); see :func:`interval`.
+_TRACE_MEMO: Dict[Tuple, Interval] = {}
+#: Most entries :data:`_TRACE_MEMO` holds; a miss on a full memo empties
 #: it first, which bounds memory on long sweeps.
 TRACE_MEMO_LIMIT = 64
 #: Accounting for every job actually simulated by this process (pool
@@ -173,28 +222,36 @@ def _config_key(config: CoreConfig) -> Tuple:
     return dataclasses.astuple(config)
 
 
-def trace_pair(benchmark: str, measure: int, warmup: int,
-               seed: int = 0) -> Tuple[list, list]:
-    """The (warm-up, measured) traces of one benchmark interval.
+def interval(benchmark: str, measure: int, warmup: int,
+             seed: int = 0) -> Interval:
+    """The :class:`Interval` of one benchmark interval.
 
     Served from the process memo :data:`_TRACE_MEMO`, else derived from
     the benchmark profile and seed and memoised.  :func:`simulate`
-    reads its traces here, in a parallel sweep's workers too, each of
-    which keeps the trace it built for as long as it runs that trace's
-    jobs (see :mod:`repro.experiments.pool`).
+    reads its trace and warm state here, in a parallel sweep's workers
+    too, each of which keeps the entry it built for as long as it runs
+    that interval's jobs (see :mod:`repro.experiments.pool`).
     """
+    return _interval(benchmark, measure, warmup, seed)[0]
+
+
+def _interval(benchmark: str, measure: int, warmup: int,
+              seed: int) -> Tuple[Interval, Optional[list]]:
+    """:func:`interval`, plus the warm-up stream when this call built
+    the entry (else None)."""
     key = (benchmark, measure, warmup, seed)
-    traces = _TRACE_MEMO.get(key)
-    if traces is None:
-        generator = TraceGenerator(
-            build_program(get_profile(benchmark), seed=seed), seed=seed
-        )
-        traces = (generator.generate(warmup),
-                  renumber_trace(generator.generate(measure)))
-        if len(_TRACE_MEMO) >= TRACE_MEMO_LIMIT:
-            _TRACE_MEMO.clear()
-        _TRACE_MEMO[key] = traces
-    return traces
+    entry = _TRACE_MEMO.get(key)
+    if entry is not None:
+        return entry, None
+    program = build_program(get_profile(benchmark), seed=seed)
+    generator = TraceGenerator(program, seed=seed)
+    warm_trace = generator.generate(warmup)
+    generator.seq = 0
+    entry = Interval(program, seed, warmup, generator.generate(measure))
+    if len(_TRACE_MEMO) >= TRACE_MEMO_LIMIT:
+        _TRACE_MEMO.clear()
+    _TRACE_MEMO[key] = entry
+    return entry, warm_trace
 
 
 def retain_traces(keys: Iterable[Tuple]) -> None:
@@ -202,8 +259,9 @@ def retain_traces(keys: Iterable[Tuple]) -> None:
 
     A long-lived process that serves one sweep after another (the job
     server) calls this before each sweep with the trace keys it
-    replays, so the memo holds at most one sweep's traces while a sweep
-    over the same intervals as the one before still reuses them.
+    replays, so the memo holds at most one sweep's traces and warm
+    states while a sweep over the same intervals as the one before
+    still reuses them.
     """
     keep = set(keys)
     for key in [key for key in _TRACE_MEMO if key not in keep]:
@@ -222,23 +280,23 @@ def simulate(
 
     A pure function of its arguments (the trace is re-derived from the
     benchmark profile and seed), which is what makes the result safe to
-    compute in a worker process or load back from disk.  Traces come
-    from :func:`trace_pair`: ``DynInst`` records are immutable and the
-    cores never mutate the trace list, so every model simulating the
-    same benchmark interval replays one shared trace, memoised in this
-    process: in a parallel sweep, the worker that runs the trace's jobs
-    (its memo also holds what the parent's held when it was forked).
+    compute in a worker process or load back from disk.  The trace and
+    the warmed caches and predictor come from :func:`interval`: every
+    model simulating the same benchmark interval replays one shared
+    trace, and every model of the same :func:`warm_state_key` starts
+    from one memoised warm-up, both memoised in this process: in a
+    parallel sweep, the worker that runs the interval's jobs (its memo
+    also holds what the parent's held when it was forked).
 
     ``obs`` optionally attaches a :class:`repro.obs.Observability`
     bundle to the simulated core (stall attribution, occupancy metrics,
     pipeline traces); observed runs are never cached, so the caching
     entry points don't take it.
     """
-    warm_trace, measure_trace = trace_pair(benchmark, measure, warmup,
-                                           seed)
+    entry, warm_trace = _interval(benchmark, measure, warmup, seed)
     core = build_core(config, obs=obs)
-    functional_warmup(core, warm_trace)
-    stats = core.run(measure_trace)
+    entry.warm_up(core, warm_trace)
+    stats = core.run(entry.trace)
     stats.benchmark = benchmark
     energy = EnergyModel(config).evaluate(stats)
     return BenchmarkRun(model=config.name, benchmark=benchmark,

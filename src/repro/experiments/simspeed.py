@@ -23,7 +23,8 @@ commit-message anecdote:
 Measurement protocol (the pinned numbers below use exactly this):
 every trace is memoised before any clock starts, each (model,
 benchmark) pair simulates :data:`DEFAULT_MEASURE` instructions after a
-:data:`DEFAULT_WARMUP`-instruction functional warm-up, and the reported
+:data:`DEFAULT_WARMUP`-instruction functional warm-up (timed on every
+tree, even one that memoises warmed states), and the reported
 rate is the best of :data:`DEFAULT_ROUNDS` rounds (best-of-N discards
 scheduler noise; means punish the faster tree more).  Both trees are
 always measured by the same interpreter via a subprocess with
@@ -108,11 +109,15 @@ SEED_RATES: Dict[str, float] = {
 #: per subsequent ``go`` line, printing one ``{pair: insts_per_second}``
 #: JSON line each time.  Keeping the worker alive between rounds lets
 #: the parent interleave rounds across two trees, so host-load drift
-#: hits both sides of a speedup ratio equally.
+#: hits both sides of a speedup ratio equally.  Every timed call runs
+#: one functional warm-up on every tree: the warmed states a tree
+#: memoises (in trace-memo entries that have ``warm_states``) are
+#: dropped before each call.
 _MEASURE_SCRIPT = r"""
 import json, sys, time
 spec = json.loads(sys.stdin.readline())
 from repro.core import model_config
+from repro.experiments import runner
 from repro.experiments.runner import simulate
 measure = spec["measure"]
 warmup = spec["warmup"]
@@ -126,6 +131,8 @@ for line in sys.stdin:
         break
     rates = {}
     for model, bench in pairs:
+        for entry in runner._TRACE_MEMO.values():
+            getattr(entry, "warm_states", {}).clear()
         started = time.perf_counter()
         run = simulate(configs[model], bench, measure=measure,
                        warmup=warmup, seed=0)

@@ -34,7 +34,6 @@ from repro.workloads.program import (
 from repro.workloads.generator import (
     TraceGenerator,
     generate_trace,
-    renumber_trace,
     trace_mix,
 )
 from repro.workloads.io import (
@@ -63,7 +62,6 @@ __all__ = [
     "build_program",
     "TraceGenerator",
     "generate_trace",
-    "renumber_trace",
     "trace_mix",
     "TraceFormatError",
     "dumps_trace",

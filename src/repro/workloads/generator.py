@@ -15,7 +15,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.isa.instruction import DynInst
-from repro.isa.opclass import OpClass, is_branch, is_fp, is_mem
+from repro.isa.opclass import is_fp
 from repro.workloads.profiles import get_profile
 from repro.workloads.program import (
     BasicBlock,
@@ -63,8 +63,16 @@ class _StreamState:
         return stream.base + 8 * self._rng.randrange(slots)
 
 
+_new_inst = object.__new__
+
+
 class TraceGenerator:
-    """Walks a :class:`SyntheticProgram` and emits dynamic instructions."""
+    """Walks a :class:`SyntheticProgram` and emits dynamic instructions.
+
+    ``seq`` is the number the next instruction gets.  Setting it to 0
+    after a warm-up slice numbers the measured slice that follows from
+    0, as the core models require (``trace[i].seq == i``).
+    """
 
     def __init__(self, program: SyntheticProgram, seed: int = 0):
         self._program = program
@@ -72,7 +80,7 @@ class TraceGenerator:
         self._streams = [
             _StreamState(s, self._rng) for s in program.streams
         ]
-        self._seq = 0
+        self.seq = 0
         # Data-dependent ("random") branches are Markov-correlated: real
         # hard branches repeat their last outcome more often than not.
         self._last_outcome: Dict[int, bool] = {}
@@ -105,33 +113,39 @@ class TraceGenerator:
             self._program.blocks[self._block_idx]
         )
 
-    def _emit(self, static: StaticInst, **overrides) -> DynInst:
-        inst = DynInst(
-            seq=self._seq,
-            pc=static.pc,
-            op=static.op,
-            dest=static.dest,
-            srcs=static.srcs,
-            **overrides,
-        )
-        self._seq += 1
+    def _emit(self, static: StaticInst, mem_addr: Optional[int] = None,
+              mem_size: int = 0, taken: bool = False,
+              target: Optional[int] = None) -> DynInst:
+        # The keyword constructor's checks hold by construction here, and
+        # the decoded fields are copied from the static instruction.
+        inst = _new_inst(DynInst)
+        inst.seq = self.seq
+        self.seq += 1
+        inst.pc = static.pc
+        inst.op = static.op
+        inst.dest = static.dest
+        inst.srcs = static.srcs
+        inst.mem_addr = mem_addr
+        inst.mem_size = mem_size
+        inst.taken = taken
+        inst.target = target
+        (inst.is_branch, inst.is_mem, inst.is_load, inst.is_store,
+         inst.fu_type, inst.latency, inst.ixu_eligible, inst.src_flats,
+         inst.dest_flat) = static.decoded
         return inst
 
     def _step(self) -> DynInst:
         """Advance one dynamic instruction."""
         block = self._current_block()
         static = block.insts[self._inst_idx]
+        is_branch, is_mem, _, is_store = static.decoded[:4]
 
-        if is_mem(static.op):
-            stream = self._streams[static.stream_id]
-            addr = stream.next_addr(
-                static.op in (OpClass.STORE, OpClass.FP_STORE)
-            )
+        if is_mem:
+            addr = self._streams[static.stream_id].next_addr(is_store)
             self._inst_idx += 1
-            return self._emit(static, mem_addr=addr,
-                              mem_size=static.mem_size)
+            return self._emit(static, addr, static.mem_size)
 
-        if not is_branch(static.op):
+        if not is_branch:
             self._inst_idx += 1
             return self._emit(static)
 
@@ -202,22 +216,6 @@ def generate_trace(
     profile = get_profile(benchmark)
     program = build_program(profile, seed=seed)
     return TraceGenerator(program, seed=seed).generate(n)
-
-
-def renumber_trace(trace: List[DynInst]) -> List[DynInst]:
-    """Re-sequence a trace slice so it starts at seq 0.
-
-    Core models require ``trace[i].seq == i`` (ordering-violation replay
-    rewinds by sequence number); use this on the measurement portion when
-    a warm-up prefix was drawn from the same generator.
-    """
-    return [
-        DynInst(seq=i, pc=inst.pc, op=inst.op, dest=inst.dest,
-                srcs=inst.srcs, mem_addr=inst.mem_addr,
-                mem_size=inst.mem_size, taken=inst.taken,
-                target=inst.target)
-        for i, inst in enumerate(trace)
-    ]
 
 
 def trace_mix(trace: List[DynInst]) -> Dict[str, float]:

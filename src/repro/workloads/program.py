@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.isa.instruction import decode
 from repro.isa.opclass import OpClass
 from repro.isa.registers import Reg, RegClass, fp_reg, int_reg
-from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.profiles import BenchmarkProfile, Mix
 
 #: Base address for code; instruction PCs are 4-byte spaced from here.
 CODE_BASE = 0x0040_0000
@@ -87,7 +88,11 @@ class MemStream:
 
 @dataclass(frozen=True)
 class StaticInst:
-    """One static instruction of the synthetic program."""
+    """One static instruction of the synthetic program.
+
+    ``decoded`` holds its :data:`~repro.isa.instruction.DECODED_FIELDS`,
+    resolved once here and copied into every dynamic instance.
+    """
 
     pc: int
     op: OpClass
@@ -96,6 +101,11 @@ class StaticInst:
     stream_id: int = -1                  # memory stream binding
     mem_size: int = 8
     branch: Optional[BranchBehavior] = None
+    decoded: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "decoded",
+                           decode(self.op, self.dest, self.srcs))
 
 
 @dataclass(frozen=True)
@@ -205,12 +215,9 @@ def _build_streams(
     return streams
 
 
-def _sample_opclass(
-    profile: BenchmarkProfile, rng: random.Random
-) -> OpClass:
-    """Sample a non-branch op class from the normalised mix."""
-    mix = profile.mix.normalised()
-    weights = (
+def _opclass_weights(mix: Mix) -> Tuple[Tuple[OpClass, float], ...]:
+    """The non-branch op classes and their weights in a normalised mix."""
+    return (
         (OpClass.INT_ALU, mix.int_alu),
         (OpClass.INT_MUL, mix.int_mul),
         (OpClass.INT_DIV, mix.int_div),
@@ -220,7 +227,14 @@ def _sample_opclass(
         (OpClass.LOAD, mix.load),
         (OpClass.STORE, mix.store),
     )
-    total = sum(w for _, w in weights)
+
+
+def _sample_opclass(
+    weights: Tuple[Tuple[OpClass, float], ...], total: float,
+    rng: random.Random,
+) -> OpClass:
+    """Sample a non-branch op class from :func:`_opclass_weights`, whose
+    weights sum to ``total``."""
     point = rng.random() * total
     acc = 0.0
     for op, weight in weights:
@@ -236,7 +250,7 @@ def _make_body_inst(
     alloc: _RegisterAllocator,
     profile: BenchmarkProfile,
     rng: random.Random,
-    streams: Sequence[MemStream],
+    stream_ids: _StreamIds,
 ) -> StaticInst:
     """Build one non-branch static instruction at ``pc``."""
     if op in (OpClass.LOAD, OpClass.STORE):
@@ -246,7 +260,7 @@ def _make_body_inst(
             op = OpClass.FP_LOAD if is_fp_data else OpClass.LOAD
         else:
             op = OpClass.FP_STORE if is_fp_data else OpClass.STORE
-        stream_id = _pick_stream(profile, rng, streams)
+        stream_id = _pick_stream(profile, rng, stream_ids)
         # Most addresses are computed (pointers, induction variables);
         # the rest are frame/global accesses off the base register.
         if rng.random() < 0.75:
@@ -280,23 +294,38 @@ def _make_body_inst(
     return StaticInst(pc=pc, op=op, dest=dest, srcs=srcs)
 
 
+@dataclass(frozen=True)
+class _StreamIds:
+    """Stream indices by kind, for :func:`_pick_stream`."""
+
+    seq: Tuple[int, ...]
+    rand: Tuple[int, ...]
+    stack: int
+
+    @classmethod
+    def of(cls, streams: Sequence[MemStream]) -> "_StreamIds":
+        return cls(
+            seq=tuple(i for i, s in enumerate(streams)
+                      if s.kind is StreamKind.SEQ),
+            rand=tuple(i for i, s in enumerate(streams)
+                       if s.kind is StreamKind.RAND),
+            stack=len(streams) - 1,  # the stack stream is last
+        )
+
+
 def _pick_stream(
     profile: BenchmarkProfile,
     rng: random.Random,
-    streams: Sequence[MemStream],
+    ids: _StreamIds,
 ) -> int:
     """Choose a stream index: seq vs rand by profile, ~10% stack."""
     if rng.random() < 0.10:
-        return len(streams) - 1  # stack stream is last
-    seq_ids = [i for i, s in enumerate(streams)
-               if s.kind is StreamKind.SEQ]
-    rand_ids = [i for i, s in enumerate(streams)
-                if s.kind is StreamKind.RAND]
-    if rng.random() < profile.seq_stream_frac and seq_ids:
-        return rng.choice(seq_ids)
-    if rand_ids:
-        return rng.choice(rand_ids)
-    return rng.choice(seq_ids)
+        return ids.stack
+    if rng.random() < profile.seq_stream_frac and ids.seq:
+        return rng.choice(ids.seq)
+    if ids.rand:
+        return rng.choice(ids.rand)
+    return rng.choice(ids.seq)
 
 
 def _block_length(profile: BenchmarkProfile, rng: random.Random) -> int:
@@ -319,6 +348,10 @@ def build_program(
     streams = _build_streams(profile, rng)
 
     mix = profile.mix.normalised()
+    # Per-instruction sampling constants, computed once per program.
+    weights = _opclass_weights(mix)
+    total_weight = sum(w for _, w in weights)
+    stream_ids = _StreamIds.of(streams)
 
     n_functions = max(1, profile.num_blocks // 16)
     pc = CODE_BASE
@@ -355,10 +388,9 @@ def build_program(
                                branch=behavior)
                 )
             else:
-                op = _sample_opclass(profile, rng)
-                insts.append(
-                    _make_body_inst(pc, op, alloc, profile, rng, streams)
-                )
+                op = _sample_opclass(weights, total_weight, rng)
+                insts.append(_make_body_inst(pc, op, alloc, profile, rng,
+                                             stream_ids))
             pc += 4
         # Terminator.
         if terminator is BranchKind.LOOP:

@@ -7,7 +7,7 @@ import pytest
 
 from repro import atomicio
 from repro.experiments import cli, dse
-from repro.experiments.runner import trace_pair
+from repro.experiments.runner import interval
 from repro.obs.pipeview import KanataWriter
 from repro.obs.report import write_report
 from repro.workloads.io import save_trace
@@ -67,7 +67,7 @@ def _chart_out(path, tmp_path):
 
 
 def _save_trace(path, tmp_path):
-    save_trace(trace_pair("hmmer", 50, 0)[1], path)
+    save_trace(interval("hmmer", 50, 0).trace, path)
 
 
 @pytest.mark.parametrize("writer, name", [

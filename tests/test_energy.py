@@ -135,15 +135,14 @@ class TestEndToEndEnergy:
     @pytest.fixture(scope="class")
     def runs(self):
         from repro.core.warmup import functional_warmup
-        from repro.workloads import (
-            TraceGenerator, build_program, get_profile, renumber_trace,
-        )
+        from repro.workloads import TraceGenerator, build_program, get_profile
 
         results = {}
         for model in ("BIG", "HALF", "LITTLE", "HALF+FX"):
             generator = TraceGenerator(build_program(get_profile("gcc")))
             warm = generator.generate(12000)
-            measure = renumber_trace(generator.generate(2500))
+            generator.seq = 0  # number the measured slice from 0
+            measure = generator.generate(2500)
             core = build_core(model)
             functional_warmup(core, warm)
             stats = core.run(measure)

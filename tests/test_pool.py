@@ -241,10 +241,10 @@ class TestSharedTraces:
     def test_trace_memoised_before_the_call_is_used_and_kept(
             self, builds):
         key = _jobs()[0].trace_key
-        traces = runner.trace_pair(*key)
+        traces = runner.interval(*key)
         assert all(r.ok for r in run_jobs(_jobs(), workers=2))
         pids, names = zip(*builds())
-        assert pids.count(os.getpid()) == 1  # the trace_pair call above
+        assert pids.count(os.getpid()) == 1  # the interval call above
         assert set(names[1:]) == {"lbm"} and len(names) in (2, 3)
         assert list(runner._TRACE_MEMO) == [key]
         assert runner._TRACE_MEMO[key] is traces
@@ -252,7 +252,7 @@ class TestSharedTraces:
     def test_full_memo_is_left_alone(self, parent_builds, monkeypatch):
         monkeypatch.setattr(runner, "TRACE_MEMO_LIMIT", 1)
         key = _jobs()[0].trace_key
-        runner.trace_pair(*key)
+        runner.interval(*key)
         del parent_builds[:]
         assert all(r.ok for r in run_jobs(_jobs(), workers=2))
         assert parent_builds == []

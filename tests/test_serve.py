@@ -287,7 +287,7 @@ class TestServeEndToEnd:
         monkeypatch.setattr(runner, "_TRACE_MEMO", {})
         hmmer = ("hmmer", SMALL["measure"], SMALL["warmup"], 0)
         lbm = ("lbm",) + hmmer[1:]
-        traces = runner.trace_pair(*hmmer)
+        traces = runner.interval(*hmmer)
         end = client.run_batch({"jobs": [job_spec(),
                                          job_spec(benchmark="lbm")]})[-1]
         assert end["by_source"] == {"simulated": 2}

@@ -1,11 +1,13 @@
 """Unit tests for the simspeed telemetry/guard module (no timing —
 the measured numbers live in benchmarks/ and the CI guard)."""
 
+import io
 import json
+import sys
 
 import pytest
 
-from repro.experiments import simspeed
+from repro.experiments import runner, simspeed
 from repro.obs.diffrun import append_history_entry
 
 
@@ -80,3 +82,34 @@ class TestCLI:
             simspeed.main(["--measure", "0"])
         with pytest.raises(SystemExit):
             simspeed.main(["--guard", "-1"])
+
+
+class TestMeasureScript:
+    def test_every_timed_call_runs_one_functional_warmup(
+            self, monkeypatch):
+        """The protocol times warm-up plus simulation: the warmed states
+        the trace memo keeps must not let a timed round skip warm-up,
+        which would inflate this tree's rate against the seed tree's."""
+        monkeypatch.setattr(runner, "_TRACE_MEMO", {})
+        out = io.StringIO()
+        warmups = []  # timed rounds finished when each warm-up ran
+        functional_warmup = runner.functional_warmup
+
+        def counting(core, trace):
+            warmups.append(out.getvalue().count("\n"))
+            functional_warmup(core, trace)
+
+        monkeypatch.setattr(runner, "functional_warmup", counting)
+        pairs = [["BIG", "hmmer"], ["HALF", "hmmer"], ["BIG", "lbm"]]
+        spec = {"pairs": pairs, "measure": 200, "warmup": 300}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps(spec) + "\ngo\ngo\n"))
+        monkeypatch.setattr(sys, "stdout", out)
+        exec(simspeed._MEASURE_SCRIPT, {"__name__": "simspeed_probe"})
+        rounds = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [sorted(r) for r in rounds] == [
+            ["BIG/hmmer", "BIG/lbm", "HALF/hmmer"]] * 2
+        # One warm-up per memoised trace before timing starts, then one
+        # per timed call in each round.
+        assert [warmups.count(done) for done in range(3)] == [
+            2 + 3, 3, 0]
