@@ -35,7 +35,7 @@ from repro.core.inflight import InFlight
 from repro.core.ooo import OutOfOrderCore, memory_bound_leaf
 from repro.backend import BypassNetwork
 from repro.isa.opclass import FUType
-from repro.ixu.pipeline import BypassRegistry, StageFUUsage
+from repro.ixu.pipeline import BypassRegistry
 
 
 class FXACore(OutOfOrderCore):
@@ -50,12 +50,21 @@ class FXACore(OutOfOrderCore):
         self._track_prf_ports = True  # regread shares OXU read ports
         self.ixu_bypass = BypassNetwork("ixu", ixu.total_fus)
         self._bypass_registry = BypassRegistry(
-            depth=ixu.depth, stage_limit=ixu.bypass_stage_limit
+            ixu.depth, ixu.bypass_stage_limit,
+            {cls: prf.entries for cls, prf in self.renamer.prf.items()},
         )
-        self._stage_usage = StageFUUsage(ixu.stage_fus)
         self._regread_q: Deque[InFlight] = deque()
-        self._ixu_pipe: List[InFlight] = []   # program order, pos 0..depth-1
-        self._exit_q: Deque[InFlight] = deque()
+        self._regread_limit = 2 * config.rename_width
+        self._ixu_skips_branches = not ixu.execute_branches
+        self._ixu_skips_mem = not ixu.execute_mem_ops
+        # The IXU pipe as a ring of per-stage groups, each in program
+        # order: _ixu_ring[s] holds stage s, and the extra last slot the
+        # group that left the pipe last cycle and dispatches this one.
+        # One rotation per unstalled cycle moves every group a stage on.
+        self._ixu_ring: List[List[InFlight]] = [
+            [] for _ in range(ixu.depth + 1)
+        ]
+        self._ixu_occupancy = 0               # entries in stages 0..d-1
         self._ixu_exec_count = 0              # includes squashed replays
         self._ixu_mem_exec_count = 0
         self._ixu_bypass_operand_hits = 0     # operands taken off the
@@ -68,10 +77,11 @@ class FXACore(OutOfOrderCore):
     def _iq_slot_available(self, entry: InFlight) -> bool:
         # The IQ is checked at IXU exit; rename stalls only when the
         # register-read stage backs up (i.e. the IXU pipe is stalled).
-        return len(self._regread_q) < 2 * self.config.rename_width
+        return len(self._regread_q) < self._regread_limit
 
     def _after_rename(self, entry: InFlight) -> None:
-        entry.dispatch_cycle = self.cycle + 1  # register-read stage
+        # Register read is next cycle: dispatch runs before rename in a
+        # tick, so every queued entry is due when the stage next runs.
         self._regread_q.append(entry)
 
     # ------------------------------------------------------------------
@@ -79,64 +89,55 @@ class FXACore(OutOfOrderCore):
     # ------------------------------------------------------------------
 
     def _dispatch(self) -> int:
-        exit_before = len(self._exit_q)
-        stalled = not self._drain_exit_queue()
-        active = len(self._exit_q) != exit_before
-        if not stalled:
-            if self._ixu_pipe:
-                self._run_ixu_stages()
-                self._advance_pipe()
-                active = True
-            regread_before = len(self._regread_q)
-            self._enter_pipe()
-            # Entries entering — or still inside — an unstalled pipe
-            # advance next cycle, so the front end is not idle.
-            if len(self._regread_q) != regread_before or self._ixu_pipe:
-                active = True
-        self._bypass_registry.prune(self.cycle)
+        """Drain the exit group, run the IXU stages, rotate the ring and
+        read registers into the new stage 0.
+
+        FXA adds no event-horizon threshold.  An exit group, a stage
+        group or a register-read entry is due on the next tick, and the
+        tick that queued it was active, so no fast-forward jump can pass
+        it.  A pipe stalled on a full issue queue unblocks only through
+        an issue, which needs a wake-up or completion that the base
+        horizon covers.
+        """
+        ring = self._ixu_ring
+        exited = ring[-1]
+        active = False
+        if exited:
+            before = len(exited)
+            if not self._drain_exit_group(exited):
+                return 1 if len(exited) != before else 0
+            active = True
+        if self._ixu_occupancy:
+            self._run_ixu_stages()
+            # The deepest stage becomes the exit group; the drained exit
+            # slot comes round as the new, empty stage 0.
+            ring.insert(0, ring.pop())
+            self._ixu_occupancy -= len(ring[-1])
+            active = True
+        if self._regread_q:
+            self._enter_pipe(ring[0])
+            active = True
         return 1 if active else 0
 
-    def _event_horizon(self) -> int:
-        horizon = super()._event_horizon()
-        cycle = self.cycle
-        # IXU front-end queue heads.  A stalled-but-frozen IXU pipe adds
-        # no threshold of its own: it unblocks only via an issue-queue
-        # drain, which requires a completion the base horizon covers.
-        if self._exit_q:
-            due = self._exit_q[0].dispatch_cycle
-            if cycle <= due < horizon:
-                horizon = due
-        if self._regread_q:
-            due = self._regread_q[0].dispatch_cycle
-            if cycle <= due < horizon:
-                horizon = due
-        return horizon
+    def _drain_exit_group(self, group: List[InFlight]) -> bool:
+        """Dispatch the group that left the IXU last cycle.
 
-    def _drain_exit_queue(self) -> bool:
-        """Dispatch IXU-exiting instructions; False when the IQ blocks."""
-        exit_q = self._exit_q
-        if not exit_q:
-            return True
+        IXU-executed entries only take their dispatch slot; the rest
+        enter the issue queue.  A group holds at most ``rename_width``
+        entries (the most that enter the pipe per cycle), so the dispatch
+        width never binds.  Returns False when the IQ is full: the group
+        keeps its undispatched entries and the whole pipe holds.
+        """
         cycle = self.cycle
         iq = self.iq
         scoreboard = self.renamer.scoreboard
-        issue_lat = self.config.dispatch_to_issue
-        dispatched = 0
-        width = self.config.rename_width
-        while exit_q and dispatched < width:
-            entry = exit_q[0]
-            if entry.dispatch_cycle > cycle:
-                break
-            if entry.squashed:
-                exit_q.popleft()
-                continue
+        issue_ready = cycle + self.config.dispatch_to_issue
+        for index, entry in enumerate(group):
             if entry.executed_in_ixu:
-                exit_q.popleft()
-                dispatched += 1
                 continue
             if iq.full:
+                del group[:index]
                 return False  # structural stall: hold the whole pipe
-            exit_q.popleft()
             # Second scoreboard read (Section III-C): operands that became
             # ready in the OXU during IXU transit dispatch as ready.
             for cls, _preg in entry.renamed.srcs:
@@ -144,179 +145,150 @@ class FXACore(OutOfOrderCore):
             entry.iq_cycle = cycle
             # issue_ready is final before dispatch: the wakeup engine
             # folds it into the entry's wake cycle on registration.
-            entry.issue_ready = cycle + issue_lat
+            entry.issue_ready = issue_ready
             iq.dispatch(entry)
             self._schedule_entry(entry)
-            dispatched += 1
-        if exit_q and exit_q[0].dispatch_cycle <= cycle:
-            return False  # leftovers: pipe holds this cycle
+        group.clear()
         return True
 
     def _run_ixu_stages(self) -> None:
-        """Attempt execution for every live instruction in the IXU."""
+        """One cycle of IXU execution attempts.
+
+        Stages run deepest first and each stage's group in program
+        order, i.e. oldest first: the memory-port and LSQ checks depend
+        on that order.  An entry executes the first cycle all of its
+        uncaptured operands are reachable on the bypass network and a
+        stage FU is free.  Static gates (op class, branch/mem config)
+        were resolved into ``ixu_eligible`` at register read.
+        """
         cycle = self.cycle
-        for entry in self._ixu_pipe:
-            if (entry.squashed or entry.executed_in_ixu
-                    or not entry.ixu_eligible):
+        ring = self._ixu_ring
+        stage_fus = self.ixu_config.stage_fus
+        depth = len(stage_fus)
+        registry = self._bypass_registry
+        available = registry.available
+        lsq = self.lsq
+        mem_port = self.fu[FUType.MEM]
+        execute = self._execute
+        executed = mem_executed = bypassed = broadcasts = 0
+        for pos in range(depth - 1, -1, -1):
+            free = stage_fus[pos]  # this stage's FUs left this cycle
+            if not free:
                 continue
-            self._try_ixu_execute(entry, cycle)
+            for entry in ring[pos]:
+                if (entry.executed_in_ixu or not entry.ixu_eligible
+                        or entry.squashed):
+                    continue
+                uncaptured = entry.ixu_uncaptured
+                reachable = True
+                for cls, preg in uncaptured:
+                    if not available(cls, preg, cycle, pos):
+                        reachable = False
+                        break
+                if not reachable:
+                    continue
+                inst = entry.inst
+                if inst.is_mem:
+                    if inst.is_load:
+                        if not self._load_dependence_clear(entry):
+                            continue
+                    elif lsq.has_younger_executed_load(entry.seq):
+                        # Omission 1's premise fails: a younger load
+                        # already executed (it beat this store through
+                        # the IXU, or issued from the OXU), so the store
+                        # must run its violation search in the OXU.
+                        continue
+                    # A stage FU, then a memory port the OXU left free
+                    # (the OXU issued earlier this cycle, giving it
+                    # priority); a refused port still spends the FU.
+                    free -= 1
+                    if not mem_port.try_issue(inst.op, cycle):
+                        if not free:
+                            break
+                        continue
+                    mem_executed += 1
+                else:
+                    free -= 1
+                entry.executed_in_ixu = True
+                entry.ixu_exec_cycle = cycle
+                entry.ixu_exec_stage = pos
+                entry.ixu_category = "b" if uncaptured else "a"
+                bypassed += len(uncaptured)
+                executed += 1
+                execute(entry, cycle, True)
+                # The result reaches the PRF only after the producer
+                # exits the IXU (paper Section II-B), not when it becomes
+                # bypassable.
+                complete = entry.complete_cycle
+                exit_cycle = cycle + depth - pos
+                entry.written_cycle = (
+                    complete if complete > exit_cycle else exit_cycle) + 1
+                renamed = entry.renamed
+                if renamed.dest is not None:
+                    broadcasts += 1
+                    registry.record(renamed.dest_cls, renamed.dest, entry,
+                                    cycle, pos, complete)
+                if not free:
+                    break
+        self._ixu_exec_count += executed
+        self._ixu_mem_exec_count += mem_executed
+        self._ixu_bypass_operand_hits += bypassed
+        self.ixu_bypass.broadcasts += broadcasts
 
-    def _try_ixu_execute(self, entry: InFlight, cycle: int) -> bool:
-        # Static gates (op class, branch/mem config) were resolved into
-        # entry.ixu_eligible at register read.
-        inst = entry.inst
-        pos = entry.ixu_pos
-        # Operand reachability: sources captured at register read are
-        # settled; only the rest consult the bypass network each cycle.
-        uncaptured = entry.ixu_uncaptured
-        if uncaptured:
-            available = self._bypass_registry.available
-            for cls, preg in uncaptured:
-                if not available(cls, preg, cycle, pos):
-                    return False
-        if inst.is_load and not self._load_dependence_clear(entry):
-            return False
-        if inst.is_store and self.lsq.has_younger_executed_load(entry.seq):
-            # Omission 1's premise fails: a younger load already
-            # executed (it beat this store through the IXU, or issued
-            # from the OXU), so the store must run its violation
-            # search — let it flow to the OXU where the search runs.
-            return False
-        # Structural: a free FU at this stage...
-        if not self._stage_usage.try_use(cycle, pos):
-            return False
-        # ...and, for memory ops, a memory port the OXU left free (the
-        # OXU issued earlier this cycle, giving it priority).
-        if inst.is_mem:
-            if not self.fu[FUType.MEM].try_issue(inst.op, cycle):
-                return False
-        entry.executed_in_ixu = True
-        entry.ixu_exec_cycle = cycle
-        entry.ixu_exec_stage = pos
-        entry.ixu_category = "b" if uncaptured else "a"
-        self._ixu_bypass_operand_hits += len(uncaptured)
-        self._ixu_exec_count += 1
-        if inst.is_mem:
-            self._ixu_mem_exec_count += 1
-        self._execute(entry, cycle, in_ixu=True)
-        renamed = entry.renamed
-        if renamed.dest is not None:
-            self._bypass_registry.record(
-                renamed.dest_cls, renamed.dest, entry,
-                exec_cycle=cycle, exec_pos=pos,
-                value_ready=entry.complete_cycle,
-            )
-        return True
-
-    def _advance_pipe(self) -> None:
-        """Move every in-pipe instruction one stage; exit the last."""
-        depth = self.ixu_config.depth
-        remaining: List[InFlight] = []
-        for entry in self._ixu_pipe:
-            if entry.squashed:
-                continue
-            entry.ixu_pos += 1
-            if entry.ixu_pos >= depth:
-                entry.dispatch_cycle = self.cycle + 1
-                self._exit_q.append(entry)
-            else:
-                remaining.append(entry)
-        self._ixu_pipe = remaining
-
-    def _enter_pipe(self) -> None:
+    def _enter_pipe(self, group: List[InFlight]) -> None:
         """Register-read stage: capture available operands, enter stage 0."""
         regread_q = self._regread_q
-        if not regread_q:
-            return
-        width = self.config.rename_width
         cycle = self.cycle
         scoreboard = self.renamer.scoreboard
         prf = self.renamer.prf
-        ixu_pipe = self._ixu_pipe
-        entered = 0
-        ixu = self.ixu_config
         ports = self.config.prf_read_ports
-        port_use = self._prf_port_use
-        claimed = port_use.get(cycle, 0)
-        while regread_q and entered < width:
-            entry = regread_q[0]
-            if entry.dispatch_cycle > cycle:  # regread not due yet
-                break
-            regread_q.popleft()
-            if entry.squashed:
-                continue
-            captured = []
+        port_cycle, claimed = self._prf_ports
+        if port_cycle != cycle:
+            claimed = 0
+        skips_branches = self._ixu_skips_branches
+        skips_mem = self._ixu_skips_mem
+        entering = min(len(regread_q), self.config.rename_width)
+        for _ in range(entering):
+            entry = regread_q.popleft()
             uncaptured = []
-            for cls, preg in entry.renamed.srcs:
+            for src in entry.renamed.srcs:
                 # Sequential scoreboard-then-PRF access (Section III-B):
                 # the PRF is read only for available values, and only
                 # through a shared port the OXU left free this cycle
                 # (OXU priority, Section II-A).  A value missed here can
                 # still arrive via IXU bypassing or the issue queue.
+                cls, preg = src
                 board = scoreboard[cls]
                 board.reads += 1
                 if board._written[preg] <= cycle and claimed < ports:
-                    file = prf[cls]
-                    file.reads += 1
+                    prf[cls].reads += 1
                     claimed += 1
-                    captured.append(True)
                 else:
-                    captured.append(False)
-                    uncaptured.append((cls, preg))
-            entry.regread_captured = tuple(captured)
-            entry.ixu_uncaptured = tuple(uncaptured)
+                    uncaptured.append(src)
+            entry.ixu_uncaptured = uncaptured
             inst = entry.inst
-            entry.ixu_eligible = (
-                inst.ixu_eligible
-                and (ixu.execute_branches or not inst.is_branch)
-                and (ixu.execute_mem_ops or not inst.is_mem)
+            entry.ixu_eligible = inst.ixu_eligible and not (
+                (skips_branches and inst.is_branch)
+                or (skips_mem and inst.is_mem)
             )
-            entry.ixu_pos = 0
-            entry.ixu_exec_cycle = -1
-            ixu_pipe.append(entry)
-            entered += 1
-        port_use[cycle] = claimed
-        if len(port_use) > 64:
-            self._prf_port_use = {
-                c: n for c, n in port_use.items() if c >= cycle
-            }
+            group.append(entry)
+        self._prf_ports = (cycle, claimed)
+        self._ixu_occupancy += entering
 
     # ------------------------------------------------------------------
     # Hooks into the base pipeline
     # ------------------------------------------------------------------
 
-    def _bypass_network(self, in_ixu: bool) -> BypassNetwork:
-        return self.ixu_bypass if in_ixu else self.oxu_bypass
-
     def _squash_hook(self, boundary_seq: int) -> None:
-        for queue in (self._regread_q, self._ixu_pipe, self._exit_q):
-            for entry in queue:
-                if entry.seq > boundary_seq:
-                    # Every front-end-pipe entry already holds a ROB slot,
-                    # so the ROB sweep flush-recorded it; just (re)mark.
-                    entry.squashed = True
+        # Every front-end entry holds a ROB slot, so the ROB sweep has
+        # already marked (and flush-recorded) the squashed ones.
         self._regread_q = deque(
             e for e in self._regread_q if not e.squashed
         )
-        self._ixu_pipe = [e for e in self._ixu_pipe if not e.squashed]
-        self._exit_q = deque(e for e in self._exit_q if not e.squashed)
-        self._bypass_registry.drop_squashed()
-
-    def _on_commit(self, entry: InFlight) -> None:
-        if not entry.executed_in_ixu:
-            return
-        stats = self.stats
-        stats.ixu_executed += 1
-        if entry.ixu_category == "a":
-            stats.ixu_category_a += 1
-        else:
-            stats.ixu_category_b += 1
-        stage = entry.ixu_exec_stage
-        stats.ixu_by_stage[stage] = stats.ixu_by_stage.get(stage, 0) + 1
-        if entry.inst.is_mem:
-            stats.ixu_mem_ops += 1
-        if entry.inst.is_branch:
-            stats.ixu_branches += 1
+        ring = self._ixu_ring
+        for index, group in enumerate(ring):
+            ring[index] = [e for e in group if not e.squashed]
+        self._ixu_occupancy = sum(map(len, ring)) - len(ring[-1])
 
     def _classify(self) -> Tuple[str, str]:
         """IXU-executed entries never dispatch into the IQ, so the base
@@ -339,16 +311,6 @@ class FXACore(OutOfOrderCore):
                         head.complete_cycle - head.issue_cycle)
                 return cause, "backend_bound.core.iq_not_ready"
         return cause, leaf
-
-    def _prf_write_cycle(self, entry: InFlight) -> int:
-        """IXU results reach the PRF only after exiting the IXU
-        (paper Section II-B), not when they become bypassable."""
-        if not entry.executed_in_ixu:
-            return super()._prf_write_cycle(entry)
-        exit_cycle = entry.ixu_exec_cycle + (
-            self.ixu_config.depth - entry.ixu_exec_stage
-        )
-        return max(entry.complete_cycle, exit_cycle) + 1
 
     def snapshot_events(self):
         events = super().snapshot_events()

@@ -8,7 +8,7 @@ flag).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Sequence, Tuple
 
 from repro.isa.instruction import DynInst
 
@@ -21,6 +21,7 @@ class InFlight:
 
     __slots__ = (
         "inst",
+        "seq",
         "renamed",
         "src_pairs",
         "prediction",
@@ -36,6 +37,7 @@ class InFlight:
         "issued",
         "issue_cycle",
         "complete_cycle",
+        "written_cycle",
         "done",
         "squashed",
         "mem_executed",
@@ -44,24 +46,24 @@ class InFlight:
         "cluster",
         "executed_in_ixu",
         "ixu_eligible",
-        "ixu_pos",
         "ixu_exec_cycle",
         "ixu_exec_stage",
         "ixu_category",
-        "regread_captured",
         "ixu_uncaptured",
     )
 
     def __init__(self, inst: DynInst, fetch_cycle: int):
         self.inst = inst
+        #: Program-order sequence number (trace position).
+        self.seq = inst.seq
         self.renamed = None
-        # Prebound ``(prf_ready_cycles_list, preg)`` pairs, one per
-        # renamed source: the issue loop's operand check becomes two
+        # Prebound ``(prf_ready_cycles_list, cls, preg)`` triples, one
+        # per renamed source: the issue loop's operand check becomes two
         # flat list indexings with no dict lookup or attribute chase.
-        # Bound at rename (the PRF ready lists are mutated in place and
-        # never rebound, so the references stay valid for the entry's
-        # whole lifetime).
-        self.src_pairs: Tuple = ()
+        # Bound when the entry is dispatched into the issue queue (the
+        # PRF ready lists are mutated in place and never rebound, so the
+        # references stay valid for the entry's whole lifetime).
+        self.src_pairs: Sequence[Tuple] = ()
         self.prediction = None
         self.mispredicted = False
         self.btb_redirect = False
@@ -77,6 +79,8 @@ class InFlight:
         self.issued = False
         self.issue_cycle = UNSCHEDULED
         self.complete_cycle = UNSCHEDULED
+        # Cycle the result is readable from the PRF, set at execution.
+        self.written_cycle = UNSCHEDULED
         self.done = False
         self.squashed = False
         self.mem_executed = False
@@ -86,19 +90,12 @@ class InFlight:
         self.executed_in_ixu = False
         # Resolved at IXU entry: op class, branch/mem config gates.
         self.ixu_eligible = False
-        self.ixu_pos = -1
         self.ixu_exec_cycle = UNSCHEDULED
         self.ixu_exec_stage = -1
         self.ixu_category = ""
-        self.regread_captured: Optional[Tuple[bool, ...]] = None
         # Sources *not* captured at register read: the per-cycle IXU
         # execute attempt only re-checks these against the bypass net.
-        self.ixu_uncaptured: Tuple = ()
-
-    @property
-    def seq(self) -> int:
-        """Program-order sequence number (trace position)."""
-        return self.inst.seq
+        self.ixu_uncaptured: Sequence[Tuple] = ()
 
     def __repr__(self) -> str:
         flags = []

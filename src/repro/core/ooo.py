@@ -168,12 +168,13 @@ class OutOfOrderCore:
         self._last_fetched_line = -1
         self._last_commit_cycle = 0
         self._iq_reserved = 0
-        # PRF read-port usage per cycle (shared with the IXU in FXA;
-        # the OXU issues first each cycle and therefore has priority).
-        self._prf_port_use: Dict[int, int] = {}
-        # Only FXA consumes the per-cycle port ledger (its front-end
-        # register-read competes with the OXU for shared read ports);
-        # the plain OoO and clustered cores skip the bookkeeping.
+        # PRF read ports claimed this cycle, as one ``(cycle, claimed)``
+        # pair: OXU issue and FXA's front-end register read only ever
+        # claim ports for the current cycle, and issue runs first, so
+        # the OXU has priority.  Only FXA consumes the ledger (its
+        # register read competes with the OXU for the shared ports);
+        # the plain OoO and clustered cores never touch it.
+        self._prf_ports: Tuple[int, int] = (-1, 0)
         self._track_prf_ports = False
         # Observability (stall attribution state is kept even when obs
         # is off: the stores sit on cold paths and cost nothing).
@@ -400,7 +401,6 @@ class OutOfOrderCore:
         cycle = self.cycle
         width = self.config.rename_width
         validator = self._validator
-        ready_lists = self._ready_lists
         rob = self.rob
         rob_entries = rob._entries
         renamed = 0
@@ -429,12 +429,7 @@ class OutOfOrderCore:
                 )
                 renamed += 1
                 continue
-            renamed_ops = self.renamer.rename(entry.inst)
-            entry.renamed = renamed_ops
-            entry.src_pairs = tuple(
-                (ready_lists[cls], cls, preg)
-                for cls, preg in renamed_ops.srcs
-            )
+            entry.renamed = self.renamer.rename(entry.inst)
             entry.rename_cycle = cycle
             if validator is not None:
                 validator.on_rename(self, entry)
@@ -566,14 +561,21 @@ class OutOfOrderCore:
     def _schedule_entry(self, entry: InFlight) -> None:
         """Register a freshly-dispatched entry with the wakeup engine.
 
-        If every source's arrival cycle is already known the entry goes
-        straight onto the wake heap; otherwise it parks in the waiter
-        list of each unscheduled source and is re-examined when that
-        producer's completion announces the arrival cycle.
+        Binds the entry's ``src_pairs`` (only entries that reach the
+        issue queue need them).  If every source's arrival cycle is
+        already known the entry goes straight onto the wake heap;
+        otherwise it parks in the waiter list of each unscheduled source
+        and is re-examined when that producer's completion announces the
+        arrival cycle.
         """
         waiting = 0
         waiters = self._iq_waiters
-        for ready_cycles, cls, preg in entry.src_pairs:
+        ready_lists = self._ready_lists
+        entry.src_pairs = src_pairs = [
+            (ready_lists[cls], cls, preg)
+            for cls, preg in entry.renamed.srcs
+        ]
+        for ready_cycles, cls, preg in src_pairs:
             if ready_cycles[preg] >= NEVER:
                 bucket = waiters.get((cls, preg))
                 if bucket is None:
@@ -687,26 +689,21 @@ class OutOfOrderCore:
         """Begin execution at ``cycle``; schedules the completion."""
         inst = entry.inst
         entry.issue_cycle = cycle
-        if not in_ixu and entry.renamed is not None:
+        if not in_ixu:
+            renamed = entry.renamed
             # Register-read stage after issue (counts PRF read ports).
-            srcs = entry.renamed.srcs
+            srcs = renamed.srcs
             if srcs:
                 prf = self.renamer.prf
+                for cls, _preg in srcs:
+                    prf[cls].reads += 1
                 if self._track_prf_ports:
-                    port_use = self._prf_port_use
-                    claimed = port_use.get(cycle, 0)
-                    for cls, preg in srcs:
-                        prf[cls].read(preg)
-                        claimed += 1
-                    port_use[cycle] = claimed
-                    if len(port_use) > 64:
-                        self._prf_port_use = {
-                            c: n for c, n in port_use.items()
-                            if c >= cycle
-                        }
-                else:
-                    for cls, preg in srcs:
-                        prf[cls].reads += 1
+                    port_cycle, claimed = self._prf_ports
+                    if port_cycle != cycle:
+                        claimed = 0
+                    self._prf_ports = (cycle, claimed + len(srcs))
+            if renamed.dest is not None:
+                self.oxu_bypass.broadcast()
         if inst.is_load:
             forwarded = self.lsq.execute_load(entry, in_ixu)
             if forwarded:
@@ -729,15 +726,10 @@ class OutOfOrderCore:
         else:
             complete = cycle + inst.latency
         entry.complete_cycle = complete
-        renamed = entry.renamed
-        if renamed is not None and renamed.dest is not None:
-            self._bypass_network(in_ixu).broadcast()
+        entry.written_cycle = complete + 1  # writeback, then readable
         counter = self._completion_counter + 1
         self._completion_counter = counter
         heapq.heappush(self._completions, (complete, counter, entry))
-
-    def _bypass_network(self, in_ixu: bool) -> BypassNetwork:
-        return self.oxu_bypass
 
     # ------------------------------------------------------------------
     # Completion / writeback
@@ -764,17 +756,13 @@ class OutOfOrderCore:
                 prf = prf_map[dest_cls]
                 prf.ready_cycles[dest] = entry.complete_cycle
                 prf.writes += 1
-                prf._written[dest] = self._prf_write_cycle(entry)
+                prf._written[dest] = entry.written_cycle
                 self._wake_dependents(dest_cls, dest)
                 if not entry.executed_in_ixu:
                     # Completing producers broadcast their tag into the IQ.
                     self.iq.broadcast_wakeup()
             if entry.inst.is_branch:
                 self._resolve_branch(entry)
-
-    def _prf_write_cycle(self, entry: InFlight) -> int:
-        """Cycle the result is readable from the PRF (writeback + 1)."""
-        return entry.complete_cycle + 1
 
     def _resolve_branch(self, entry: InFlight) -> None:
         self.predictor.resolve(entry.inst, entry.prediction)
@@ -906,9 +894,6 @@ class OutOfOrderCore:
         bandwidth on the backend cores)."""
         return self.config.commit_width
 
-    def _on_commit(self, entry: InFlight) -> None:
-        """Hook for subclasses (FXA records IXU-execution statistics)."""
-
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
@@ -956,7 +941,21 @@ class OutOfOrderCore:
                         f"refcount underflow on {renamed.dest_cls} "
                         f"p{old_dest}"
                     )
-            self._on_commit(head)
+            if head.executed_in_ixu:
+                # FXA's IXU execution profile (Figure 12) counts
+                # committed instructions only.
+                stats.ixu_executed += 1
+                if head.ixu_category == "a":
+                    stats.ixu_category_a += 1
+                else:
+                    stats.ixu_category_b += 1
+                by_stage = stats.ixu_by_stage
+                stage = head.ixu_exec_stage
+                by_stage[stage] = by_stage.get(stage, 0) + 1
+                if inst.is_mem:
+                    stats.ixu_mem_ops += 1
+                elif inst.is_branch:
+                    stats.ixu_branches += 1
             if validator is not None:
                 validator.on_commit(self, head)
             if pipeview is not None:

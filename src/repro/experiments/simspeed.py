@@ -8,8 +8,9 @@ commit-message anecdote:
 * ``python -m repro.experiments.simspeed --json BENCH_simspeed.json``
   measures simulated-instructions-per-second for every core family on
   the telemetry suite and appends one entry (per-pair rates, speedups
-  vs the pinned seed rates, per-family aggregates, geomeans) to the
-  same style of JSON history that ``--trajectory`` keeps for IPC and
+  vs the pinned seed rates, per-family aggregates, geomeans, and each
+  family's host time per instruction relative to BIG) to the same
+  style of JSON history that ``--trajectory`` keeps for IPC and
   energy.
 * ``--guard MIN`` additionally re-measures the recorded pre-kernel seed
   commit (:data:`SEED_COMMIT`) in a throwaway ``git worktree`` —
@@ -262,6 +263,20 @@ def family_speedups(
     }
 
 
+def costs_vs_big(rates: Dict[str, float]) -> Dict[str, float]:
+    """Each family's host time per simulated instruction relative to
+    BIG's, on the benchmarks both ran: the inverse of
+    :func:`family_speedups` against BIG's rates on the same benchmarks,
+    so the same harmonic combination applies."""
+    big_rates = {}
+    for pair in rates:
+        big = rates.get("BIG/" + pair.split("/", 1)[1])
+        if big:
+            big_rates[pair] = big
+    return {model: 1.0 / speedup for model, speedup
+            in family_speedups(rates, big_rates).items()}
+
+
 class seed_worktree:
     """Context manager: check ``commit`` out as a throwaway git
     worktree and yield its path (removed on exit)."""
@@ -337,6 +352,8 @@ def build_entry(rates: Dict[str, float],
         "speedups": {k: round(v, 4) for k, v in sorted(pairs.items())},
         "family_speedups": {k: round(v, 4)
                             for k, v in families.items()},
+        "cost_vs_big": {k: round(v, 4)
+                        for k, v in costs_vs_big(rates).items()},
         "geomean_speedup": round(geomean(families.values()), 4),
         "guard_benchmarks": list(GUARD_BENCHMARKS),
         "guard_family_speedups": {k: round(v, 4)
@@ -360,6 +377,9 @@ def format_report(entry: Dict) -> str:
     fams = "  ".join(f"{m} {s:.2f}x"
                      for m, s in entry["family_speedups"].items())
     lines.append(f"family aggregates: {fams}")
+    costs = "  ".join(f"{m} {c:.2f}x"
+                      for m, c in entry["cost_vs_big"].items())
+    lines.append(f"host time per instruction vs BIG: {costs}")
     lines.append(
         f"geomean speedup: {entry['geomean_speedup']:.2f}x (full "
         f"suite), {entry['guard_geomean_speedup']:.2f}x (guard suite: "

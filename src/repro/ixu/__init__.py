@@ -2,10 +2,10 @@
 
 The IXU is a stall-free in-order execution pipeline of FUs plus a bypass
 network, placed between rename and dispatch.  This package provides the
-structural pieces (per-stage FU accounting and the bypass-reachability
-registry); :class:`repro.core.FXACore` drives them inside the pipeline.
+bypass-reachability registry; :class:`repro.core.FXACore` runs the
+stages, their FU counts and the pipe itself inside the pipeline.
 """
 
-from repro.ixu.pipeline import BypassRegistry, StageFUUsage
+from repro.ixu.pipeline import BypassRegistry
 
-__all__ = ["BypassRegistry", "StageFUUsage"]
+__all__ = ["BypassRegistry"]

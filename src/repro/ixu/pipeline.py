@@ -1,4 +1,4 @@
-"""IXU structural models: stage-FU occupancy and bypass reachability.
+"""IXU bypass reachability over flat per-register records.
 
 Bypass semantics (paper Section II-C and Figure 6): an instruction that
 executes at stage *s* in cycle *t* carries its result down the pipe on the
@@ -21,103 +21,49 @@ front-end register read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.registers import RegClass
 
 
-@dataclass
-class _Produced:
-    """One IXU-produced value's bypass coordinates."""
-
-    producer: object           # InFlight, used to drop squashed entries
-    exec_cycle: int
-    exec_pos: int
-    value_ready: int
-
-
 class BypassRegistry:
-    """Tracks IXU-produced values for bypass-reachability queries."""
+    """The last IXU-produced value of every physical register.
 
-    def __init__(self, depth: int, stage_limit: Optional[int]):
-        self.depth = depth
-        self.stage_limit = stage_limit
-        self._values: Dict[Tuple[RegClass, int], _Produced] = {}
+    Its slot for ``(cls, preg)`` holds ``(exec_cycle - exec_pos,
+    value_ready, producer)`` for the register's latest IXU producer, or
+    None.  The first field is the cycle the value would have sat at
+    stage 0, so its stage at cycle ``c`` is ``c - (exec_cycle -
+    exec_pos)``.  Nothing is ever pruned: a value that has left the pipe
+    reads as unavailable by that arithmetic and a squashed producer's by
+    its ``squashed`` flag, and both stay unavailable at every later
+    cycle; the next IXU producer of the register overwrites the slot.
+    """
 
-    def __len__(self) -> int:
-        return len(self._values)
+    def __init__(self, depth: int, stage_limit: Optional[int],
+                 entries: Dict[RegClass, int]):
+        # _reach[s]: the deepest stage a consumer at stage s can still
+        # take a value from (the pipe's exit, or the wire's end).
+        self._reach: Tuple[int, ...] = tuple(
+            depth if stage_limit is None else min(depth, s + stage_limit)
+            for s in range(depth)
+        )
+        self._values: Dict[RegClass, List[Optional[Tuple]]] = {
+            cls: [None] * count for cls, count in entries.items()
+        }
 
     def record(self, cls: RegClass, preg: int, producer,
                exec_cycle: int, exec_pos: int, value_ready: int) -> None:
         """An IXU FU produced (cls, preg)."""
-        self._values[(cls, preg)] = _Produced(
-            producer=producer,
-            exec_cycle=exec_cycle,
-            exec_pos=exec_pos,
-            value_ready=value_ready,
-        )
+        self._values[cls][preg] = (exec_cycle - exec_pos, value_ready,
+                                   producer)
 
     def available(self, cls: RegClass, preg: int, cycle: int,
                   consumer_pos: int) -> bool:
         """Can a consumer FU at ``consumer_pos`` receive (cls, preg) now?"""
-        produced = self._values.get((cls, preg))
-        if produced is None or produced.producer.squashed:
+        produced = self._values[cls][preg]
+        if produced is None:
             return False
-        if cycle < produced.value_ready:
-            return False
-        current_pos = produced.exec_pos + (cycle - produced.exec_cycle)
-        if current_pos > self.depth:
-            return False  # value now lives only in the PRF
-        if self.stage_limit is not None:
-            if current_pos - consumer_pos > self.stage_limit:
-                return False
-        return True
-
-    def prune(self, cycle: int) -> None:
-        """Drop values that can never be bypassed again."""
-        if not self._values:
-            return
-        dead = [
-            key for key, produced in self._values.items()
-            if produced.producer.squashed
-            or produced.exec_pos + (cycle - produced.exec_cycle)
-            > self.depth
-        ]
-        for key in dead:
-            del self._values[key]
-
-    def drop_squashed(self) -> None:
-        """Remove records whose producers were squashed."""
-        dead = [
-            key for key, produced in self._values.items()
-            if produced.producer.squashed
-        ]
-        for key in dead:
-            del self._values[key]
-
-
-class StageFUUsage:
-    """Per-cycle, per-stage FU occupancy of the IXU.
-
-    Claims arrive with non-decreasing cycle numbers (the IXU executes
-    in simulation order), so one per-stage counter array rolled over at
-    each new cycle replaces a keyed ledger.
-    """
-
-    def __init__(self, stage_fus: Tuple[int, ...]):
-        self.stage_fus = stage_fus
-        self._cycle = -1
-        self._used_now: List[int] = [0] * len(stage_fus)
-
-    def try_use(self, cycle: int, stage: int) -> bool:
-        """Claim one FU at ``stage`` this cycle; False when all busy."""
-        used = self._used_now
-        if cycle != self._cycle:
-            self._cycle = cycle
-            for index in range(len(used)):
-                used[index] = 0
-        if used[stage] >= self.stage_fus[stage]:
-            return False
-        used[stage] += 1
-        return True
+        stage0_cycle, value_ready, producer = produced
+        return (value_ready <= cycle
+                <= stage0_cycle + self._reach[consumer_pos]
+                and not producer.squashed)

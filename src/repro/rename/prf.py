@@ -20,10 +20,14 @@ class PhysicalRegisterFile:
     """One class's physical register file (Table I: 128 INT / 96 FP).
 
     Tracks per-entry readiness cycles and counts read/write port events
-    for the energy model.  Port *sharing* between the IXU and OXU is a
-    structural property handled by the energy/area model; the timing
-    model does not throttle PRF bandwidth (the paper argues the shared
-    ports do not change latency, Section III-B).
+    for the energy model.  The read ports are shared between the IXU and
+    OXU (``CoreConfig.prf_read_ports``), and the timing model throttles
+    only FXA's front-end register read: it captures an operand only
+    through a port the OXU left free that cycle, and an operand it
+    misses must arrive by IXU bypassing or wait in the issue queue.
+    OXU reads are counted (they claim ports first each cycle, which is
+    the OXU's priority) but never throttled; the paper argues the
+    shared ports do not change latency (Section III-B).
     """
 
     def __init__(self, entries: int):

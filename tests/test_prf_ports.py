@@ -18,16 +18,17 @@ def _ready_alu_stream(n):
 
 class TestPRFPortArbitration:
     def test_oxu_priority_tracked(self):
-        # Only FXA consumes the per-cycle port ledger (its front-end
-        # register read competes with the OXU); the OXU claims ports
-        # every issue cycle there.  Plain cores skip the ledger but
-        # still count every PRF read for the energy model.
+        # Only FXA consumes the ``(cycle, claimed)`` port ledger (its
+        # front-end register read competes with the OXU); the OXU claims
+        # ports every issue cycle there.  Plain cores never touch the
+        # ledger but still count every PRF read for the energy model.
         fxa = build_core(half_fx_config())
         fxa.run(_ready_alu_stream(500))
-        assert fxa._prf_port_use
+        cycle, claimed = fxa._prf_ports
+        assert cycle > 0 and claimed > 0
         plain = build_core("BIG")
         plain.run(_ready_alu_stream(500))
-        assert not plain._prf_port_use
+        assert plain._prf_ports == (-1, 0)
         assert sum(p.reads for p in plain.renamer.prf.values()) > 0
 
     def test_starved_front_end_captures_less(self):

@@ -33,6 +33,29 @@ class TestMath:
         got = simspeed.family_speedups(current, baseline)
         assert got == {"BIG": pytest.approx(expected)}
 
+    def test_costs_vs_big_are_harmonic_per_family(self):
+        # HALF+FX takes 1/100 + 1/300 s per instruction pair where BIG
+        # takes 1/200 + 1/200: total time over total time, not a mean
+        # of per-benchmark ratios.
+        rates = {"BIG/fast": 200.0, "BIG/slow": 200.0,
+                 "HALF+FX/fast": 100.0, "HALF+FX/slow": 300.0,
+                 "LITTLE/fast": 400.0}
+        got = simspeed.costs_vs_big(rates)
+        assert got["BIG"] == pytest.approx(1.0)
+        assert got["HALF+FX"] == pytest.approx(
+            (1 / 100 + 1 / 300) / (1 / 200 + 1 / 200))
+        # Only the benchmarks both families ran are compared.
+        assert got["LITTLE"] == pytest.approx(0.5)
+        assert "CA" not in got
+        # The inverse of family_speedups against BIG's rates.
+        speedups = simspeed.family_speedups(
+            {"HALF+FX/fast": 100.0, "HALF+FX/slow": 300.0},
+            {"HALF+FX/fast": 200.0, "HALF+FX/slow": 200.0})
+        assert got["HALF+FX"] == pytest.approx(1 / speedups["HALF+FX"])
+
+    def test_costs_vs_big_without_big_is_empty(self):
+        assert simspeed.costs_vs_big({"HALF+FX/mcf": 100.0}) == {}
+
     def test_family_speedups_benchmark_filter(self):
         current = {"BIG/mcf": 300.0, "BIG/hmmer": 100.0}
         baseline = {"BIG/mcf": 100.0, "BIG/hmmer": 100.0}
@@ -56,6 +79,8 @@ class TestEntry:
             simspeed.GUARD_BENCHMARKS)
         assert set(entry["family_speedups"]) == set(
             simspeed.SUITE_MODELS)
+        assert entry["cost_vs_big"] == {
+            model: pytest.approx(1.0) for model in simspeed.SUITE_MODELS}
         path = tmp_path / "BENCH_simspeed.json"
         append_history_entry(entry, str(path))
         append_history_entry(entry, str(path))
@@ -69,11 +94,15 @@ class TestEntry:
                 assert simspeed.SEED_RATES[f"{model}/{bench}"] > 0
 
     def test_report_formats(self):
-        pairs = {"BIG/mcf": 200.0}
-        entry = simspeed.build_entry(pairs, {"BIG/mcf": 100.0},
-                                     "pinned", 1000, 100, 1, 0.1)
+        pairs = {"BIG/mcf": 200.0, "HALF+FX/mcf": 160.0}
+        entry = simspeed.build_entry(
+            pairs, {"BIG/mcf": 100.0, "HALF+FX/mcf": 100.0},
+            "pinned", 1000, 100, 1, 0.1)
+        assert entry["cost_vs_big"] == {"BIG": 1.0, "HALF+FX": 1.25}
         text = simspeed.format_report(entry)
         assert "BIG/mcf" in text and "2.00x" in text
+        assert ("host time per instruction vs BIG: BIG 1.00x  "
+                "HALF+FX 1.25x") in text
 
 
 class TestCLI:
