@@ -336,6 +336,7 @@ def _profile_sim(args) -> str:
     """
     import cProfile
     import io
+    import marshal
     import pstats
 
     benchmark = args.profile_benchmark or (
@@ -347,7 +348,9 @@ def _profile_sim(args) -> str:
     profiler.enable()
     run = runner.simulate(config, benchmark, args.measure, args.warmup)
     profiler.disable()
-    profiler.dump_stats(args.profile_sim)
+    profiler.create_stats()  # dump_stats's format, published atomically
+    with replacing(args.profile_sim, "wb") as stream:
+        marshal.dump(profiler.stats, stream)
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(10)

@@ -4,8 +4,9 @@ The in-process memo cache in :mod:`repro.experiments.runner` dies with
 the process, so every CLI invocation, pytest session and example script
 re-pays the full simulation cost.  This cache persists finished
 :class:`~repro.experiments.runner.BenchmarkRun` records as JSON files
-under ``~/.cache/fxa-repro/`` (or any ``--cache-dir``), keyed by a
-SHA-256 fingerprint of
+under ``~/.cache/fxa-repro/`` (or any ``--cache-dir``).  Every method
+takes the :class:`~repro.experiments.pool.SimJob` itself and files it
+under its ``digest``: the :func:`fingerprint`, a SHA-256 hash of
 
 * the **complete** :class:`~repro.core.CoreConfig` (every field,
   including the nested IXU / cluster / cache-hierarchy configs),
@@ -116,14 +117,12 @@ class DiskCache:
     def _failure_path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.fail.json"
 
-    def load(self, config, benchmark: str, measure: int, warmup: int,
-             seed: int):
-        """Return the cached :class:`BenchmarkRun` or None on a miss."""
+    def load(self, job):
+        """Return ``job``'s cached :class:`BenchmarkRun` or None on a
+        miss."""
         from repro.experiments.runner import BenchmarkRun
 
-        path = self._path(
-            fingerprint(config, benchmark, measure, warmup, seed)
-        )
+        path = self._path(job.digest)
         try:
             with open(path) as stream:
                 payload = json.load(stream)
@@ -142,15 +141,15 @@ class DiskCache:
         self.hits += 1
         return run
 
-    def store(self, config, benchmark: str, measure: int, warmup: int,
-              seed: int, run) -> None:
-        """Persist one finished run (atomic write; failures are soft)."""
-        digest = fingerprint(config, benchmark, measure, warmup, seed)
+    def store(self, job, run) -> None:
+        """Persist ``job``'s finished run (atomic write; failures are
+        soft)."""
+        digest = job.digest
         path = self._path(digest)
         payload = {
             "fingerprint": digest,
             "model": run.model,
-            "benchmark": benchmark,
+            "benchmark": job.benchmark,
             "run": run.to_dict(),
         }
         if not self._write_json(path, payload):
@@ -178,8 +177,7 @@ class DiskCache:
             return False
         return True
 
-    def store_failure(self, config, benchmark: str, measure: int,
-                      warmup: int, seed: int, record: dict) -> None:
+    def store_failure(self, job, record: dict) -> None:
         """Persist one quarantined job's failure record (resume key).
 
         ``record`` is the plain-dict form of a
@@ -187,16 +185,13 @@ class DiskCache:
         treat the job as failed without re-running it until the record
         is cleared (``--resume``) or a successful run replaces it.
         """
-        digest = fingerprint(config, benchmark, measure, warmup, seed)
-        if self._write_json(self._failure_path(digest),
-                            {"fingerprint": digest, "failure": record}):
+        if self._write_json(self._failure_path(job.digest),
+                            {"fingerprint": job.digest, "failure": record}):
             self.failures_stored += 1
 
-    def load_failure(self, config, benchmark: str, measure: int,
-                     warmup: int, seed: int):
-        """Return the persisted failure record dict, or None."""
-        digest = fingerprint(config, benchmark, measure, warmup, seed)
-        path = self._failure_path(digest)
+    def load_failure(self, job):
+        """Return ``job``'s persisted failure record dict, or None."""
+        path = self._failure_path(job.digest)
         try:
             with open(path) as stream:
                 record = json.load(stream)["failure"]
@@ -211,12 +206,10 @@ class DiskCache:
         self.failures_seen += 1
         return record
 
-    def clear_failure(self, config, benchmark: str, measure: int,
-                      warmup: int, seed: int) -> bool:
-        """Drop one failure record (``--resume`` retries the job)."""
-        digest = fingerprint(config, benchmark, measure, warmup, seed)
+    def clear_failure(self, job) -> bool:
+        """Drop ``job``'s failure record (``--resume`` retries it)."""
         try:
-            self._failure_path(digest).unlink()
+            self._failure_path(job.digest).unlink()
         except OSError:
             return False
         return True

@@ -42,6 +42,7 @@ results are kept.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -51,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import CoreConfig
+from repro.experiments import diskcache
 
 #: Extra allowance on top of ``timeout`` for a worker that never even
 #: reported its execution start (covers process startup / import cost).
@@ -62,22 +64,21 @@ MAX_RETRY_DELAY = 60.0
 
 
 def retry_delay(retry_backoff: float, attempts: int,
-                job: Optional["SimJob"] = None,
-                cap: float = MAX_RETRY_DELAY) -> float:
+                job: Optional["SimJob"] = None) -> float:
     """Delay before re-running a job whose ``attempts``-th try failed.
 
-    Exponential in the attempt count but capped at ``cap``, then scaled
-    into ``[delay/2, delay)`` by a jitter derived deterministically from
-    the job identity and attempt number: when a shared-resource hiccup
-    fails a whole sweep at once, the retries spread out instead of
-    waking in lockstep and hammering the same resource again.  No RNG
-    state and no wall clock participate, so a re-run schedules
-    identically — the delay only shapes timing, never results, which
-    stay bit-identical.
+    Exponential in the attempt count but capped at
+    :data:`MAX_RETRY_DELAY`, then scaled into ``[delay/2, delay)`` by a
+    jitter derived deterministically from the job identity and attempt
+    number: when a shared-resource hiccup fails a whole sweep at once,
+    the retries spread out instead of waking in lockstep and hammering
+    the same resource again.  No RNG state and no wall clock
+    participate, so a re-run schedules identically — the delay only
+    shapes timing, never results, which stay bit-identical.
     """
     if retry_backoff <= 0:
         return 0.0
-    delay = min(cap, retry_backoff * (2.0 ** (attempts - 1)))
+    delay = min(MAX_RETRY_DELAY, retry_backoff * (2.0 ** (attempts - 1)))
     if job is not None:
         token = f"{job.describe()}#{attempts}".encode()
         word = int.from_bytes(
@@ -88,7 +89,12 @@ def retry_delay(retry_backoff: float, attempts: int,
 
 @dataclass(frozen=True)
 class SimJob:
-    """One simulation request: a pure function of these five fields."""
+    """One simulation request: a pure function of these five fields.
+
+    A job's one identity: the runner's memo and quarantine map, the disk
+    cache, the job server's stream events and spool entries all key on
+    it, the latter three through :attr:`digest`.
+    """
 
     config: CoreConfig
     benchmark: str
@@ -100,6 +106,14 @@ class SimJob:
         return (f"{self.config.name}/{self.benchmark}"
                 f"(measure={self.measure}, warmup={self.warmup},"
                 f" seed={self.seed})")
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """The disk cache's content address of this job
+        (:func:`~repro.experiments.diskcache.fingerprint`), computed on
+        first use; a pickled job carries it along."""
+        return diskcache.fingerprint(self.config, self.benchmark,
+                                     self.measure, self.warmup, self.seed)
 
     @property
     def trace_key(self) -> Tuple[str, int, int, int]:

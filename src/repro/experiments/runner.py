@@ -12,16 +12,17 @@ Results are cached at two levels.  A per-process memo keeps the figures
 sharing a (model, benchmark) pair from re-simulating within one run; an
 optional persistent :class:`~repro.experiments.diskcache.DiskCache`
 (enabled by the CLI, see :func:`set_disk_cache`) survives the process so
-repeated invocations skip simulation entirely.  ``run_benchmark`` checks
-memory -> disk -> simulate.
+repeated invocations skip simulation entirely.  Both key on the job's
+one identity, :class:`~repro.experiments.pool.SimJob`.
 
-:func:`run_sweep` is the one sweep engine: disk cache, sticky failure
-records, then the fault-tolerant pool.  The job server and spool worker
-call it directly; experiment modules declare their whole job list up
-front via :func:`prefetch`, which hands the unmemoised jobs to
-:func:`run_sweep` under the active :class:`SweepSettings` (worker count,
-cache, fault policy) and seeds the memo, so the per-benchmark
-``run_benchmark`` calls that follow are pure lookups.
+:func:`run_sweep` is the one sweep engine: :func:`cached_outcome` (disk
+cache, then sticky failure records), then the fault-tolerant pool.  The
+job server and spool worker call it directly; experiment modules declare
+their whole job list up front via :func:`prefetch`, which hands the
+unmemoised jobs to :func:`run_sweep` under the active
+:class:`SweepSettings` (worker count, cache, fault policy) and seeds the
+memo, so the per-benchmark ``run_benchmark`` calls that follow are pure
+lookups; one that misses goes through :func:`prefetch` itself.
 
 Sweeps are fault tolerant: a job that crashes, hangs past the per-job
 timeout or kills its worker is retried per :func:`set_fault_policy` and,
@@ -43,13 +44,20 @@ import contextlib
 import dataclasses
 import math
 import pickle
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core import CoreConfig, CoreStats, build_core
 from repro.core.warmup import functional_warmup
 from repro.energy import EnergyBreakdown, EnergyModel
+from repro.experiments.pool import (
+    JobFailure,
+    JobResult,
+    SimJob,
+    SweepAborted,
+    run_jobs,
+    set_fault_injector,
+)
 from repro.workloads import TraceGenerator, build_program, get_profile
 
 #: Default measured-interval length (dynamic instructions).
@@ -174,26 +182,27 @@ def warm_state_key(config: CoreConfig) -> Tuple:
             config.ras_depth, config.predictor_kind)
 
 
-_CACHE: Dict[Tuple, BenchmarkRun] = {}
+#: Memoised runs, keyed by :class:`~repro.experiments.pool.SimJob`.
+_CACHE: Dict[SimJob, BenchmarkRun] = {}
 #: :class:`Interval` entries keyed by (benchmark, measure, warmup,
 #: seed); see :func:`interval`.
 _TRACE_MEMO: Dict[Tuple, Interval] = {}
 #: Most entries :data:`_TRACE_MEMO` holds; a miss on a full memo empties
 #: it first, which bounds memory on long sweeps.
 TRACE_MEMO_LIMIT = 64
-#: Accounting for every job actually simulated by this process (pool
-#: fan-outs and cache-miss ``run_benchmark`` calls alike); drained by
-#: :func:`pop_job_records` for the CLI's manifest and slowest-jobs view.
-#: Holds both ``JobResult`` and (quarantined) ``JobFailure`` records.
+#: Accounting for every job actually simulated by this process's
+#: sweeps; drained by :func:`pop_job_records` for the CLI's manifest and
+#: slowest-jobs view.  Holds both ``JobResult`` and (quarantined)
+#: ``JobFailure`` records.
 _JOB_RECORDS: List = []
 #: Quarantined jobs, keyed like :data:`_CACHE`; see :func:`failed_runs`.
-_FAILED: Dict[Tuple, object] = {}
+_FAILED: Dict[SimJob, JobFailure] = {}
 #: Every run :func:`run_benchmark` served since the last drain — from
 #: the memory cache, the disk cache, or a fresh simulation alike.  The
 #: CLI drains it via :func:`pop_served_runs` to build the manifest's
 #: per-(model, benchmark) aggregates, which must also cover sweeps that
 #: replayed entirely from cache.
-_SERVED: Dict[Tuple, BenchmarkRun] = {}
+_SERVED: Dict[SimJob, BenchmarkRun] = {}
 #: The active sweep settings.
 _SETTINGS = SweepSettings()
 
@@ -209,17 +218,6 @@ class JobFailedError(RuntimeError):
     def __init__(self, failure):
         self.failure = failure
         super().__init__(failure.describe())
-
-
-def _config_key(config: CoreConfig) -> Tuple:
-    """Memo key covering the *complete* configuration.
-
-    Derived from every ``CoreConfig`` field (``dataclasses.astuple``
-    recurses into the IXU / cluster / hierarchy sub-configs), so two
-    configs differing in any parameter — LSQ or PRF capacity, predictor
-    geometry, cache sizes, ... — can never alias to one cached run.
-    """
-    return dataclasses.astuple(config)
 
 
 def interval(benchmark: str, measure: int, warmup: int,
@@ -309,64 +307,29 @@ def run_benchmark(
     measure: int = DEFAULT_MEASURE,
     warmup: int = DEFAULT_WARMUP,
     seed: int = 0,
-    use_cache: bool = True,
     missing_ok: bool = False,
 ) -> Optional[BenchmarkRun]:
-    """Simulate one benchmark on one core model (memory -> disk -> sim).
+    """One benchmark on one core model, from the memo.
 
-    A job quarantined as failed (by this invocation's sweep or by a
-    persisted failure record from an earlier one) is **not** re-run:
-    with ``missing_ok`` the lookup returns None (figure modules render
-    the gap), otherwise :class:`JobFailedError` is raised.  Pass
-    ``use_cache=False`` to force a fresh in-process simulation
-    regardless of caches and quarantine records.
+    A job neither memoised nor quarantined in this process is first
+    handed to :func:`prefetch`, so it is answered as any sweep job is:
+    from the disk cache, a sticky failure record, or the pool under the
+    active :class:`SweepSettings` and fault injector.  A quarantined job
+    is **not** re-run: with ``missing_ok`` the lookup returns None
+    (figure modules render the gap), otherwise :class:`JobFailedError`
+    is raised.
     """
-    from repro.experiments.pool import JobFailure, JobResult, SimJob
-
-    key = (_config_key(config), benchmark, measure, warmup, seed)
-    if use_cache:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _SERVED[key] = hit
-            return hit
-        disk = _SETTINGS.cache
-        if disk is not None:
-            run = disk.load(config, benchmark, measure, warmup, seed)
-            if run is not None:
-                _CACHE[key] = run
-                _FAILED.pop(key, None)
-                _SERVED[key] = run
-                return run
-            if key not in _FAILED and not _SETTINGS.resume:
-                record = disk.load_failure(
-                    config, benchmark, measure, warmup, seed)
-                if record is not None:
-                    _FAILED[key] = JobFailure.from_dict(
-                        SimJob(config=config, benchmark=benchmark,
-                               measure=measure, warmup=warmup,
-                               seed=seed),
-                        record)
-        failure = _FAILED.get(key)
-        if failure is not None:
-            if missing_ok:
-                return None
-            raise JobFailedError(failure)
-
-    started_ts = time.time()
-    started = time.perf_counter()
-    run = simulate(config, benchmark, measure, warmup, seed)
-    _JOB_RECORDS.append(JobResult(
-        job=SimJob(config=config, benchmark=benchmark, measure=measure,
-                   warmup=warmup, seed=seed),
-        run=run, wall_seconds=time.perf_counter() - started,
-        started_ts=started_ts,
-    ))
-    _SERVED[key] = run
-    if use_cache:
-        _CACHE[key] = run
-        if _SETTINGS.cache is not None:
-            _SETTINGS.cache.store(config, benchmark, measure, warmup,
-                                  seed, run)
+    job = SimJob(config=config, benchmark=benchmark, measure=measure,
+                 warmup=warmup, seed=seed)
+    run = _CACHE.get(job)
+    if run is None and job not in _FAILED:
+        prefetch([(config, benchmark)], measure, warmup, seed)
+        run = _CACHE.get(job)
+    if run is None:
+        if missing_ok:
+            return None
+        raise JobFailedError(_FAILED[job])
+    _SERVED[job] = run
     return run
 
 
@@ -381,10 +344,10 @@ class SweepOutcome:
     exhausted its retry budget this time).
     """
 
-    job: object                       # pool.SimJob
+    job: SimJob
     source: str                       # "cache" | "quarantine" | "simulated"
     run: Optional[BenchmarkRun] = None
-    failure: Optional[object] = None  # pool.JobFailure
+    failure: Optional[JobFailure] = None
     wall_seconds: float = 0.0
     attempts: int = 0
     worker_pid: int = 0
@@ -393,6 +356,32 @@ class SweepOutcome:
     @property
     def ok(self) -> bool:
         return self.run is not None
+
+
+def cached_outcome(job: SimJob, cache,
+                   resume: bool) -> Optional[SweepOutcome]:
+    """Answer ``job`` without simulating it, or None when it must run.
+
+    The one cache/quarantine step of every sweep, shared by
+    :func:`run_sweep` and the job server's spool mode: a hit in the disk
+    ``cache`` is a ``"cache"`` outcome; else a persisted failure record
+    is a ``"quarantine"`` outcome, unless ``resume``, which clears the
+    record so the job runs again.
+    """
+    run = cache.load(job)
+    if run is not None:
+        return SweepOutcome(job=job, source="cache", run=run)
+    record = cache.load_failure(job)
+    if record is None:
+        return None
+    if resume:
+        cache.clear_failure(job)
+        return None
+    failure = JobFailure.from_dict(job, record)
+    return SweepOutcome(job=job, source="quarantine", failure=failure,
+                        attempts=failure.attempts,
+                        wall_seconds=failure.wall_seconds,
+                        worker_pid=failure.worker_pid)
 
 
 def run_sweep(
@@ -413,13 +402,13 @@ def run_sweep(
     sweeps through it, and the ``repro.serve`` job server and spool
     worker call it directly.  No module globals are read or written,
     so concurrent sweeps can run on different threads against
-    different caches.  Every job is answered — straight from ``cache``
-    when its fingerprint is already stored (identical digest ⇒ zero
-    simulation), from a sticky quarantine record (unless ``resume``
-    clears it), or by fanning the misses over the fault-tolerant pool
-    under the given retry/timeout policy.  Fresh successes and failures
-    are persisted back to ``cache`` as they land.  With ``fail_fast``
-    the first job to exhaust its retry budget aborts the sweep with
+    different caches.  Every job is answered — by :func:`cached_outcome`
+    when ``cache`` already holds its digest (zero simulation) or a
+    sticky quarantine record (unless ``resume`` clears it), else by
+    fanning the misses over the fault-tolerant pool under the given
+    retry/timeout policy.  Fresh successes and failures are persisted
+    back to ``cache`` as they land.  With ``fail_fast`` the first job
+    to exhaust its retry budget aborts the sweep with
     :class:`~repro.experiments.pool.SweepAborted`; the successes before
     it are already persisted.
 
@@ -433,8 +422,6 @@ def run_sweep(
     input job in submission order; duplicate (equal) jobs share a
     single execution and outcome.
     """
-    from repro.experiments.pool import JobFailure, SimJob, run_jobs
-
     jobs = list(jobs)
     outcomes: List[Optional[SweepOutcome]] = [None] * len(jobs)
     indices: Dict[SimJob, List[int]] = {}
@@ -447,32 +434,14 @@ def run_sweep(
             on_outcome(outcome)
 
     for index, job in enumerate(jobs):
-        if job in indices:
-            indices[job].append(index)
-            continue
-        indices[job] = [index]
-        if cache is not None:
-            run = cache.load(job.config, job.benchmark, job.measure,
-                             job.warmup, job.seed)
-            if run is not None:
-                _emit(job, SweepOutcome(job=job, source="cache",
-                                        run=run))
-                continue
-            record = cache.load_failure(job.config, job.benchmark,
-                                        job.measure, job.warmup, job.seed)
-            if record is not None:
-                if resume:
-                    cache.clear_failure(job.config, job.benchmark,
-                                        job.measure, job.warmup, job.seed)
-                else:
-                    failure = JobFailure.from_dict(job, record)
-                    _emit(job, SweepOutcome(
-                        job=job, source="quarantine", failure=failure,
-                        attempts=failure.attempts,
-                        wall_seconds=failure.wall_seconds,
-                        worker_pid=failure.worker_pid))
-                    continue
-        misses.append(job)
+        indices.setdefault(job, []).append(index)
+    for job in indices:
+        outcome = (None if cache is None
+                   else cached_outcome(job, cache, resume))
+        if outcome is None:
+            misses.append(job)
+        else:
+            _emit(job, outcome)
     if not misses:
         return outcomes  # type: ignore[return-value]
 
@@ -480,11 +449,11 @@ def run_sweep(
         # Completion-order incremental persistence + streaming: an
         # interrupted sweep loses nothing.  In pool mode the JobResult
         # crossed a process boundary, so its job is an equal (not
-        # identical) copy — which still finds its slots in ``indices``.
+        # identical) copy, digest included — which still finds its
+        # slots in ``indices``.
         job = result.job
         if cache is not None:
-            cache.store(job.config, job.benchmark, job.measure,
-                        job.warmup, job.seed, result.run)
+            cache.store(job, result.run)
         _emit(job, SweepOutcome(
             job=job, source="simulated", run=result.run,
             wall_seconds=result.wall_seconds, attempts=result.attempts,
@@ -498,9 +467,7 @@ def run_sweep(
     for job, outcome in zip(misses, pool_outcomes):
         if isinstance(outcome, JobFailure):
             if cache is not None:
-                cache.store_failure(job.config, job.benchmark,
-                                    job.measure, job.warmup, job.seed,
-                                    outcome.to_dict())
+                cache.store_failure(job, outcome.to_dict())
             _emit(job, SweepOutcome(
                 job=job, source="simulated", failure=outcome,
                 attempts=outcome.attempts,
@@ -535,40 +502,36 @@ def prefetch(
     complete, so an interrupted or ``fail_fast``-aborted sweep keeps
     everything already finished.
     """
-    from repro.experiments.pool import JobResult, SimJob, SweepAborted
-
     settings = _SETTINGS
-    todo: Dict[Tuple, SimJob] = {}
+    todo: Dict[SimJob, None] = {}
     for config, benchmark in pairs:
-        key = (_config_key(config), benchmark, measure, warmup, seed)
-        if key in _CACHE or key in todo:
+        job = SimJob(config=config, benchmark=benchmark, measure=measure,
+                     warmup=warmup, seed=seed)
+        if job in _CACHE or job in todo:
             continue
-        if key in _FAILED:
+        if job in _FAILED:
             if not settings.resume:
                 continue
-            del _FAILED[key]
-        todo[key] = SimJob(config=config, benchmark=benchmark,
-                           measure=measure, warmup=warmup, seed=seed)
+            del _FAILED[job]
+        todo[job] = None
     if not todo:
         return 0
     try:
-        outcomes = run_sweep(list(todo.values()), **vars(settings))
+        outcomes = run_sweep(list(todo), **vars(settings))
     except SweepAborted as aborted:
         # run_sweep already persisted the completed results; memoise
         # them too so the caller can salvage them.
         _JOB_RECORDS.extend(aborted.completed)
         _JOB_RECORDS.append(aborted.failure)
         for result in aborted.completed:
-            job = result.job
-            _CACHE[(_config_key(job.config), job.benchmark, job.measure,
-                    job.warmup, job.seed)] = result.run
+            _CACHE[result.job] = result.run
         raise
     simulated = 0
-    for key, outcome in zip(todo, outcomes):
+    for job, outcome in zip(todo, outcomes):
         if outcome.ok:
-            _CACHE[key] = outcome.run
+            _CACHE[job] = outcome.run
         else:
-            _FAILED[key] = outcome.failure
+            _FAILED[job] = outcome.failure
         if outcome.source == "simulated":
             simulated += 1
             _JOB_RECORDS.append(outcome.failure or JobResult(
@@ -593,13 +556,11 @@ def complete_subset(
     aggregates (its absence is the explicit gap) instead of crashing
     the figure.  Pure bookkeeping — never triggers a simulation.
     """
-    config_keys = [_config_key(config) for config in configs]
+    configs = list(configs)
     return [
         benchmark for benchmark in benchmarks
-        if not any(
-            (config_key, benchmark, measure, warmup, seed) in _FAILED
-            for config_key in config_keys
-        )
+        if not any(SimJob(config, benchmark, measure, warmup, seed)
+                   in _FAILED for config in configs)
     ]
 
 
@@ -701,8 +662,6 @@ def configured(settings: SweepSettings, injector=None):
     the previous settings and injector come back on exit.
     """
     global _SETTINGS
-    from repro.experiments.pool import set_fault_injector
-
     previous = _SETTINGS
     previous_injector = set_fault_injector(injector)
     _SETTINGS = settings

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core import MODEL_NAMES, CoreConfig, model_config
-from repro.experiments.diskcache import fingerprint
 from repro.experiments.dse import (
     SpaceError,
     _validate_overrides,
@@ -80,14 +79,11 @@ class JobSpec:
                                f"serve/{self.model}")
 
     def sim_job(self) -> SimJob:
+        """The job this spec names; its ``digest`` is the content
+        address the disk cache keys it on."""
         return SimJob(config=self.config(), benchmark=self.benchmark,
                       measure=self.measure, warmup=self.warmup,
                       seed=self.seed)
-
-    def digest(self) -> str:
-        """The content address the disk cache keys this job on."""
-        return fingerprint(self.config(), self.benchmark, self.measure,
-                           self.warmup, self.seed)
 
     def describe(self) -> str:
         return (f"{self.model}/{self.benchmark}"

@@ -48,10 +48,12 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.atomicio import _HOST
-from repro.experiments.diskcache import DiskCache, code_version, fingerprint
-from repro.experiments.pool import set_fault_injector
+from repro.experiments.diskcache import DiskCache, code_version
+from repro.experiments.pool import JobFailure, SimJob, set_fault_injector
 from repro.experiments.runner import (
+    BenchmarkRun,
     SweepOutcome,
+    cached_outcome,
     retain_traces,
     run_sweep,
 )
@@ -63,7 +65,12 @@ from repro.obs.manifest import (
     aggregate_entry,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.protocol import BatchSpec, ProtocolError, parse_batch
+from repro.serve.protocol import (
+    BatchSpec,
+    JobSpec,
+    ProtocolError,
+    parse_batch,
+)
 from repro.serve.quota import QuotaExceeded, QuotaRegistry
 from repro.serve.spool import Spool
 from repro.serve.telemetry import (
@@ -94,12 +101,6 @@ def _now_iso() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _digest_of(job) -> str:
-    """Content address of a pool ``SimJob`` (the cache's fingerprint)."""
-    return fingerprint(job.config, job.benchmark, job.measure,
-                       job.warmup, job.seed)
-
-
 class Batch:
     """One admitted submission: its spec, event log and stream fan-out.
 
@@ -109,12 +110,15 @@ class Batch:
     """
 
     def __init__(self, batch_id: str, spec: BatchSpec,
-                 digests: List[str], priority: int,
+                 distinct_jobs: int, priority: int,
                  trace: Optional[TraceContext] = None):
         self.id = batch_id
         self.spec = spec
-        self.digests = digests
+        self.distinct_jobs = distinct_jobs
         self.priority = priority
+        #: Each ok job event's ``result`` entry, by digest; the batch
+        #: manifest's aggregates reuse them.
+        self.results: Dict[str, Dict] = {}
         self.events: List[Dict] = []
         self.done = False
         self.trace = trace if trace is not None else TraceContext.new()
@@ -176,7 +180,7 @@ class Batch:
             "trace_id": self.trace.trace_id,
             "priority": self.priority,
             "jobs": len(self.spec.jobs),
-            "distinct_jobs": len(set(self.digests)),
+            "distinct_jobs": self.distinct_jobs,
             "done": self.done,
             "events": len(self.events),
             "completed_ok": ok,
@@ -223,7 +227,10 @@ class SimServer:
         self.batches: Dict[str, Batch] = {}
         self.started_monotonic = time.monotonic()
         self.started_at = _now_iso()
-        self._queue: List[Tuple[int, int, Batch]] = []
+        #: ``(-priority, seq, batch, jobs)``: ``jobs`` holds one
+        #: :class:`SimJob` per spec, built at admission, and lives only
+        #: until the batch has run; finished batches stay listed.
+        self._queue: List[Tuple[int, int, Batch, List[SimJob]]] = []
         self._seq = itertools.count(1)
         self._ids = itertools.count(1)
         self._running: Optional[str] = None
@@ -287,7 +294,7 @@ class SimServer:
             await self._wake.wait()
             self._wake.clear()
             while self._queue:
-                _, _, batch = heapq.heappop(self._queue)
+                _, _, batch, jobs = heapq.heappop(self._queue)
                 self._running = batch.id
                 wait = time.monotonic() - batch.admitted_monotonic
                 self.telemetry.observe_queue_wait(wait)
@@ -304,9 +311,9 @@ class SimServer:
                 self.metrics.counter("serve.batches_started").add()
                 try:
                     if self.spool is not None:
-                        await self._run_batch_spool(batch)
+                        await self._run_batch_spool(batch, jobs)
                     else:
-                        await self._run_batch_local(batch)
+                        await self._run_batch_local(batch, jobs)
                     self.metrics.counter("serve.batches_finished").add()
                     self.telemetry.batch_event("completed")
                 except asyncio.CancelledError:
@@ -332,7 +339,7 @@ class SimServer:
     def _job_event(self, batch: Batch, outcome: SweepOutcome) -> Dict:
         """One streamed JSON-lines record per distinct job outcome."""
         self.metrics.counter(f"serve.jobs_{outcome.source}").add()
-        digest = _digest_of(outcome.job)
+        digest = outcome.job.digest
         status = "ok" if outcome.ok else "failed"
         self.telemetry.observe_job(outcome.source, status,
                                    outcome.wall_seconds)
@@ -365,7 +372,7 @@ class SimServer:
             "attempts": outcome.attempts,
         }
         if outcome.ok:
-            event["result"] = aggregate_entry(
+            event["result"] = batch.results[digest] = aggregate_entry(
                 outcome.run,
                 wall_seconds=(outcome.wall_seconds
                               if outcome.source == "simulated" else 0.0))
@@ -374,31 +381,11 @@ class SimServer:
             event["failure"] = outcome.failure.to_dict()
         return event
 
-    def _manifest_for(self, batch: Batch,
-                      outcomes: List[SweepOutcome],
+    def _manifest_for(self, batch: Batch, records: List[JobRecord],
+                      aggregates: List[Dict], failed: int,
                       started_at: str, wall: float) -> RunManifest:
         """Provenance for one batch, in the CLI sweep's exact schema
         (``repro-exp diff`` and ``report`` consume it unchanged)."""
-        records: List[JobRecord] = []
-        aggregates: List[Dict] = []
-        seen: set = set()
-        simulated = failed = 0
-        for outcome in outcomes:
-            if outcome is None or id(outcome) in seen:
-                continue  # duplicate specs share one outcome object
-            seen.add(id(outcome))
-            if outcome.ok:
-                aggregates.append(aggregate_entry(
-                    outcome.run,
-                    wall_seconds=(outcome.wall_seconds
-                                  if outcome.source == "simulated"
-                                  else 0.0)))
-            else:
-                failed += 1
-            if outcome.source != "simulated":
-                continue
-            simulated += 1
-            records.append(JobRecord.from_pool(outcome.failure or outcome))
         specs = batch.spec.jobs
         measures = {spec.measure for spec in specs}
         warmups = {spec.warmup for spec in specs}
@@ -415,7 +402,7 @@ class SimServer:
             finished_at=_now_iso(),
             wall_seconds=wall,
             workers=self.workers,
-            jobs_simulated=simulated,
+            jobs_simulated=len(records),
             jobs_failed=failed,
             fault_policy={"retries": self.retries,
                           "retry_backoff": self.retry_backoff,
@@ -430,7 +417,24 @@ class SimServer:
     async def _finish_batch(self, batch: Batch,
                             outcomes: List[SweepOutcome],
                             started_at: str, wall: float) -> None:
-        manifest = self._manifest_for(batch, outcomes, started_at, wall)
+        """Tally the distinct outcomes once (submission order; duplicate
+        specs share one outcome) into ``batch_end`` and the manifest."""
+        by_source: Dict[str, int] = {}
+        records: List[JobRecord] = []
+        aggregates: List[Dict] = []
+        distinct = {outcome.job.digest: outcome for outcome in outcomes}
+        for digest, outcome in distinct.items():
+            by_source[outcome.source] = (
+                by_source.get(outcome.source, 0) + 1)
+            if outcome.ok:
+                aggregates.append(batch.results[digest])
+            if outcome.source == "simulated":
+                records.append(
+                    JobRecord.from_pool(outcome.failure or outcome))
+        ok = len(aggregates)
+        manifest = self._manifest_for(batch, records, aggregates,
+                                      len(distinct) - ok, started_at,
+                                      wall)
         manifest_path = None
         if self.manifest_dir is not None:
             from pathlib import Path
@@ -441,18 +445,6 @@ class SimServer:
                 directory / f"{batch.id}.manifest.json")
             manifest.write(manifest_path)
         self._export_trace(batch)
-        distinct = {id(o) for o in outcomes if o is not None}
-        by_source: Dict[str, int] = {}
-        ok = 0
-        counted: set = set()
-        for outcome in outcomes:
-            if outcome is None or id(outcome) in counted:
-                continue
-            counted.add(id(outcome))
-            by_source[outcome.source] = (
-                by_source.get(outcome.source, 0) + 1)
-            if outcome.ok:
-                ok += 1
         await batch.push({
             "event": "batch_end",
             "batch_id": batch.id,
@@ -487,20 +479,22 @@ class SimServer:
             return
         batch.trace_path = str(path)
 
-    async def _run_batch_local(self, batch: Batch) -> None:
-        """Execute one batch on this host's pool via
-        :func:`runner.run_sweep` (cache dedup included)."""
-        loop = asyncio.get_running_loop()
-        started_at = _now_iso()
-        perf = time.perf_counter()
+    async def _push_start(self, batch: Batch, **mode) -> None:
         await batch.push({
             "event": "batch_start", "batch_id": batch.id,
             "trace_id": batch.trace.trace_id,
             "tenant": batch.spec.tenant,
             "jobs": len(batch.spec.jobs),
-            "distinct_jobs": len(set(batch.digests)),
-            "mode": "local", "workers": self.workers})
-        jobs = [spec.sim_job() for spec in batch.spec.jobs]
+            "distinct_jobs": batch.distinct_jobs, **mode})
+
+    async def _run_batch_local(self, batch: Batch,
+                               jobs: List[SimJob]) -> None:
+        """Execute one batch on this host's pool via
+        :func:`runner.run_sweep` (cache dedup included)."""
+        loop = asyncio.get_running_loop()
+        started_at = _now_iso()
+        perf = time.perf_counter()
+        await self._push_start(batch, mode="local", workers=self.workers)
 
         def on_outcome(outcome: SweepOutcome) -> None:
             # Runs on the executor thread; hand the event to the loop.
@@ -516,7 +510,7 @@ class SimServer:
             batch.spans.append(batch.trace.span(
                 "simulate" if attempt == 1 else "retry",
                 started_ts, duration,
-                args={"digest": _digest_of(job),
+                args={"digest": job.digest,
                       "benchmark": job.benchmark, "attempt": attempt,
                       "status": status, "worker_pid": worker_pid}))
 
@@ -536,64 +530,36 @@ class SimServer:
         await self._finish_batch(batch, outcomes, started_at,
                                  time.perf_counter() - perf)
 
-    async def _run_batch_spool(self, batch: Batch) -> None:
+    async def _run_batch_spool(self, batch: Batch,
+                               jobs: List[SimJob]) -> None:
         """Execute one batch by enqueueing cache misses into the shared
         spool and polling for worker completions.
 
-        Cache hits and sticky quarantine records are answered directly
-        (same dedup-before-fan-out as local mode); only true misses hit
-        the queue, and two batches naming one digest share one spool
-        entry.
+        Cache hits and sticky quarantine records are answered by
+        :func:`runner.cached_outcome`, as in local mode; only true
+        misses hit the queue, and two batches naming one digest share
+        one spool entry.
         """
-        from repro.experiments.pool import JobFailure
-        from repro.experiments.runner import BenchmarkRun
-
         assert self.spool is not None
         started_at = _now_iso()
         perf = time.perf_counter()
-        distinct: Dict[str, object] = {}   # digest -> SimJob
-        spec_of: Dict[str, object] = {}    # digest -> JobSpec
-        for spec, digest in zip(batch.spec.jobs, batch.digests):
-            if digest not in distinct:
-                distinct[digest] = spec.sim_job()
-                spec_of[digest] = spec
-        await batch.push({
-            "event": "batch_start", "batch_id": batch.id,
-            "trace_id": batch.trace.trace_id,
-            "tenant": batch.spec.tenant,
-            "jobs": len(batch.spec.jobs),
-            "distinct_jobs": len(distinct),
-            "mode": "spool", "spool": str(self.spool.root)})
+        distinct: Dict[str, Tuple[SimJob, JobSpec]] = {}
+        for job, spec in zip(jobs, batch.spec.jobs):
+            distinct.setdefault(job.digest, (job, spec))
+        await self._push_start(batch, mode="spool",
+                               spool=str(self.spool.root))
         outcome_of: Dict[str, SweepOutcome] = {}
         pending: List[str] = []
-        for digest, job in distinct.items():
-            run = self.cache.load(job.config, job.benchmark, job.measure,
-                                  job.warmup, job.seed)
-            if run is not None:
-                outcome = SweepOutcome(job=job, source="cache", run=run)
+        for digest, (job, spec) in distinct.items():
+            outcome = cached_outcome(job, self.cache, batch.spec.resume)
+            if outcome is not None:
                 outcome_of[digest] = outcome
                 await batch.push(self._job_event(batch, outcome))
                 continue
             if batch.spec.resume:
-                self.cache.clear_failure(job.config, job.benchmark,
-                                         job.measure, job.warmup,
-                                         job.seed)
                 self.spool.forget_failure(digest)
-            else:
-                record = self.cache.load_failure(
-                    job.config, job.benchmark, job.measure, job.warmup,
-                    job.seed)
-                if record is not None:
-                    failure = JobFailure.from_dict(job, record)
-                    outcome = SweepOutcome(
-                        job=job, source="quarantine", failure=failure,
-                        attempts=failure.attempts,
-                        wall_seconds=failure.wall_seconds)
-                    outcome_of[digest] = outcome
-                    await batch.push(self._job_event(batch, outcome))
-                    continue
             self.spool.enqueue(digest, {
-                "job": spec_of[digest].to_dict(),
+                "job": spec.to_dict(),
                 "policy": {"timeout": self.timeout,
                            "retries": self.retries,
                            "retry_backoff": self.retry_backoff},
@@ -608,7 +574,7 @@ class SimServer:
             still: List[str] = []
             for digest in pending:
                 state, payload = self.spool.state(digest)
-                job = distinct[digest]
+                job = distinct[digest][0]
                 if state == "done" and payload is not None:
                     outcome = SweepOutcome(
                         job=job,
@@ -630,7 +596,7 @@ class SimServer:
                 outcome_of[digest] = outcome
                 await batch.push(self._job_event(batch, outcome))
             pending = still
-        outcomes = [outcome_of[digest] for digest in batch.digests]
+        outcomes = [outcome_of[job.digest] for job in jobs]
         await self._finish_batch(batch, outcomes, started_at,
                                  time.perf_counter() - perf)
 
@@ -819,9 +785,12 @@ class SimServer:
                              extra={"tenant": spec.tenant,
                                     "reason": str(error)})
             return self._respond(writer, 429, {"error": str(error)})
-        digests = [job.digest() for job in spec.jobs]
-        batch = Batch(f"b{next(self._ids):06d}", spec, digests,
-                      policy.priority,
+        # Equal jobs become one object, so each digest is computed once.
+        unique: Dict[SimJob, SimJob] = {}
+        jobs = [unique.setdefault(job, job)
+                for job in (job_spec.sim_job() for job_spec in spec.jobs)]
+        batch = Batch(f"b{next(self._ids):06d}", spec,
+                      len({job.digest for job in jobs}), policy.priority,
                       trace=TraceContext.new(spec.trace_id))
         batch.spans.append(batch.trace.span(
             "admit", admit_ts, time.perf_counter() - admit_perf,
@@ -830,7 +799,7 @@ class SimServer:
             span_id=batch.trace.span_id))
         self.batches[batch.id] = batch
         heapq.heappush(self._queue,
-                       (-policy.priority, next(self._seq), batch))
+                       (-policy.priority, next(self._seq), batch, jobs))
         self._wake.set()
         self.metrics.counter("serve.batches_accepted").add()
         self.metrics.counter("serve.jobs_accepted").add(len(spec.jobs))
@@ -847,8 +816,8 @@ class SimServer:
             "trace_id": batch.trace.trace_id,
             "priority": policy.priority,
             "jobs": len(spec.jobs),
-            "distinct_jobs": len(set(digests)),
-            "digests": digests,
+            "distinct_jobs": batch.distinct_jobs,
+            "digests": [job.digest for job in jobs],
             "events_url": f"/v1/batches/{batch.id}/events",
             "batch_url": f"/v1/batches/{batch.id}",
         })

@@ -287,8 +287,7 @@ def execute_claim(claim: SpoolClaim, cache) -> Dict:
 def run_worker(spool: Spool, cache=None, poll: float = 0.5,
                max_jobs: Optional[int] = None,
                idle_exit: Optional[float] = None,
-               reclaim_after: Optional[float] = None,
-               log=None) -> int:
+               reclaim_after: Optional[float] = None) -> int:
     """Claim-and-execute loop; returns the number of jobs executed.
 
     Runs until ``max_jobs`` jobs are done or the spool has been empty
@@ -329,9 +328,6 @@ def run_worker(spool: Spool, cache=None, poll: float = 0.5,
                    "worker": spool.worker_id,
                    **({"trace_id": trace.get("trace_id")}
                       if isinstance(trace, dict) else {})})
-        if log is not None:    # legacy callback, kept for embedders
-            log(f"[spool-worker] {claim.digest[:12]} "
-                f"{payload['status']}")
         executed += 1
     return executed
 

@@ -64,7 +64,8 @@ class TraceContext:
 
     ``trace_id`` identifies the whole story (one per admitted batch);
     ``span_id`` is the span new child spans will name as their parent.
-    Immutable by convention: derive with :meth:`child`.
+    Immutable by convention: to parent spans under another span, build
+    a new context on the same ``trace_id``.
     """
 
     __slots__ = ("trace_id", "span_id")
@@ -77,10 +78,6 @@ class TraceContext:
     def new(cls, trace_id: Optional[str] = None) -> "TraceContext":
         """Mint a fresh trace (or adopt a client-supplied ``trace_id``)."""
         return cls(trace_id or uuid.uuid4().hex)
-
-    def child(self) -> "TraceContext":
-        """A context whose spans will parent under a fresh span id."""
-        return TraceContext(self.trace_id)
 
     def span(self, name: str, start_ts: float, duration: float,
              args: Optional[Dict] = None,

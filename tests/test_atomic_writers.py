@@ -1,6 +1,7 @@
 """Every file writer publishes atomically: a failed write keeps the old
 file and leaves no temp file behind."""
 
+import pstats
 from types import SimpleNamespace
 
 import pytest
@@ -70,6 +71,12 @@ def _save_trace(path, tmp_path):
     save_trace(interval("hmmer", 50, 0).trace, path)
 
 
+def _profile_sim(path, tmp_path):
+    cli._profile_sim(SimpleNamespace(
+        profile_sim=path, profile_model="BIG", profile_benchmark="hmmer",
+        benchmarks=None, measure=50, warmup=0))
+
+
 @pytest.mark.parametrize("writer, name", [
     (_report, "report.html"),
     (_pipeview, "pv.kanata"),
@@ -77,8 +84,9 @@ def _save_trace(path, tmp_path):
     (_stall_csv, "stalls.csv"),
     (_chart_out, "chart.txt"),
     (_save_trace, "trace.txt"),
+    (_profile_sim, "sim.prof"),
 ], ids=["report", "pipeview", "pipeview-gz", "stall-csv", "dse-chart-out",
-        "save-trace"])
+        "save-trace", "profile-sim"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer,
                                           name):
     path = tmp_path / name
@@ -96,4 +104,12 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer,
     with pytest.raises(OSError, match="No space left"):
         writer(str(path), tmp_path)
     assert path.read_bytes() == b"previous\n"
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_profile_dump_loads_with_pstats(tmp_path):
+    path = tmp_path / "sim.prof"
+    _profile_sim(str(path), tmp_path)
+    stats = pstats.Stats(str(path))
+    assert any(name == "simulate" for _, _, name in stats.stats)
     assert not list(tmp_path.glob("*.tmp.*"))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import model_config
 from repro.experiments.diskcache import DiskCache, fingerprint
+from repro.experiments.pool import SimJob
 from repro.experiments.runner import (
     BenchmarkRun,
     clear_cache,
@@ -71,11 +72,11 @@ class TestFingerprint:
 class TestDiskCache:
     def test_miss_then_hit(self, cache):
         big = model_config("BIG")
-        assert cache.load(*_params(big)) is None
+        assert cache.load(SimJob(*_params(big))) is None
         assert cache.misses == 1
         run = run_benchmark(big, "hmmer", **SMALL)
         assert cache.stores == 1
-        loaded = cache.load(*_params(big))
+        loaded = cache.load(SimJob(*_params(big)))
         assert cache.hits == 1
         assert loaded.to_dict() == run.to_dict()
 
@@ -93,14 +94,14 @@ class TestDiskCache:
         big = model_config("BIG")
         run_benchmark(big, "hmmer", **SMALL)
         altered = replace(big, lq_entries=big.lq_entries // 2)
-        assert cache.load(*_params(altered)) is None
+        assert cache.load(SimJob(*_params(altered))) is None
 
     def test_corrupt_entry_is_dropped(self, cache):
         big = model_config("BIG")
         run_benchmark(big, "hmmer", **SMALL)
         entry = next(cache.root.glob("*/*.json"))
         entry.write_text("{ torn json")
-        assert cache.load(*_params(big)) is None
+        assert cache.load(SimJob(*_params(big))) is None
         assert not entry.exists()
 
     def test_clear_and_len(self, cache):

@@ -320,5 +320,6 @@ class TestIncrementalPersistence:
             "hmmer", "lbm"]
         assert cache.counters()["stores"] == 2
         assert cache.counters()["failures_stored"] == 0
-        assert cache.load(model_config("BIG"), "lbm", SMALL["measure"],
-                          SMALL["warmup"], 0) is not None
+        assert cache.load(SimJob(model_config("BIG"), "lbm",
+                                 SMALL["measure"], SMALL["warmup"],
+                                 0)) is not None

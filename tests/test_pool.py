@@ -110,7 +110,8 @@ class TestRetryDelay:
         # within a dozen attempts and hours soon after.
         assert retry_delay(0.25, 60) == MAX_RETRY_DELAY
         assert retry_delay(0.25, 60, self._job()) <= MAX_RETRY_DELAY
-        assert retry_delay(1.0, 6, cap=4.0) == 4.0
+        assert retry_delay(1.0, 6) == 32.0
+        assert retry_delay(1.0, 7) == MAX_RETRY_DELAY
 
     def test_jitter_is_deterministic_per_job_and_attempt(self):
         job = self._job()

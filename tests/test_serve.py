@@ -66,7 +66,7 @@ class TestProtocol:
     def test_overrides_change_the_digest(self):
         plain = parse_job(job_spec())
         tweaked = parse_job(job_spec(overrides={"iq_entries": 64}))
-        assert plain.digest() != tweaked.digest()
+        assert plain.sim_job().digest != tweaked.sim_job().digest
         assert tweaked.config().iq_entries == 64
 
     def test_digest_matches_cli_sweep_fingerprint(self):
@@ -74,7 +74,7 @@ class TestProtocol:
         # sweep of the same preset produces, so the two share cache
         # entries bidirectionally.
         spec = parse_job(job_spec())
-        assert spec.digest() == fingerprint(
+        assert spec.sim_job().digest == fingerprint(
             model_config("LITTLE"), "hmmer", SMALL["measure"],
             SMALL["warmup"], 0)
 
@@ -188,17 +188,16 @@ class TestSpoolUnit:
         spool = Spool(tmp_path / "spool")
         cache = DiskCache(tmp_path / "cache")
         spec = parse_job(job_spec())
-        spool.enqueue(spec.digest(), {"job": spec.to_dict()})
+        spool.enqueue(spec.sim_job().digest, {"job": spec.to_dict()})
         executed = run_worker(spool, cache=cache, poll=0.01,
                               max_jobs=1)
         assert executed == 1
-        state, payload = spool.state(spec.digest())
+        state, payload = spool.state(spec.sim_job().digest)
         assert state == "done"
         assert payload["status"] == "ok"
         assert payload["run"]["benchmark"] == "hmmer"
         # The result also landed in the shared content-addressed cache.
-        assert cache.load(spec.config(), "hmmer", SMALL["measure"],
-                          SMALL["warmup"], 0) is not None
+        assert cache.load(spec.sim_job()) is not None
 
 
 class TestRunSweep:
@@ -310,7 +309,7 @@ class TestServeEndToEnd:
         client.run_batch({"jobs": [job_spec(benchmark="milc")]})
         direct_cache = DiskCache(tmp_path / "direct")
         run_sweep([spec.sim_job()], cache=direct_cache)
-        digest = spec.digest()
+        digest = spec.sim_job().digest
         served = (cache.root / digest[:2] / f"{digest}.json")
         direct = (direct_cache.root / digest[:2] / f"{digest}.json")
         assert served.read_bytes() == direct.read_bytes()

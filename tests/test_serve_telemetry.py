@@ -280,7 +280,7 @@ class TestSpoolTracePropagation:
         cache = DiskCache(tmp_path / "cache")
         spec = parse_job(job_spec())
         ctx = TraceContext.new()
-        spool.enqueue(spec.digest(), {
+        spool.enqueue(spec.sim_job().digest, {
             "job": spec.to_dict(),
             "trace": ctx.to_wire(),
             "enqueued_ts": 1.0,
@@ -305,7 +305,7 @@ class TestSpoolTracePropagation:
         spool = Spool(tmp_path / "spool")
         cache = DiskCache(tmp_path / "cache")
         spec = parse_job(job_spec())
-        spool.enqueue(spec.digest(), {"job": spec.to_dict()})
+        spool.enqueue(spec.sim_job().digest, {"job": spec.to_dict()})
         payload = execute_claim(spool.claim(), cache)
         assert payload["status"] == "ok"
         assert "spans" not in payload
