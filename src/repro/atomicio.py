@@ -84,15 +84,16 @@ def replace_json(path, payload, *, indent=None, sort_keys: bool = False,
                  default=None, trailing_newline: bool = False) -> None:
     """Serialise ``payload`` as JSON and atomically publish it at ``path``.
 
-    ``indent``, ``sort_keys`` and ``default`` are :func:`json.dump`'s.
+    ``indent``, ``sort_keys`` and ``default`` are :func:`json.dumps`'s.
     Readers never observe a torn file; a failure while serialising (or
     writing) leaves any existing file untouched and removes the temp.
+    The text is encoded in one call and written once (``json.dump``
+    would send the stream hundreds of small writes).
     """
+    text = json.dumps(payload, indent=indent, sort_keys=sort_keys,
+                      default=default)
     with replacing(path) as stream:
-        json.dump(payload, stream, indent=indent, sort_keys=sort_keys,
-                  default=default)
-        if trailing_newline:
-            stream.write("\n")
+        stream.write(text + "\n" if trailing_newline else text)
 
 
 #: In-process locks per path.  POSIX record locks are held per

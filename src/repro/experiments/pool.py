@@ -22,9 +22,9 @@ worker processes:
   failures before quarantining them; ``fail_fast`` instead aborts on the
   first exhausted job with :class:`SweepAborted`, which carries every
   result completed before the abort.
-* **Graceful fallback**: ``workers <= 1``, a single job, or a platform
-  without ``fork`` (no start method at all) degrades to a plain serial
-  loop in-process.
+* **Graceful fallback**: ``workers <= 1`` or a single job runs as a
+  plain serial loop in-process, unless ``isolate`` asks for a worker
+  process anyway; so does a platform with no start method at all.
 * **Accounted**: every :class:`JobResult`/:class:`JobFailure` carries
   the job's wall-clock seconds, the worker pid and the attempt count.
 
@@ -37,7 +37,8 @@ start message).  A job past its deadline has its worker terminated
 post-hoc: the job has already run to completion in-process when the
 over-budget wall time is observed, so it is quarantined without retry
 (a deterministic job would only run long again) and all prior completed
-results are kept.
+results are kept.  A caller that must enforce the deadline, or survive
+a job that kills its process, passes ``isolate=True``.
 """
 
 from __future__ import annotations
@@ -695,13 +696,14 @@ def run_jobs(
     fail_fast: bool = False,
     on_result: Optional[Callable[[JobResult], None]] = None,
     on_attempt: Optional[Callable[..., None]] = None,
+    isolate: bool = False,
 ) -> List[Union[JobResult, JobFailure]]:
     """Run every job; outcomes in submission order.
 
     Args:
         jobs: Job list (order is preserved in the outcome list).
         workers: Concurrent worker-process count; ``<= 1`` runs serially
-            in-process.
+            in-process unless ``isolate``.
         timeout: Per-job wall-clock limit in seconds, charged against
             the job's own *execution* time only — never the time it
             spent queued behind other jobs waiting for a worker slot.
@@ -732,6 +734,11 @@ def run_jobs(
             ``started_ts`` is host wall-clock epoch seconds.  The hook
             is observation-only: exceptions it raises are swallowed
             and it must never affect results.
+        isolate: Run even one job, or ``workers <= 1``, in a worker
+            process, so that this process simulates nothing: the
+            timeout is enforced and a dying job costs only its worker.
+            A long-lived caller that must stay responsive (the job
+            server) passes it.
 
     Returns:
         One entry per job, in submission order: :class:`JobResult` for
@@ -745,7 +752,8 @@ def run_jobs(
     if retry_backoff < 0:
         raise ValueError("retry_backoff must be >= 0")
     method = _available_start_method()
-    if workers <= 1 or len(jobs) == 1 or method is None:
+    if method is None or (not isolate
+                          and (workers <= 1 or len(jobs) == 1)):
         return _run_serial(jobs, timeout, retries, retry_backoff,
                            fail_fast, on_result, on_attempt)
     context = multiprocessing.get_context(method)

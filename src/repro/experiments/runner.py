@@ -252,20 +252,6 @@ def _interval(benchmark: str, measure: int, warmup: int,
     return entry, warm_trace
 
 
-def retain_traces(keys: Iterable[Tuple]) -> None:
-    """Drop every :data:`_TRACE_MEMO` entry whose key is not in ``keys``.
-
-    A long-lived process that serves one sweep after another (the job
-    server) calls this before each sweep with the trace keys it
-    replays, so the memo holds at most one sweep's traces and warm
-    states while a sweep over the same intervals as the one before
-    still reuses them.
-    """
-    keep = set(keys)
-    for key in [key for key in _TRACE_MEMO if key not in keep]:
-        del _TRACE_MEMO[key]
-
-
 def simulate(
     config: CoreConfig,
     benchmark: str,
@@ -395,6 +381,7 @@ def run_sweep(
     fail_fast: bool = False,
     on_outcome=None,
     on_attempt=None,
+    isolate: bool = False,
 ) -> List[SweepOutcome]:
     """Serve a job list end to end: cache dedup, quarantine, pool.
 
@@ -418,9 +405,10 @@ def run_sweep(
     ``on_attempt`` is the pool's per-attempt telemetry hook (see
     :func:`repro.experiments.pool.run_jobs`), passed through verbatim
     so the serving layer can record one trace span per execution
-    attempt, retries included.  Returns one :class:`SweepOutcome` per
-    input job in submission order; duplicate (equal) jobs share a
-    single execution and outcome.
+    attempt, retries included; so is ``isolate``, with which the job
+    server keeps every simulation out of its own process.  Returns one
+    :class:`SweepOutcome` per input job in submission order; duplicate
+    (equal) jobs share a single execution and outcome.
     """
     jobs = list(jobs)
     outcomes: List[Optional[SweepOutcome]] = [None] * len(jobs)
@@ -463,7 +451,7 @@ def run_sweep(
                              retries=retries,
                              retry_backoff=retry_backoff,
                              fail_fast=fail_fast, on_result=_landed,
-                             on_attempt=on_attempt)
+                             on_attempt=on_attempt, isolate=isolate)
     for job, outcome in zip(misses, pool_outcomes):
         if isinstance(outcome, JobFailure):
             if cache is not None:

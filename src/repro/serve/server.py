@@ -20,14 +20,17 @@ chunked transfer encoding):
     GET  /v1/status              cache/quarantine/queue/tenant counters
 
 Batches are admitted against per-tenant quotas
-(:mod:`repro.serve.quota`) and scheduled highest-priority-first; each
-batch is dedup'd against the disk cache by fingerprint before any
-fan-out, so a digest the cache has already seen is answered with zero
-simulation.  With ``--spool DIR`` the server enqueues cache misses
-into a shared spool directory (:mod:`repro.serve.spool`) instead of
-simulating locally, and any number of ``repro-exp spool-worker``
-processes — on this host or others sharing the filesystem — claim and
-execute them.
+(:mod:`repro.serve.quota`).  Admission looks every job up in the disk
+cache by fingerprint: a batch answered in full (cache hits and sticky
+failure records) streams its whole history at once and never queues;
+any other batch is scheduled highest-priority-first, one at a time.
+Local mode runs each miss in a forked pool worker, never in the server
+process, so the event loop stays responsive, ``--timeout`` holds at
+``--jobs 1`` and a crashing job costs only its worker.  With ``--spool
+DIR`` the server enqueues cache misses into a shared spool directory
+(:mod:`repro.serve.spool`) instead, and any number of ``repro-exp
+spool-worker`` processes — on this host or others sharing the
+filesystem — claim and execute them.
 
 The HTTP layer is deliberately stdlib-only (``asyncio.start_server``
 plus hand-rolled HTTP/1.1): the repo takes no third-party runtime
@@ -37,6 +40,7 @@ dependencies, and the protocol surface is four routes.
 from __future__ import annotations
 
 import asyncio
+import collections
 import datetime
 import heapq
 import http.client
@@ -45,7 +49,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.atomicio import _HOST
 from repro.experiments.diskcache import DiskCache, code_version
@@ -54,7 +58,6 @@ from repro.experiments.runner import (
     BenchmarkRun,
     SweepOutcome,
     cached_outcome,
-    retain_traces,
     run_sweep,
 )
 from repro.experiments.sweepflags import add_sweep_args
@@ -83,6 +86,11 @@ from repro.serve.telemetry import (
 
 _MAX_BODY = 16 * 1024 * 1024
 _MAX_LINE = 64 * 1024
+#: Finished batches kept listed, the most recent ones, for snapshots
+#: and late subscribers; an older id answers 404.  A finished 16-job
+#: batch (event log, ``batch_end`` manifest, spans, result entries)
+#: holds about 58 KiB, so this bounds them near 15 MiB.
+FINISHED_BATCHES_KEPT = 256
 
 
 class _RequestError(Exception):
@@ -192,7 +200,8 @@ class Batch:
 class SimServer:
     """The job server: admission, scheduling, execution, streaming.
 
-    Batches execute one at a time (each sweep already fans out over
+    A batch the disk cache answers in full is answered at admission.
+    The others execute one at a time (each sweep fans out over
     ``workers`` pool processes); the waiting queue is ordered by tenant
     priority, FIFO within a priority level.
     """
@@ -225,11 +234,14 @@ class SimServer:
         self.log = slog.get_logger("repro.serve")
         self.access_log = slog.get_logger("repro.serve.access")
         self.batches: Dict[str, Batch] = {}
+        #: Ids of finished batches still in :attr:`batches`, oldest
+        #: first; see :data:`FINISHED_BATCHES_KEPT`.
+        self._finished: Deque[str] = collections.deque()
         self.started_monotonic = time.monotonic()
         self.started_at = _now_iso()
         #: ``(-priority, seq, batch, jobs)``: ``jobs`` holds one
         #: :class:`SimJob` per spec, built at admission, and lives only
-        #: until the batch has run; finished batches stay listed.
+        #: until the batch has run.
         self._queue: List[Tuple[int, int, Batch, List[SimJob]]] = []
         self._seq = itertools.count(1)
         self._ids = itertools.count(1)
@@ -296,45 +308,55 @@ class SimServer:
             while self._queue:
                 _, _, batch, jobs = heapq.heappop(self._queue)
                 self._running = batch.id
-                wait = time.monotonic() - batch.admitted_monotonic
-                self.telemetry.observe_queue_wait(wait)
-                self.telemetry.batch_event("started")
-                batch.spans.append(batch.trace.span(
-                    "queue-wait", batch.admitted_ts, wait,
-                    args={"batch_id": batch.id}))
-                self.log.info(
-                    "batch scheduled",
-                    extra={"batch_id": batch.id,
-                           "trace_id": batch.trace.trace_id,
-                           "tenant": batch.spec.tenant,
-                           "queue_wait_seconds": round(wait, 6)})
-                self.metrics.counter("serve.batches_started").add()
+                run = (self._run_batch_spool if self.spool is not None
+                       else self._run_batch_local)
                 try:
-                    if self.spool is not None:
-                        await self._run_batch_spool(batch, jobs)
-                    else:
-                        await self._run_batch_local(batch, jobs)
-                    self.metrics.counter("serve.batches_finished").add()
-                    self.telemetry.batch_event("completed")
-                except asyncio.CancelledError:
-                    raise
-                except Exception as error:  # keep serving other batches
-                    self.metrics.counter("serve.batches_errored").add()
-                    self.telemetry.batch_event("errored")
-                    self.log.error(
-                        "batch failed",
-                        extra={"batch_id": batch.id,
-                               "trace_id": batch.trace.trace_id,
-                               "error": f"{type(error).__name__}: "
-                                        f"{error}"})
-                    await batch.push({
-                        "event": "batch_end", "batch_id": batch.id,
-                        "trace_id": batch.trace.trace_id,
-                        "error": f"{type(error).__name__}: {error}"})
+                    await self._execute(
+                        batch, time.monotonic() - batch.admitted_monotonic,
+                        run(batch, jobs))
                 finally:
                     self._running = None
-                    self.quotas.release(batch.spec.tenant,
-                                        len(batch.spec.jobs))
+
+    async def _execute(self, batch: Batch, wait: float, body) -> None:
+        """Run ``body``, the coroutine that streams ``batch``'s job
+        events and ``batch_end``, after ``wait`` seconds in the queue
+        (0 for a batch answered at admission); then release the batch's
+        quota and list it among the finished batches."""
+        self.telemetry.observe_queue_wait(wait)
+        self.telemetry.batch_event("started")
+        batch.spans.append(batch.trace.span(
+            "queue-wait", batch.admitted_ts, wait,
+            args={"batch_id": batch.id}))
+        self.log.info(
+            "batch scheduled",
+            extra={"batch_id": batch.id,
+                   "trace_id": batch.trace.trace_id,
+                   "tenant": batch.spec.tenant,
+                   "queue_wait_seconds": round(wait, 6)})
+        self.metrics.counter("serve.batches_started").add()
+        try:
+            await body
+            self.metrics.counter("serve.batches_finished").add()
+            self.telemetry.batch_event("completed")
+        except asyncio.CancelledError:
+            raise
+        except Exception as error:  # keep serving other batches
+            self.metrics.counter("serve.batches_errored").add()
+            self.telemetry.batch_event("errored")
+            self.log.error(
+                "batch failed",
+                extra={"batch_id": batch.id,
+                       "trace_id": batch.trace.trace_id,
+                       "error": f"{type(error).__name__}: {error}"})
+            await batch.push({
+                "event": "batch_end", "batch_id": batch.id,
+                "trace_id": batch.trace.trace_id,
+                "error": f"{type(error).__name__}: {error}"})
+        finally:
+            self.quotas.release(batch.spec.tenant, len(batch.spec.jobs))
+            self._finished.append(batch.id)
+            while len(self._finished) > FINISHED_BATCHES_KEPT:
+                del self.batches[self._finished.popleft()]
 
     def _job_event(self, batch: Batch, outcome: SweepOutcome) -> Dict:
         """One streamed JSON-lines record per distinct job outcome."""
@@ -479,7 +501,10 @@ class SimServer:
             return
         batch.trace_path = str(path)
 
-    async def _push_start(self, batch: Batch, **mode) -> None:
+    async def _push_start(self, batch: Batch) -> None:
+        mode = ({"mode": "spool", "spool": str(self.spool.root)}
+                if self.spool is not None
+                else {"mode": "local", "workers": self.workers})
         await batch.push({
             "event": "batch_start", "batch_id": batch.id,
             "trace_id": batch.trace.trace_id,
@@ -487,14 +512,38 @@ class SimServer:
             "jobs": len(batch.spec.jobs),
             "distinct_jobs": batch.distinct_jobs, **mode})
 
+    def _cached_outcomes(self, jobs: List[SimJob],
+                         resume: bool) -> Optional[List[SweepOutcome]]:
+        """Each distinct job's :func:`runner.cached_outcome`, in
+        submission order, or None at the first job that must run."""
+        outcomes = []
+        for job in dict.fromkeys(jobs):
+            outcome = cached_outcome(job, self.cache, resume)
+            if outcome is None:
+                return None
+            outcomes.append(outcome)
+        return outcomes
+
+    async def _answer(self, batch: Batch,
+                      outcomes: List[SweepOutcome]) -> None:
+        """Stream a batch answered at admission: its every job was a
+        disk hit or a sticky failure record."""
+        started_at = _now_iso()
+        perf = time.perf_counter()
+        await self._push_start(batch)
+        for outcome in outcomes:
+            await batch.push(self._job_event(batch, outcome))
+        await self._finish_batch(batch, outcomes, started_at,
+                                 time.perf_counter() - perf)
+
     async def _run_batch_local(self, batch: Batch,
                                jobs: List[SimJob]) -> None:
-        """Execute one batch on this host's pool via
-        :func:`runner.run_sweep` (cache dedup included)."""
+        """Execute one batch via :func:`runner.run_sweep` (cache dedup
+        included), every miss in a forked pool worker."""
         loop = asyncio.get_running_loop()
         started_at = _now_iso()
         perf = time.perf_counter()
-        await self._push_start(batch, mode="local", workers=self.workers)
+        await self._push_start(batch)
 
         def on_outcome(outcome: SweepOutcome) -> None:
             # Runs on the executor thread; hand the event to the loop.
@@ -515,16 +564,15 @@ class SimServer:
                       "status": status, "worker_pid": worker_pid}))
 
         def sweep() -> List[SweepOutcome]:
-            # Keep only this batch's traces: the memo stays one batch
-            # big in a long-lived server, and a batch over the intervals
-            # of the one before (per-config batches) still reuses them.
-            retain_traces(job.trace_key for job in jobs)
+            # Isolated: a simulation in this process would hold the GIL
+            # against the event loop, could not be timed out, and would
+            # take the server down with it if it died.
             return run_sweep(
                 jobs, workers=self.workers, cache=self.cache,
                 timeout=self.timeout, retries=self.retries,
                 retry_backoff=self.retry_backoff,
                 resume=batch.spec.resume, on_outcome=on_outcome,
-                on_attempt=on_attempt)
+                on_attempt=on_attempt, isolate=True)
 
         outcomes = await loop.run_in_executor(None, sweep)
         await self._finish_batch(batch, outcomes, started_at,
@@ -546,8 +594,7 @@ class SimServer:
         distinct: Dict[str, Tuple[SimJob, JobSpec]] = {}
         for job, spec in zip(jobs, batch.spec.jobs):
             distinct.setdefault(job.digest, (job, spec))
-        await self._push_start(batch, mode="spool",
-                               spool=str(self.spool.root))
+        await self._push_start(batch)
         outcome_of: Dict[str, SweepOutcome] = {}
         pending: List[str] = []
         for digest, (job, spec) in distinct.items():
@@ -789,6 +836,13 @@ class SimServer:
         unique: Dict[SimJob, SimJob] = {}
         jobs = [unique.setdefault(job, job)
                 for job in (job_spec.sim_job() for job_spec in spec.jobs)]
+        # The disk reads run off the loop; a batch answered here never
+        # waits in the queue behind a simulation.
+        try:
+            answered = await asyncio.get_running_loop().run_in_executor(
+                None, self._cached_outcomes, jobs, spec.resume)
+        except Exception:  # its sweep meets the error and reports it
+            answered = None
         batch = Batch(f"b{next(self._ids):06d}", spec,
                       len({job.digest for job in jobs}), policy.priority,
                       trace=TraceContext.new(spec.trace_id))
@@ -798,9 +852,10 @@ class SimServer:
                   "jobs": len(spec.jobs)},
             span_id=batch.trace.span_id))
         self.batches[batch.id] = batch
-        heapq.heappush(self._queue,
-                       (-policy.priority, next(self._seq), batch, jobs))
-        self._wake.set()
+        if answered is None:
+            heapq.heappush(self._queue,
+                           (-policy.priority, next(self._seq), batch, jobs))
+            self._wake.set()
         self.metrics.counter("serve.batches_accepted").add()
         self.metrics.counter("serve.jobs_accepted").add(len(spec.jobs))
         self.telemetry.batch_event("admitted")
@@ -810,6 +865,8 @@ class SimServer:
                    "trace_id": batch.trace.trace_id,
                    "tenant": spec.tenant, "jobs": len(spec.jobs),
                    "priority": policy.priority})
+        if answered is not None:
+            await self._execute(batch, 0.0, self._answer(batch, answered))
         return self._respond(writer, 202, {
             "batch_id": batch.id,
             "tenant": spec.tenant,
@@ -899,7 +956,8 @@ class SimServer:
             "queue": {
                 "depth": len(self._queue),
                 "running": self._running,
-                "batches_total": len(self.batches),
+                "batches_total": self.metrics.counter(
+                    "serve.batches_accepted").value,
             },
             "cache": self.cache.counters(),
             "metrics": self.metrics.counters(),

@@ -1,7 +1,14 @@
 """Tests for simulation-as-a-service (repro.serve)."""
 
+import contextlib
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +28,11 @@ from repro.serve.quota import (
     QuotaRegistry,
     TenantPolicy,
 )
-from repro.serve.server import start_in_background
+from repro.serve.server import FINISHED_BATCHES_KEPT, start_in_background
 from repro.serve.spool import Spool, run_worker
 
 SMALL = {"measure": 600, "warmup": 1500}
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def job_spec(benchmark="hmmer", model="LITTLE", **extra):
@@ -278,26 +286,61 @@ class TestServeEndToEnd:
         manifest_path = warm_end["manifest_path"]
         assert json.load(open(manifest_path))["jobs_simulated"] == 0
 
-    def test_trace_memo_holds_only_the_latest_batchs_traces(
-            self, serve, monkeypatch):
-        # A batch reuses and keeps the traces it replays, whether
-        # memoised before it or by the batch before, and drops the rest.
-        server, client, cache = serve
+    def test_cached_batch_is_answered_while_a_cold_one_runs(
+            self, tmp_path, monkeypatch):
+        # A batch the cache answers in full never queues behind a
+        # simulation, and the server process builds no trace: every
+        # simulation runs in a forked pool worker.
+        cache = DiskCache(tmp_path / "cache")
+        warm = {"jobs": [job_spec(benchmark="lbm")]}
+        run_sweep([parse_job(job).sim_job() for job in warm["jobs"]],
+                  cache=cache)
         monkeypatch.setattr(runner, "_TRACE_MEMO", {})
-        hmmer = ("hmmer", SMALL["measure"], SMALL["warmup"], 0)
-        lbm = ("lbm",) + hmmer[1:]
-        traces = runner.interval(*hmmer)
-        end = client.run_batch({"jobs": [job_spec(),
-                                         job_spec(benchmark="lbm")]})[-1]
-        assert end["by_source"] == {"simulated": 2}
-        assert set(runner._TRACE_MEMO) == {hmmer, lbm}
-        assert runner._TRACE_MEMO[hmmer] is traces
-        lbm_traces = runner._TRACE_MEMO[lbm]
-        end = client.run_batch(
-            {"jobs": [job_spec(benchmark="lbm", model="BIG")]})[-1]
-        assert end["by_source"] == {"simulated": 1}
-        assert list(runner._TRACE_MEMO) == [lbm]
-        assert runner._TRACE_MEMO[lbm] is lbm_traces
+        set_fault_injector(FaultSpec.parse("sleep:hmmer:1.0"))
+        try:
+            server, stop = start_in_background(
+                cache=cache, workers=1, trace_dir=str(tmp_path / "traces"))
+            client = ServeClient(server.host, server.port, timeout=300)
+            try:
+                cold_id = client.submit({"jobs": [job_spec()]})["batch_id"]
+                end = client.run_batch(warm)[-1]
+                assert end["by_source"] == {"cache": 1}
+                assert client.batch(cold_id)["done"] is False
+                cold_end = list(client.stream(cold_id))[-1]
+                assert cold_end["by_source"] == {"simulated": 1}
+                assert runner._TRACE_MEMO == {}
+                again = client.run_batch(
+                    {"jobs": [job_spec(model="BIG")]})[-1]
+                assert again["by_source"] == {"simulated": 1}
+                assert runner._TRACE_MEMO == {}
+            finally:
+                stop()
+        finally:
+            set_fault_injector(None)
+        slices = [e for e in json.load(open(end["trace_path"]))[
+            "traceEvents"] if e["ph"] == "X"]
+        waits = [e for e in slices if e["name"] == "queue-wait"]
+        assert len(waits) == 1 and waits[0]["dur"] == 0
+
+    def test_finished_batches_are_bounded(self, serve):
+        # The most recent FINISHED_BATCHES_KEPT finished batches stay
+        # listed; an older id answers 404 like one never issued.
+        server, client, cache = serve
+        batch = {"jobs": [job_spec()]}
+        client.run_batch(batch)
+        ids = [client.submit(batch)["batch_id"]
+               for _ in range(FINISHED_BATCHES_KEPT + 1)]
+        assert len(server.batches) == FINISHED_BATCHES_KEPT
+        status = client.status()["queue"]
+        assert status["batches_total"] == FINISHED_BATCHES_KEPT + 2
+        for gone in (ids[0], "b000001"):
+            with pytest.raises(ServeError) as err:
+                client.batch(gone)
+            assert err.value.status == 404
+        history = list(client.stream(ids[-1]))
+        assert [e["event"] for e in history] == [
+            "batch_start", "job", "batch_end"]
+        assert history[-1]["by_source"] == {"cache": 1}
 
     def test_results_byte_identical_to_direct_sweep(self, serve,
                                                     tmp_path):
@@ -313,6 +356,17 @@ class TestServeEndToEnd:
         served = (cache.root / digest[:2] / f"{digest}.json")
         direct = (direct_cache.root / digest[:2] / f"{digest}.json")
         assert served.read_bytes() == direct.read_bytes()
+
+    def test_unreadable_failure_record_ends_its_batch_in_error(
+            self, serve):
+        # Valid JSON the failure record parser rejects: the batch still
+        # ends, with the error, and its quota is released.
+        server, client, cache = serve
+        cache.store_failure(parse_job(job_spec()).sim_job(),
+                            {"attempts": "many"})
+        end = client.run_batch({"jobs": [job_spec()], "tenant": "t"})[-1]
+        assert "ValueError" in end["error"]
+        assert client.status()["tenants"]["t"]["active_jobs"] == 0
 
     def test_streaming_replays_history_for_late_subscribers(self,
                                                             serve):
@@ -426,6 +480,78 @@ class TestServeFaults:
                 stop()
         finally:
             set_fault_injector(None)
+
+
+@contextlib.contextmanager
+def serve_process(tmp_path, *flags):
+    """A ``repro-exp serve --jobs 1`` subprocess and a client for it, so
+    that a fault which kills the server kills it and not pytest."""
+    log_path = tmp_path / "serve.log"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH", "")) if p)
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.obs.diffrun", "serve",
+             "--port", "0", "--jobs", "1",
+             "--cache-dir", str(tmp_path / "cache"), *flags],
+            stdout=log, stderr=subprocess.STDOUT,
+            stdin=subprocess.DEVNULL, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            match = re.search(r"listening on http://[^:\s]+:(\d+)",
+                              log_path.read_text())
+            if match:
+                break
+            assert proc.poll() is None and time.monotonic() < deadline, (
+                log_path.read_text())
+            time.sleep(0.05)
+        yield proc, ServeClient("127.0.0.1", int(match.group(1)),
+                                timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+
+class TestServeFaultContainment:
+    """A served job runs in a pool worker even at ``--jobs 1``."""
+
+    def test_a_dying_job_costs_only_its_worker(self, tmp_path):
+        with serve_process(tmp_path, "--inject-fault", "die:lbm") as (
+                proc, client):
+            events = client.run_batch(
+                {"jobs": [job_spec(), job_spec(benchmark="lbm")]})
+            failed = [e for e in events
+                      if e["event"] == "job" and e["status"] == "failed"]
+            assert [e["job"] for e in failed] == [
+                parse_job(job_spec(benchmark="lbm")).sim_job().describe()]
+            assert failed[0]["failure"]["cause"] == "worker-death"
+            assert events[-1]["ok"] == 1 and events[-1]["failed"] == 1
+            # The same server answers the next batch.
+            again = client.run_batch({"jobs": [job_spec(model="BIG")]})
+            assert again[-1]["by_source"] == {"simulated": 1}
+            assert client.status()["queue"]["depth"] == 0
+            assert proc.poll() is None
+
+    def test_a_wedged_job_times_out_instead_of_wedging_the_queue(
+            self, tmp_path):
+        with serve_process(tmp_path, "--inject-fault", "hang:mcf:60",
+                           "--timeout", "2") as (proc, client):
+            started = time.monotonic()
+            events = client.run_batch(
+                {"jobs": [job_spec(benchmark="mcf")]})
+            assert time.monotonic() - started < 20
+            job = next(e for e in events if e["event"] == "job")
+            assert job["status"] == "failed"
+            assert job["failure"]["cause"] == "timeout"
+            again = client.run_batch({"jobs": [job_spec()]})
+            assert again[-1]["by_source"] == {"simulated": 1}
 
 
 class TestServeSpool:

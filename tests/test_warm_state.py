@@ -156,12 +156,17 @@ class TestWarmStateKey:
         runner.simulate(other, "gcc", MEASURE, WARMUP)
         assert warmups == ["HALF"]
 
-    def test_states_live_and_die_with_the_memo_entry(self, warmups):
+    def test_states_live_and_die_with_the_memo_entry(self, warmups,
+                                                     monkeypatch):
         key = ("gcc", MEASURE, WARMUP, 0)
         runner.simulate(model_config("BIG"), *key)
         entry = runner._TRACE_MEMO[key]
         assert len(entry.warm_states) == 1
-        runner.retain_traces([])
-        assert runner._TRACE_MEMO == {}
+        # A miss on a full memo empties it first: the entry goes, and
+        # its warm states with it.
+        monkeypatch.setattr(runner, "TRACE_MEMO_LIMIT", 1)
+        other = ("mcf",) + key[1:]
+        runner.interval(*other)
+        assert list(runner._TRACE_MEMO) == [other]
         runner.simulate(model_config("HALF"), *key)
         assert warmups == ["BIG", "HALF"]
