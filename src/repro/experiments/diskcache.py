@@ -190,21 +190,31 @@ class DiskCache:
             self.failures_stored += 1
 
     def load_failure(self, job):
-        """Return ``job``'s persisted failure record dict, or None."""
+        """Return ``job``'s persisted
+        :class:`~repro.experiments.pool.JobFailure`, or None.
+
+        A record that does not parse, or parses but does not rehydrate
+        (say ``"attempts": "many"``), is dropped like a corrupt entry,
+        so the job runs again instead of failing every sweep that names
+        it.
+        """
+        from repro.experiments.pool import JobFailure
+
         path = self._failure_path(job.digest)
         try:
             with open(path) as stream:
-                record = json.load(stream)["failure"]
+                failure = JobFailure.from_dict(
+                    job, json.load(stream)["failure"])
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
         self.failures_seen += 1
-        return record
+        return failure
 
     def clear_failure(self, job) -> bool:
         """Drop ``job``'s failure record (``--resume`` retries it)."""

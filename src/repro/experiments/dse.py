@@ -981,8 +981,13 @@ def _cmd_verify(path: str) -> int:
     return 0
 
 
-def cmd(args: argparse.Namespace) -> int:
-    """Run the ``dse`` subcommand (already-parsed arguments)."""
+def cmd(args: argparse.Namespace,
+        argv: Optional[Sequence[str]] = None) -> int:
+    """Run the ``dse`` subcommand (already-parsed arguments).
+
+    ``argv`` is the argument list they were parsed from, recorded as
+    the manifest's ``command`` (default ``sys.argv[1:]``).
+    """
     from repro.experiments.diskcache import code_version
 
     if args.verify:
@@ -1068,7 +1073,7 @@ def cmd(args: argparse.Namespace) -> int:
             for run in sorted(result.final_runs,
                               key=lambda r: (r.model, r.benchmark))]
         manifest = RunManifest(
-            command=list(sys.argv[1:]),
+            command=list(sys.argv[1:] if argv is None else argv),
             experiments=["dse"],
             benchmarks=benchmarks,
             measure=args.budget,
@@ -1111,7 +1116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "declarative config space, exact Pareto frontier "
                     "over (IPC, energy/instruction, area).")
     configure_parser(parser)
-    return cmd(parser.parse_args(argv))
+    return cmd(parser.parse_args(argv), argv)
 
 
 if __name__ == "__main__":

@@ -357,13 +357,12 @@ def cached_outcome(job: SimJob, cache,
     run = cache.load(job)
     if run is not None:
         return SweepOutcome(job=job, source="cache", run=run)
-    record = cache.load_failure(job)
-    if record is None:
+    failure = cache.load_failure(job)
+    if failure is None:
         return None
     if resume:
         cache.clear_failure(job)
         return None
-    failure = JobFailure.from_dict(job, record)
     return SweepOutcome(job=job, source="quarantine", failure=failure,
                         attempts=failure.attempts,
                         wall_seconds=failure.wall_seconds,

@@ -408,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "dse":
-        return dse_module.cmd(args)
+        return dse_module.cmd(args, argv)
     if args.command == "serve":
         return serve_module.cmd(args)
     if args.command == "spool-worker":

@@ -51,6 +51,7 @@ import threading
 import time
 from typing import Deque, Dict, List, Optional, Tuple
 
+import repro
 from repro.atomicio import _HOST
 from repro.experiments.diskcache import DiskCache, code_version
 from repro.experiments.pool import JobFailure, SimJob, set_fault_injector
@@ -67,7 +68,6 @@ from repro.obs.manifest import (
     RunManifest,
     aggregate_entry,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import (
     BatchSpec,
     JobSpec,
@@ -229,7 +229,6 @@ class SimServer:
         self.spool_poll = spool_poll
         self.trace_dir = trace_dir
         self.spool_reclaim = spool_reclaim
-        self.metrics = MetricsRegistry()
         self.telemetry = ServeTelemetry()
         self.log = slog.get_logger("repro.serve")
         self.access_log = slog.get_logger("repro.serve.access")
@@ -333,15 +332,12 @@ class SimServer:
                    "trace_id": batch.trace.trace_id,
                    "tenant": batch.spec.tenant,
                    "queue_wait_seconds": round(wait, 6)})
-        self.metrics.counter("serve.batches_started").add()
         try:
             await body
-            self.metrics.counter("serve.batches_finished").add()
             self.telemetry.batch_event("completed")
         except asyncio.CancelledError:
             raise
         except Exception as error:  # keep serving other batches
-            self.metrics.counter("serve.batches_errored").add()
             self.telemetry.batch_event("errored")
             self.log.error(
                 "batch failed",
@@ -360,7 +356,6 @@ class SimServer:
 
     def _job_event(self, batch: Batch, outcome: SweepOutcome) -> Dict:
         """One streamed JSON-lines record per distinct job outcome."""
-        self.metrics.counter(f"serve.jobs_{outcome.source}").add()
         digest = outcome.job.digest
         status = "ok" if outcome.ok else "failed"
         self.telemetry.observe_job(outcome.source, status,
@@ -399,7 +394,6 @@ class SimServer:
                 wall_seconds=(outcome.wall_seconds
                               if outcome.source == "simulated" else 0.0))
         else:
-            self.metrics.counter("serve.jobs_quarantined").add()
             event["failure"] = outcome.failure.to_dict()
         return event
 
@@ -420,6 +414,7 @@ class SimServer:
             warmup=warmups.pop() if len(warmups) == 1 else 0,
             seed=seeds.pop() if len(seeds) == 1 else 0,
             code_version=code_version(),
+            repro_version=repro.__version__,
             started_at=started_at,
             finished_at=_now_iso(),
             wall_seconds=wall,
@@ -818,7 +813,6 @@ class SimServer:
         try:
             spec = parse_batch(data)
         except ProtocolError as error:
-            self.metrics.counter("serve.rejected_protocol").add()
             self.telemetry.protocol_rejected()
             self.log.warning("submission rejected",
                              extra={"reason": str(error)})
@@ -826,7 +820,6 @@ class SimServer:
         try:
             policy = self.quotas.admit(spec.tenant, len(spec.jobs))
         except QuotaExceeded as error:
-            self.metrics.counter("serve.rejected_quota").add()
             self.telemetry.quota_rejected(spec.tenant)
             self.log.warning("quota rejection",
                              extra={"tenant": spec.tenant,
@@ -856,9 +849,7 @@ class SimServer:
             heapq.heappush(self._queue,
                            (-policy.priority, next(self._seq), batch, jobs))
             self._wake.set()
-        self.metrics.counter("serve.batches_accepted").add()
-        self.metrics.counter("serve.jobs_accepted").add(len(spec.jobs))
-        self.telemetry.batch_event("admitted")
+        self.telemetry.batch_event("admitted", len(spec.jobs))
         self.log.info(
             "batch admitted",
             extra={"batch_id": batch.id,
@@ -936,6 +927,7 @@ class SimServer:
     def status(self) -> Dict:
         """The ``/v1/status`` payload: every counter the ops story
         needs, straight from the existing registries."""
+        metrics = self.telemetry.counters()
         spool_status = None
         if self.spool is not None:
             spool_status = self.spool.depth()
@@ -956,11 +948,10 @@ class SimServer:
             "queue": {
                 "depth": len(self._queue),
                 "running": self._running,
-                "batches_total": self.metrics.counter(
-                    "serve.batches_accepted").value,
+                "batches_total": metrics["serve.batches_accepted"],
             },
             "cache": self.cache.counters(),
-            "metrics": self.metrics.counters(),
+            "metrics": metrics,
             "tenants": self.quotas.snapshot(),
             "spool": spool_status,
         }

@@ -348,6 +348,16 @@ _GAUGE_HELP = {
 }
 
 
+#: The plain ``/v1/status`` counter each batch lifecycle event bumps
+#: along with its ``repro_batches_total`` child.
+_BATCH_STATUS_COUNTERS = {
+    "admitted": "serve.batches_accepted",
+    "started": "serve.batches_started",
+    "completed": "serve.batches_finished",
+    "errored": "serve.batches_errored",
+}
+
+
 def normalize_route(path: str) -> str:
     """Collapse a request path to its route template so batch ids do
     not explode the label cardinality."""
@@ -366,7 +376,10 @@ class ServeTelemetry:
 
     Every observation method and :meth:`render` serialise on the same
     lock, so a ``/v1/metrics`` scrape sees an atomic snapshot — no
-    torn histogram where ``_count`` moved but a bucket did not.
+    torn histogram where ``_count`` moved but a bucket did not.  An
+    observation also bumps the plain dot-named ``serve.*`` counter that
+    ``/v1/status`` reports (:meth:`counters`), so the two views count
+    each event once, together.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -418,6 +431,8 @@ class ServeTelemetry:
         self.build_info = reg.gauge_family(
             "repro_build_info", ("code_version", "host"),
             "Constant 1; labels carry build/host identity")
+        # ``/v1/status`` reports the admitted-batch count even at 0.
+        reg.counter("serve.batches_accepted")
 
     # -- observation sites (all locked) --------------------------------
 
@@ -439,28 +454,43 @@ class ServeTelemetry:
             self.jobs.labels(source=source, status=status).add()
             self.sim_seconds.labels(source=source).observe(
                 max(0.0, seconds))
+            self.registry.counter(f"serve.jobs_{source}").add()
+            if status != "ok":
+                self.registry.counter("serve.jobs_quarantined").add()
 
     def observe_attempt(self, status: str) -> None:
         with self._lock:
             self.attempts.labels(status=status).add()
 
-    def batch_event(self, event: str) -> None:
+    def batch_event(self, event: str, jobs: int = 0) -> None:
+        """Count one batch lifecycle event; an ``admitted`` batch also
+        counts its ``jobs``."""
         with self._lock:
             self.batches.labels(event=event).add()
+            self.registry.counter(_BATCH_STATUS_COUNTERS[event]).add()
+            if event == "admitted":
+                self.registry.counter("serve.jobs_accepted").add(jobs)
 
     def quota_rejected(self, tenant: str) -> None:
         with self._lock:
             self.quota_rejections.labels(tenant=tenant).add()
+            self.registry.counter("serve.rejected_quota").add()
 
     def protocol_rejected(self) -> None:
         with self._lock:
             self.protocol_rejections.labels().add()
+            self.registry.counter("serve.rejected_protocol").add()
 
     def set_gauge(self, name: str, value: float) -> None:
         with self._lock:
             self.registry.gauge(name).set(value)
 
     # -- scrape --------------------------------------------------------
+
+    def counters(self) -> Dict[str, int]:
+        """The plain ``serve.*`` counters, for ``/v1/status``."""
+        with self._lock:
+            return self.registry.counters()
 
     def render(self, collect: Optional[Callable[[], None]] = None) -> str:
         """The exposition text; ``collect`` (if given) runs under the

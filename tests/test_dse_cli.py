@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+import repro
 from repro.experiments import dse, runner
 from repro.experiments.cli import main as experiments_main
 from repro.obs.diffrun import main as repro_exp_main
@@ -211,6 +212,15 @@ class TestArtifacts:
         spans = [e for e in trace["traceEvents"]
                  if e.get("ph") == "X"]
         assert any("rung" in e["name"] for e in spans)
+
+    def test_manifest_records_the_parsed_arguments(self, tmp_path):
+        manifest = tmp_path / "run.manifest.json"
+        argv = SWEEP + ["--no-cache", "--out", str(tmp_path / "f.json"),
+                        "--manifest", str(manifest)]
+        assert _run(argv) == 0
+        recorded = json.loads(manifest.read_text())
+        assert recorded["command"] == ["dse"] + argv
+        assert recorded["repro_version"] == repro.__version__
 
     def test_manifest_self_diff_is_clean(self, tmp_path):
         manifest = tmp_path / "run.manifest.json"

@@ -35,6 +35,7 @@ class TestAreaModel:
         big = AreaModel(model_config("BIG")).total()
         halffx = AreaModel(model_config("HALF+FX")).total()
         assert 1.01 < halffx / big < 1.05
+        assert abs(halffx / big - 1.0 - 0.027) < 0.01
 
     def test_iq_area_scales_with_capacity_and_width(self):
         big = AreaModel(model_config("BIG")).breakdown()

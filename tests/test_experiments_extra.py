@@ -29,6 +29,11 @@ class TestRelatedWork:
         assert (results["CA/roundrobin"]["xforwards"]
                 > results["CA/dependence"]["xforwards"])
 
+    def test_fxa_spends_less_than_clustering(self, results):
+        """Paper VII-A: FXA beats the clustered core on energy."""
+        assert (results["HALF+FX"]["energy"]
+                < results["CA/dependence"]["energy"])
+
     def test_format(self, results):
         text = related_work.format_table(results)
         assert "Related work" in text and "CA/dependence" in text
@@ -47,6 +52,14 @@ class TestReno:
     def test_reno_never_hurts_energy(self, results):
         assert (results["BIG+RENO"]["energy"]
                 <= results["BIG"]["energy"] + 0.005)
+
+    def test_reno_composes_with_fxa(self, results):
+        """Paper VII-C: RENO on FXA is at least as good as FXA alone on
+        both axes."""
+        assert (results["HALF+FX+RENO"]["ipc"]
+                >= results["HALF+FX"]["ipc"] - 0.01)
+        assert (results["HALF+FX+RENO"]["energy"]
+                <= results["HALF+FX"]["energy"] + 0.005)
 
     def test_format(self, results):
         text = reno.format_table(results)

@@ -113,6 +113,17 @@ def test_soplex_replays_a_violation(golden, model):
     assert payload["squashed"] > 0
 
 
+@pytest.mark.parametrize("bench", VARIANT_BENCHMARKS)
+def test_ixu_memory_ops_raise_the_executed_rate(golden, bench):
+    """Without IXU memory ops (paper Section II-D3) the IXU executes a
+    smaller share and no store skips its violation search."""
+    base = golden[f"HALF+FX/{bench}"]
+    no_mem = golden[f"HALF+FX[no-mem]/{bench}"]
+    assert (base["ixu_executed"] / base["committed"]
+            > no_mem["ixu_executed"] / no_mem["committed"])
+    assert no_mem["events"]["lsq_omitted_searches"] == 0
+
+
 @pytest.mark.parametrize("fastforward", ("on", "off"))
 @pytest.mark.parametrize("label", list(CASES))
 def test_stats_match_golden(golden, monkeypatch, label, fastforward):

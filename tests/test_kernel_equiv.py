@@ -14,6 +14,10 @@ construction) and compare full ``to_dict()`` payloads:
 * through the parallel sweep pool (``--jobs 1`` vs ``2``),
 * under a ``max_cycles`` clamp landing mid-run (the jump must stop on
   exactly the clamp cycle, like the serial loop).
+
+:class:`TestFastForwardFloor` checks that the kernel still skips most of
+a memory-bound run's cycles, so it fails when run with the escape hatch
+set.
 """
 
 import pytest
@@ -23,6 +27,7 @@ from repro.core.kernel import fastforward_enabled
 from repro.obs import Observability, TimelineCollector
 from repro.experiments.runner import (
     clear_cache,
+    interval,
     prefetch,
     run_benchmark,
     set_jobs,
@@ -63,6 +68,7 @@ class TestGoldenConfigEquivalence:
         monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
         serial = _payload(config, bench, **SMALL)
         assert fast == serial
+        assert fast["stats"]["committed"] == SMALL["measure"]
 
     @pytest.mark.parametrize("model", MODELS)
     def test_fastforward_actually_skips(self, monkeypatch, model):
@@ -75,6 +81,33 @@ class TestGoldenConfigEquivalence:
         assert core._ff_skipped > 0, (
             f"{model}: every one of {stats.cycles} cycles was ticked "
             f"serially; the fast-forward kernel never engaged")
+
+
+#: Least share of its cycles each family's kernel skips on mcf, 12,000
+#: measured instructions after 4,000 of warm-up.  Measured: LITTLE
+#: 0.959, BIG 0.824, HALF+FX 0.816, CA 0.815.  The in-order core jumps
+#: whole miss shadows; the out-of-order cores keep ticking while
+#: misses drain, so their floors are lower.
+FASTFORWARD_FLOORS = {"LITTLE": 0.90, "BIG": 0.75, "HALF+FX": 0.75,
+                      "CA": 0.75}
+
+
+class TestFastForwardFloor:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_kernel_skips_most_cycles_of_a_memory_bound_run(self, model):
+        """A cycle count, not a timing: the kernel's skipped share of
+        the run.  The environment is read as is, so this fails with
+        ``REPRO_NO_FASTFORWARD=1`` set."""
+        entry = interval("mcf", 12_000, 4_000)
+        core = build_core(model_config(model))
+        entry.warm_up(core)
+        stats = core.run(entry.trace)
+        assert stats.committed == 12_000
+        share = core._ff_skipped / stats.cycles
+        assert share >= FASTFORWARD_FLOORS[model], (
+            f"{model}/mcf: the kernel skipped {share:.3f} of "
+            f"{stats.cycles} cycles (floor "
+            f"{FASTFORWARD_FLOORS[model]})")
 
 
 class TestFuzzedConfigEquivalence:

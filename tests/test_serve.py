@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import model_config
 from repro.experiments import runner
 from repro.experiments.diskcache import DiskCache, fingerprint
@@ -239,6 +240,22 @@ class TestRunSweep:
                   on_outcome=lambda o: seen.append(o))
         assert len(seen) == 2
 
+    @pytest.mark.parametrize("record", [
+        {"attempts": "many"}, {"wall_seconds": None}, ["attempts"]])
+    def test_failure_record_that_does_not_rehydrate_is_dropped(
+            self, tmp_path, record):
+        # Valid JSON of the wrong shape is treated like a record that
+        # does not parse: dropped, not counted as seen, and the job
+        # runs.
+        cache = DiskCache(tmp_path)
+        job = self._jobs()[0]
+        cache.store_failure(job, record)
+        [outcome] = run_sweep([job], cache=cache)
+        assert outcome.ok and outcome.source == "simulated"
+        assert cache.counters()["failures_seen"] == 0
+        assert cache.load_failure(job) is None
+        assert list(tmp_path.rglob("*.fail.json")) == []
+
 
 @pytest.fixture()
 def serve(tmp_path):
@@ -357,16 +374,28 @@ class TestServeEndToEnd:
         direct = (direct_cache.root / digest[:2] / f"{digest}.json")
         assert served.read_bytes() == direct.read_bytes()
 
-    def test_unreadable_failure_record_ends_its_batch_in_error(
+    def test_unreadable_failure_record_is_dropped_and_job_runs(
             self, serve):
-        # Valid JSON the failure record parser rejects: the batch still
-        # ends, with the error, and its quota is released.
+        # Valid JSON that does not rehydrate into a failure record is
+        # dropped like a torn one: the job simulates, the batch ends
+        # without an error, and its quota is released.
         server, client, cache = serve
         cache.store_failure(parse_job(job_spec()).sim_job(),
                             {"attempts": "many"})
         end = client.run_batch({"jobs": [job_spec()], "tenant": "t"})[-1]
-        assert "ValueError" in end["error"]
+        assert "error" not in end
+        assert end["by_source"] == {"simulated": 1}
+        assert end["ok"] == 1 and end["failed"] == 0
+        assert end["manifest"]["cache"]["failures_seen"] == 0
         assert client.status()["tenants"]["t"]["active_jobs"] == 0
+
+    def test_batch_manifest_records_the_repro_version(self, serve):
+        server, client, cache = serve
+        end = client.run_batch({"jobs": [job_spec()]})[-1]
+        assert end["manifest"]["repro_version"] == repro.__version__
+        with open(end["manifest_path"]) as stream:
+            written = json.load(stream)
+        assert written["repro_version"] == repro.__version__
 
     def test_streaming_replays_history_for_late_subscribers(self,
                                                             serve):

@@ -23,7 +23,7 @@ import pytest
 from repro.experiments.diskcache import DiskCache
 from repro.experiments.pool import FaultSpec, set_fault_injector
 from repro.obs import slog
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import ProtocolError, parse_batch, parse_job
 from repro.serve.server import start_in_background
 from repro.serve.spool import Spool, execute_claim
@@ -436,6 +436,28 @@ class TestMetricsEndpoint:
             assert first == b"HTTP/1.1 400 Bad Request"
         finally:
             raw.close()
+
+    def test_each_protocol_rejection_counts_once_in_both_views(
+            self, serve):
+        # A body that is not JSON and a batch naming an unknown
+        # benchmark are both protocol rejections, in /v1/metrics and
+        # in /v1/status alike.
+        server, client, cache = serve
+        connection = http.client.HTTPConnection(server.host,
+                                               server.port, timeout=30)
+        try:
+            connection.request("POST", "/v1/batches", body=b"{not json")
+            response = connection.getresponse()
+            assert response.status == 400
+            response.read()
+        finally:
+            connection.close()
+        with pytest.raises(ServeError) as err:
+            client.submit({"jobs": [{"benchmark": "quake3"}]})
+        assert err.value.status == 400
+        assert sample_value(client.metrics(),
+                            "repro_protocol_rejections_total") == 2.0
+        assert client.status()["metrics"]["serve.rejected_protocol"] == 2
 
     def test_malformed_requests_show_up_in_metrics(self, serve):
         server, client, cache = serve

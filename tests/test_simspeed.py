@@ -1,5 +1,5 @@
 """Unit tests for the simspeed telemetry/guard module (no timing —
-the measured numbers live in benchmarks/ and the CI guard)."""
+the measured numbers live in the CI ``simspeed-guard`` job)."""
 
 import io
 import json
