@@ -393,13 +393,11 @@ def _json_default(obj):
     return str(obj)
 
 
-def _run_validation(parser, args) -> int:
+def _run_validation(args) -> int:
     """Handle ``--validate`` and ``--fuzz N`` (exit-code style)."""
     from repro.validate import validate_all
     from repro.validate.fuzz import fuzz, render_failures
 
-    if args.fuzz is not None and args.fuzz < 1:
-        parser.error("--fuzz must be >= 1")
     failed = False
     report_payload = {}
     if args.validate:
@@ -445,14 +443,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=names + ["all"])
     parser.add_argument(
         "--benchmarks", nargs="*", default=None,
+        choices=ALL_BENCHMARKS, metavar="BENCHMARK",
         help="Benchmark subset (default: all 29).",
     )
     parser.add_argument(
-        "--measure", type=int, default=8000,
+        "--measure", type=sweepflags.int_at_least(1), default=8000,
         help="Measured instructions per run (default 8000).",
     )
     parser.add_argument(
-        "--warmup", type=int, default=30000,
+        "--warmup", type=sweepflags.int_at_least(0), default=30000,
         help="Functional warm-up instructions (default 30000).",
     )
     sweepflags.add_sweep_args(parser)
@@ -520,12 +519,14 @@ def main(argv: Optional[List[str]] = None) -> int:
              "sparklines + detected phases).",
     )
     parser.add_argument(
-        "--interval", type=int, default=DEFAULT_INTERVAL, metavar="N",
+        "--interval", type=sweepflags.int_at_least(1),
+        default=DEFAULT_INTERVAL, metavar="N",
         help="Committed instructions per timeline sample "
              f"(default {DEFAULT_INTERVAL}).",
     )
     parser.add_argument(
-        "--timeline-benchmark", default=None,
+        "--timeline-benchmark", default=None, choices=ALL_BENCHMARKS,
+        metavar="BENCHMARK",
         help="Benchmark the timeline pass simulates (default: first "
              "--benchmarks entry, else hmmer).",
     )
@@ -536,7 +537,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "--diff-threshold.",
     )
     parser.add_argument(
-        "--diff-threshold", type=float, default=None, metavar="FRAC",
+        "--diff-threshold", type=sweepflags.float_at_least(
+            0.0, exclusive=True), default=None, metavar="FRAC",
         help="Relative IPC/energy regression tolerance for --baseline "
              "(default 0.02 = 2%%).",
     )
@@ -552,7 +554,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "in .gz).",
     )
     parser.add_argument(
-        "--pipeview-window", type=int, default=2000, metavar="N",
+        "--pipeview-window", type=sweepflags.int_at_least(1),
+        default=2000, metavar="N",
         help="Record at most N instructions in the pipeline trace "
              "(default 2000).",
     )
@@ -561,7 +564,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="Model the pipeline trace simulates (default HALF+FX).",
     )
     parser.add_argument(
-        "--pipeview-benchmark", default=None,
+        "--pipeview-benchmark", default=None, choices=ALL_BENCHMARKS,
+        metavar="BENCHMARK",
         help="Benchmark for the pipeline trace (default: first "
              "--benchmarks entry, else hmmer).",
     )
@@ -576,7 +580,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="Model the profiled simulation runs (default HALF+FX).",
     )
     parser.add_argument(
-        "--profile-benchmark", default=None,
+        "--profile-benchmark", default=None, choices=ALL_BENCHMARKS,
+        metavar="BENCHMARK",
         help="Benchmark for the profiled simulation (default: first "
              "--benchmarks entry, else hmmer).",
     )
@@ -591,7 +596,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "subset (--benchmarks; default hmmer/mcf/lbm) and exit.",
     )
     parser.add_argument(
-        "--fuzz", type=int, default=None, metavar="N",
+        "--fuzz", type=sweepflags.int_at_least(1), default=None,
+        metavar="N",
         help="Run N seeded config/workload fuzz cases through the "
              "validation harness and exit (see repro.validate.fuzz).",
     )
@@ -608,39 +614,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     slog.add_logging_args(parser)
     args = parser.parse_args(argv)
     slog.configure_from_args(args)
-    if args.measure < 1:
-        parser.error("--measure must be >= 1")
-    if args.warmup < 0:
-        parser.error("--warmup must be >= 0")
     if args.validate or args.fuzz is not None:
-        return _run_validation(parser, args)
+        return _run_validation(args)
     if args.experiment is None:
         parser.error("an experiment name is required "
                      "(or --validate / --fuzz N)")
-    if args.benchmarks:
-        unknown = set(args.benchmarks) - set(ALL_BENCHMARKS)
-        if unknown:
-            parser.error(f"unknown benchmarks: {sorted(unknown)}")
     if args.resume and args.no_cache:
         parser.error("--resume needs the disk cache; drop --no-cache")
-    if (args.pipeview_benchmark
-            and args.pipeview_benchmark not in ALL_BENCHMARKS):
-        parser.error(
-            f"unknown --pipeview-benchmark: {args.pipeview_benchmark}")
-    if args.pipeview_window < 1:
-        parser.error("--pipeview-window must be >= 1")
-    if args.interval < 1:
-        parser.error("--interval must be >= 1")
-    if (args.timeline_benchmark
-            and args.timeline_benchmark not in ALL_BENCHMARKS):
-        parser.error(
-            f"unknown --timeline-benchmark: {args.timeline_benchmark}")
-    if (args.profile_benchmark
-            and args.profile_benchmark not in ALL_BENCHMARKS):
-        parser.error(
-            f"unknown --profile-benchmark: {args.profile_benchmark}")
-    if args.diff_threshold is not None and args.diff_threshold <= 0:
-        parser.error("--diff-threshold must be positive")
     baseline_manifest = None
     if args.baseline:
         try:
@@ -676,7 +656,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         })
 
     with sweepflags.applied(args) as settings:
-        fault_policy = runner.get_fault_policy()
         try:
             for name in todo:
                 started = time.time()
@@ -808,7 +787,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers=args.jobs,
         jobs_simulated=sum(1 for r in job_records if r.ok),
         jobs_failed=sum(1 for r in job_records if not r.ok),
-        fault_policy=fault_policy,
+        fault_policy=settings.fault_policy,
         job_records=[JobRecord.from_pool(r) for r in job_records],
         cache=cache_counts,
         outputs=outputs,

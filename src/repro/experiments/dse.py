@@ -1018,7 +1018,6 @@ def cmd(args: argparse.Namespace,
     started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     started_clock = time.time()
     with applied(args) as settings:
-        fault_policy = runner.get_fault_policy()
         result = explore(
             space, samples=args.samples, budget=args.budget,
             rungs=args.rungs, eta=args.eta, benchmarks=benchmarks,
@@ -1087,7 +1086,7 @@ def cmd(args: argparse.Namespace,
             workers=args.jobs,
             jobs_simulated=sum(1 for r in job_records if r.ok),
             jobs_failed=sum(1 for r in job_records if not r.ok),
-            fault_policy=fault_policy,
+            fault_policy=settings.fault_policy,
             job_records=[JobRecord.from_pool(r) for r in job_records],
             cache=cache_counts,
             outputs={"frontier": args.out},

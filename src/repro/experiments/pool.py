@@ -125,7 +125,12 @@ class SimJob:
 
 @dataclass
 class JobResult:
-    """One finished job plus its execution accounting."""
+    """One finished job plus its execution accounting.
+
+    ``source`` says what answered the job: ``"simulated"`` (a sweep ran
+    it) or ``"cache"`` (a disk-cache hit, built with ``attempts=0`` and
+    ``worker_pid=0``: nothing ran).
+    """
 
     job: SimJob
     run: object                  # BenchmarkRun (import cycle avoided)
@@ -133,6 +138,7 @@ class JobResult:
     worker_pid: int = field(default_factory=os.getpid)
     attempts: int = 1
     started_ts: float = 0.0      # host wall clock (time.time) at start
+    source: str = "simulated"
 
     @property
     def ok(self) -> bool:
@@ -147,7 +153,10 @@ class JobFailure:
     ``"timeout"`` (the job exceeded the per-job execution deadline) or
     ``"worker-death"`` (the worker process exited without reporting a
     result — OOM kill, segfault, ``os._exit``).  ``attempts`` counts
-    every try, including retries.
+    every try, including retries.  ``source`` is ``"simulated"`` for a
+    failure a sweep ran into and ``"quarantine"`` for a persisted record
+    that answered the job without running it; :meth:`to_dict` leaves it
+    out, so persisted records keep their keys.
     """
 
     job: SimJob
@@ -157,6 +166,7 @@ class JobFailure:
     attempts: int = 1
     wall_seconds: float = 0.0
     worker_pid: int = 0
+    source: str = "simulated"
 
     @property
     def ok(self) -> bool:
@@ -170,7 +180,8 @@ class JobFailure:
         return text
 
     def to_dict(self) -> Dict:
-        """Scalar fields only (the job is recorded as its description)."""
+        """Scalar fields but ``source`` (the job is recorded as its
+        description)."""
         return {
             "job": self.job.describe(),
             "cause": self.cause,

@@ -45,7 +45,7 @@ import dataclasses
 import math
 import pickle
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core import CoreConfig, CoreStats, build_core
 from repro.core.warmup import functional_warmup
@@ -111,15 +111,15 @@ class BenchmarkRun:
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """How :func:`prefetch` sweeps run.
+    """A sweep's policy: how :func:`prefetch` and the job server run.
 
     The fields are the :func:`run_sweep` keywords of the same names:
     ``workers`` processes, the persistent ``cache`` (a
     :class:`~repro.experiments.diskcache.DiskCache`, None = disabled)
-    and the fault policy (see :func:`set_fault_policy`).
-    :func:`set_jobs`, :func:`set_disk_cache` and :func:`set_fault_policy`
-    replace fields of the active record; :func:`configured` swaps in a
-    whole record for a block.
+    and the fault policy (see :func:`set_fault_policy`); a value out of
+    bounds raises ValueError.  :func:`set_jobs`, :func:`set_disk_cache`
+    and :func:`set_fault_policy` replace fields of the active record;
+    :func:`configured` swaps in a whole record for a block.
     """
 
     workers: int = 1
@@ -129,6 +129,23 @@ class SweepSettings:
     retry_backoff: float = 0.25
     resume: bool = False
     fail_fast: bool = False
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError("timeout must be positive (or None)")
+
+    @property
+    def fault_policy(self) -> Dict:
+        """The fault-policy fields as a plain dict, as run manifests
+        record them."""
+        return {name: getattr(self, name) for name in
+                ("retries", "retry_backoff", "fail_fast", "timeout", "resume")}
 
 
 class Interval:
@@ -319,54 +336,30 @@ def run_benchmark(
     return run
 
 
-@dataclass
-class SweepOutcome:
-    """One job's answer from :func:`run_sweep`, whatever served it.
-
-    ``source`` records where the answer came from: ``"cache"`` (disk
-    hit, zero simulation), ``"quarantine"`` (a sticky failure record
-    from an earlier sweep; the job was not re-crashed), or
-    ``"simulated"`` (the pool ran it — ``failure`` is set if it
-    exhausted its retry budget this time).
-    """
-
-    job: SimJob
-    source: str                       # "cache" | "quarantine" | "simulated"
-    run: Optional[BenchmarkRun] = None
-    failure: Optional[JobFailure] = None
-    wall_seconds: float = 0.0
-    attempts: int = 0
-    worker_pid: int = 0
-    started_ts: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.run is not None
-
-
 def cached_outcome(job: SimJob, cache,
-                   resume: bool) -> Optional[SweepOutcome]:
+                   resume: bool) -> Optional[Union[JobResult, JobFailure]]:
     """Answer ``job`` without simulating it, or None when it must run.
 
     The one cache/quarantine step of every sweep, shared by
-    :func:`run_sweep` and the job server's spool mode: a hit in the disk
-    ``cache`` is a ``"cache"`` outcome; else a persisted failure record
-    is a ``"quarantine"`` outcome, unless ``resume``, which clears the
-    record so the job runs again.
+    :func:`run_sweep` and the job server: a hit in the disk ``cache`` is
+    a ``"cache"`` :class:`~repro.experiments.pool.JobResult`; else a
+    persisted failure record is its
+    :class:`~repro.experiments.pool.JobFailure`, as a ``"quarantine"``
+    answer, unless ``resume``, which clears the record so the job runs
+    again.
     """
     run = cache.load(job)
     if run is not None:
-        return SweepOutcome(job=job, source="cache", run=run)
+        return JobResult(job=job, run=run, source="cache", attempts=0,
+                         worker_pid=0)
     failure = cache.load_failure(job)
     if failure is None:
         return None
     if resume:
         cache.clear_failure(job)
         return None
-    return SweepOutcome(job=job, source="quarantine", failure=failure,
-                        attempts=failure.attempts,
-                        wall_seconds=failure.wall_seconds,
-                        worker_pid=failure.worker_pid)
+    failure.source = "quarantine"
+    return failure
 
 
 def run_sweep(
@@ -381,7 +374,7 @@ def run_sweep(
     on_outcome=None,
     on_attempt=None,
     isolate: bool = False,
-) -> List[SweepOutcome]:
+) -> List[Union[JobResult, JobFailure]]:
     """Serve a job list end to end: cache dedup, quarantine, pool.
 
     The sweep engine: :func:`prefetch` runs the experiment modules'
@@ -406,15 +399,19 @@ def run_sweep(
     so the serving layer can record one trace span per execution
     attempt, retries included; so is ``isolate``, with which the job
     server keeps every simulation out of its own process.  Returns one
-    :class:`SweepOutcome` per input job in submission order; duplicate
-    (equal) jobs share a single execution and outcome.
+    answer per input job in submission order, the pool's or
+    :func:`cached_outcome`'s :class:`~repro.experiments.pool.JobResult`
+    or :class:`~repro.experiments.pool.JobFailure` as it is, its
+    ``source`` telling which; duplicate (equal) jobs share a single
+    execution and record.
     """
     jobs = list(jobs)
-    outcomes: List[Optional[SweepOutcome]] = [None] * len(jobs)
+    outcomes: List[Optional[Union[JobResult, JobFailure]]] = (
+        [None] * len(jobs))
     indices: Dict[SimJob, List[int]] = {}
     misses: List[SimJob] = []
 
-    def _emit(job: SimJob, outcome: SweepOutcome) -> None:
+    def _emit(job: SimJob, outcome: Union[JobResult, JobFailure]) -> None:
         for index in indices[job]:
             outcomes[index] = outcome
         if on_outcome is not None:
@@ -432,19 +429,15 @@ def run_sweep(
     if not misses:
         return outcomes  # type: ignore[return-value]
 
-    def _landed(result) -> None:
+    def _landed(result: JobResult) -> None:
         # Completion-order incremental persistence + streaming: an
         # interrupted sweep loses nothing.  In pool mode the JobResult
         # crossed a process boundary, so its job is an equal (not
         # identical) copy, digest included — which still finds its
         # slots in ``indices``.
-        job = result.job
         if cache is not None:
-            cache.store(job, result.run)
-        _emit(job, SweepOutcome(
-            job=job, source="simulated", run=result.run,
-            wall_seconds=result.wall_seconds, attempts=result.attempts,
-            worker_pid=result.worker_pid, started_ts=result.started_ts))
+            cache.store(result.job, result.run)
+        _emit(result.job, result)
 
     pool_outcomes = run_jobs(misses, workers=workers, timeout=timeout,
                              retries=retries,
@@ -455,11 +448,7 @@ def run_sweep(
         if isinstance(outcome, JobFailure):
             if cache is not None:
                 cache.store_failure(job, outcome.to_dict())
-            _emit(job, SweepOutcome(
-                job=job, source="simulated", failure=outcome,
-                attempts=outcome.attempts,
-                wall_seconds=outcome.wall_seconds,
-                worker_pid=outcome.worker_pid))
+            _emit(job, outcome)
     return outcomes  # type: ignore[return-value]
 
 
@@ -518,14 +507,10 @@ def prefetch(
         if outcome.ok:
             _CACHE[job] = outcome.run
         else:
-            _FAILED[job] = outcome.failure
+            _FAILED[job] = outcome
         if outcome.source == "simulated":
             simulated += 1
-            _JOB_RECORDS.append(outcome.failure or JobResult(
-                job=outcome.job, run=outcome.run,
-                wall_seconds=outcome.wall_seconds,
-                worker_pid=outcome.worker_pid, attempts=outcome.attempts,
-                started_ts=outcome.started_ts))
+            _JOB_RECORDS.append(outcome)
     return simulated
 
 
@@ -605,31 +590,18 @@ def set_fault_policy(
         resume: Retry jobs previously quarantined (clearing their
             persisted failure records) instead of skipping them.
 
-    Calling with no arguments restores the defaults.
+    Calling with no arguments restores the defaults; a value out of
+    bounds raises ValueError (see :class:`SweepSettings`).
     """
     global _SETTINGS
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if retry_backoff < 0:
-        raise ValueError("retry_backoff must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive (or None)")
     _SETTINGS = dataclasses.replace(
         _SETTINGS, retries=retries, retry_backoff=retry_backoff,
         fail_fast=fail_fast, timeout=timeout, resume=resume)
 
 
-def get_fault_policy() -> Dict:
-    """The active :func:`set_fault_policy` settings as a plain dict."""
-    return {name: getattr(_SETTINGS, name) for name in
-            ("retries", "retry_backoff", "fail_fast", "timeout", "resume")}
-
-
 def set_jobs(jobs: int) -> None:
     """Set the worker-process count :func:`prefetch` fans out over."""
     global _SETTINGS
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     _SETTINGS = dataclasses.replace(_SETTINGS, workers=jobs)
 
 

@@ -68,8 +68,10 @@ class JobRecord:
 
     @classmethod
     def from_pool(cls, record) -> "JobRecord":
-        """From a pool record: a ``JobResult``, a ``JobFailure``, or
-        anything with their surface (a successful ``SweepOutcome``)."""
+        """From a sweep's answer to a job, a pool ``JobResult`` or
+        ``JobFailure`` as :func:`~repro.experiments.runner.run_sweep`
+        returns it; a result has no ``cause`` or ``error``, a failure
+        no ``started_ts``."""
         return cls(job=record.job.describe(),
                    wall_seconds=record.wall_seconds,
                    worker_pid=record.worker_pid,

@@ -92,9 +92,13 @@ class TraceEventWriter:
         self.events.append(event)
 
     def add_job_spans(self, records, origin: float) -> None:
-        """One host span per sweep job record that carries a start time
-        (pool ``JobResult``/``JobFailure`` records); ``origin`` is the
-        run's start, host wall-clock epoch seconds."""
+        """One host span per sweep job record that carries a start time.
+
+        ``records`` are pool ``JobResult``/``JobFailure`` records as
+        :func:`~repro.experiments.runner.pop_job_records` returns them:
+        a ``JobResult`` carries ``started_ts``, a ``JobFailure`` does
+        not and gets no span.  ``origin`` is the run's start, host
+        wall-clock epoch seconds."""
         for record in records:
             began = getattr(record, "started_ts", 0.0)
             if began:

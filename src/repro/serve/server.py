@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import dataclasses
 import datetime
 import heapq
 import http.client
@@ -49,15 +50,20 @@ import json
 import os
 import threading
 import time
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import repro
 from repro.atomicio import _HOST
 from repro.experiments.diskcache import DiskCache, code_version
-from repro.experiments.pool import JobFailure, SimJob, set_fault_injector
+from repro.experiments.pool import (
+    JobFailure,
+    JobResult,
+    SimJob,
+    set_fault_injector,
+)
 from repro.experiments.runner import (
     BenchmarkRun,
-    SweepOutcome,
+    SweepSettings,
     cached_outcome,
     run_sweep,
 )
@@ -217,10 +223,11 @@ class SimServer:
                  trace_dir=None,
                  spool_reclaim: Optional[float] = None):
         self.cache = cache if cache is not None else DiskCache()
-        self.workers = workers
-        self.timeout = timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
+        #: Every batch's sweep policy but ``resume``, which its spec
+        #: sets; see :meth:`_settings_for`.
+        self.settings = SweepSettings(
+            workers=workers, cache=self.cache, timeout=timeout,
+            retries=retries, retry_backoff=retry_backoff)
         self.quotas = quotas or QuotaRegistry()
         self.spool = spool
         self.manifest_dir = manifest_dir
@@ -354,8 +361,13 @@ class SimServer:
             while len(self._finished) > FINISHED_BATCHES_KEPT:
                 del self.batches[self._finished.popleft()]
 
-    def _job_event(self, batch: Batch, outcome: SweepOutcome) -> Dict:
-        """One streamed JSON-lines record per distinct job outcome."""
+    def _settings_for(self, batch: Batch) -> SweepSettings:
+        """The server's settings under ``batch``'s ``resume`` flag."""
+        return dataclasses.replace(self.settings, resume=batch.spec.resume)
+
+    def _job_event(self, batch: Batch,
+                   outcome: Union[JobResult, JobFailure]) -> Dict:
+        """One streamed JSON-lines record per distinct job answer."""
         digest = outcome.job.digest
         status = "ok" if outcome.ok else "failed"
         self.telemetry.observe_job(outcome.source, status,
@@ -394,7 +406,7 @@ class SimServer:
                 wall_seconds=(outcome.wall_seconds
                               if outcome.source == "simulated" else 0.0))
         else:
-            event["failure"] = outcome.failure.to_dict()
+            event["failure"] = outcome.to_dict()
         return event
 
     def _manifest_for(self, batch: Batch, records: List[JobRecord],
@@ -418,24 +430,20 @@ class SimServer:
             started_at=started_at,
             finished_at=_now_iso(),
             wall_seconds=wall,
-            workers=self.workers,
+            workers=self.settings.workers,
             jobs_simulated=len(records),
             jobs_failed=failed,
-            fault_policy={"retries": self.retries,
-                          "retry_backoff": self.retry_backoff,
-                          "fail_fast": False,
-                          "timeout": self.timeout,
-                          "resume": batch.spec.resume},
+            fault_policy=self._settings_for(batch).fault_policy,
             job_records=records,
             cache=self.cache.counters(),
             aggregates=aggregates,
         )
 
     async def _finish_batch(self, batch: Batch,
-                            outcomes: List[SweepOutcome],
+                            outcomes: List[Union[JobResult, JobFailure]],
                             started_at: str, wall: float) -> None:
-        """Tally the distinct outcomes once (submission order; duplicate
-        specs share one outcome) into ``batch_end`` and the manifest."""
+        """Tally the distinct answers once (submission order; duplicate
+        specs share one record) into ``batch_end`` and the manifest."""
         by_source: Dict[str, int] = {}
         records: List[JobRecord] = []
         aggregates: List[Dict] = []
@@ -446,8 +454,7 @@ class SimServer:
             if outcome.ok:
                 aggregates.append(batch.results[digest])
             if outcome.source == "simulated":
-                records.append(
-                    JobRecord.from_pool(outcome.failure or outcome))
+                records.append(JobRecord.from_pool(outcome))
         ok = len(aggregates)
         manifest = self._manifest_for(batch, records, aggregates,
                                       len(distinct) - ok, started_at,
@@ -499,7 +506,7 @@ class SimServer:
     async def _push_start(self, batch: Batch) -> None:
         mode = ({"mode": "spool", "spool": str(self.spool.root)}
                 if self.spool is not None
-                else {"mode": "local", "workers": self.workers})
+                else {"mode": "local", "workers": self.settings.workers})
         await batch.push({
             "event": "batch_start", "batch_id": batch.id,
             "trace_id": batch.trace.trace_id,
@@ -507,8 +514,9 @@ class SimServer:
             "jobs": len(batch.spec.jobs),
             "distinct_jobs": batch.distinct_jobs, **mode})
 
-    def _cached_outcomes(self, jobs: List[SimJob],
-                         resume: bool) -> Optional[List[SweepOutcome]]:
+    def _cached_outcomes(
+            self, jobs: List[SimJob], resume: bool,
+    ) -> Optional[List[Union[JobResult, JobFailure]]]:
         """Each distinct job's :func:`runner.cached_outcome`, in
         submission order, or None at the first job that must run."""
         outcomes = []
@@ -519,8 +527,9 @@ class SimServer:
             outcomes.append(outcome)
         return outcomes
 
-    async def _answer(self, batch: Batch,
-                      outcomes: List[SweepOutcome]) -> None:
+    async def _answer(
+            self, batch: Batch,
+            outcomes: List[Union[JobResult, JobFailure]]) -> None:
         """Stream a batch answered at admission: its every job was a
         disk hit or a sticky failure record."""
         started_at = _now_iso()
@@ -540,7 +549,7 @@ class SimServer:
         perf = time.perf_counter()
         await self._push_start(batch)
 
-        def on_outcome(outcome: SweepOutcome) -> None:
+        def on_outcome(outcome: Union[JobResult, JobFailure]) -> None:
             # Runs on the executor thread; hand the event to the loop.
             event = self._job_event(batch, outcome)
             loop.call_soon_threadsafe(
@@ -558,16 +567,14 @@ class SimServer:
                       "benchmark": job.benchmark, "attempt": attempt,
                       "status": status, "worker_pid": worker_pid}))
 
-        def sweep() -> List[SweepOutcome]:
+        def sweep() -> List[Union[JobResult, JobFailure]]:
             # Isolated: a simulation in this process would hold the GIL
             # against the event loop, could not be timed out, and would
             # take the server down with it if it died.
             return run_sweep(
-                jobs, workers=self.workers, cache=self.cache,
-                timeout=self.timeout, retries=self.retries,
-                retry_backoff=self.retry_backoff,
-                resume=batch.spec.resume, on_outcome=on_outcome,
-                on_attempt=on_attempt, isolate=True)
+                jobs, **vars(self._settings_for(batch)),
+                on_outcome=on_outcome, on_attempt=on_attempt,
+                isolate=True)
 
         outcomes = await loop.run_in_executor(None, sweep)
         await self._finish_batch(batch, outcomes, started_at,
@@ -590,8 +597,8 @@ class SimServer:
         for job, spec in zip(jobs, batch.spec.jobs):
             distinct.setdefault(job.digest, (job, spec))
         await self._push_start(batch)
-        outcome_of: Dict[str, SweepOutcome] = {}
-        pending: List[str] = []
+        outcome_of: Dict[str, Union[JobResult, JobFailure]] = {}
+        requests: Dict[str, Dict] = {}
         for digest, (job, spec) in distinct.items():
             outcome = cached_outcome(job, self.cache, batch.spec.resume)
             if outcome is not None:
@@ -600,38 +607,46 @@ class SimServer:
                 continue
             if batch.spec.resume:
                 self.spool.forget_failure(digest)
-            self.spool.enqueue(digest, {
+            requests[digest] = {
                 "job": spec.to_dict(),
-                "policy": {"timeout": self.timeout,
-                           "retries": self.retries,
-                           "retry_backoff": self.retry_backoff},
+                "policy": {"timeout": self.settings.timeout,
+                           "retries": self.settings.retries,
+                           "retry_backoff": self.settings.retry_backoff},
                 "resume": batch.spec.resume,
                 "batch_id": batch.id,
                 "trace": batch.trace.to_wire(),
                 "enqueued_ts": time.time(),
-            })
-            pending.append(digest)
+            }
+            self.spool.enqueue(digest, requests[digest])
+        pending = list(requests)
         while pending:
             await asyncio.sleep(self.spool_poll)
             still: List[str] = []
             for digest in pending:
                 state, payload = self.spool.state(digest)
+                if state not in ("done", "failed"):
+                    still.append(digest)
+                    continue
                 job = distinct[digest][0]
-                if state == "done" and payload is not None:
-                    outcome = SweepOutcome(
-                        job=job,
-                        source=payload.get("source", "simulated"),
-                        run=BenchmarkRun.from_dict(payload["run"]),
-                        wall_seconds=payload.get("wall_seconds", 0.0),
-                        attempts=payload.get("attempts", 0))
-                elif state == "failed" and payload is not None:
-                    failure = JobFailure.from_dict(
-                        job, payload.get("failure", {}))
-                    outcome = SweepOutcome(
-                        job=job, source="simulated", failure=failure,
-                        attempts=failure.attempts,
-                        wall_seconds=failure.wall_seconds)
-                else:
+                try:
+                    if state == "done":
+                        outcome = JobResult(
+                            job=job,
+                            run=BenchmarkRun.from_dict(payload["run"]),
+                            source=payload.get("source", "simulated"),
+                            wall_seconds=float(
+                                payload.get("wall_seconds", 0.0)),
+                            attempts=int(payload.get("attempts", 0)),
+                            worker_pid=0)
+                    else:
+                        outcome = JobFailure.from_dict(
+                            job, payload.get("failure", {}))
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    # As DiskCache.load_failure: a marker that parses
+                    # but does not rehydrate is dropped and its job
+                    # queued again, not left to fail every batch.
+                    self.spool.discard(digest)
+                    self.spool.enqueue(digest, requests[digest])
                     still.append(digest)
                     continue
                 self._merge_worker_spans(batch, payload)
@@ -938,7 +953,7 @@ class SimServer:
                 "port": self.port,
                 "hostname": _HOST,
                 "pid": os.getpid(),
-                "workers": self.workers,
+                "workers": self.settings.workers,
                 "mode": "spool" if self.spool is not None else "local",
                 "started_at": self.started_at,
                 "uptime_seconds": (time.monotonic()
@@ -1071,7 +1086,7 @@ def cmd(args) -> int:
         log.info(
             "listening on http://%s:%s", server.host, server.port,
             extra={"mode": ("spool" if spool is not None else "local"),
-                   "workers": server.workers,
+                   "workers": server.settings.workers,
                    "cache": str(server.cache.root),
                    **({"spool_dir": str(spool.root)} if spool else {}),
                    **({"trace_dir": args.trace_dir}

@@ -171,6 +171,16 @@ class Spool:
             return False
         return True
 
+    def discard(self, digest: str) -> None:
+        """Drop the done and failed markers of ``digest``, so
+        :meth:`enqueue` queues the job again (the server's answer to a
+        marker that does not rehydrate)."""
+        for state in ("done", "failed"):
+            try:
+                self._marker(state, digest).unlink()
+            except OSError:
+                pass
+
     def reclaim_stale(self, max_age_seconds: float) -> int:
         """Requeue claims older than ``max_age_seconds`` (their worker
         presumably died); returns how many jobs went back to queued."""
@@ -280,7 +290,7 @@ def execute_claim(claim: SpoolClaim, cache) -> Dict:
             "worker": worker})
     return _finish({
         "digest": claim.digest, "status": "failed",
-        "failure": outcome.failure.to_dict(),
+        "failure": outcome.to_dict(),
         "worker": worker})
 
 

@@ -184,6 +184,9 @@ class TestArgumentValidation:
         ["headline", "--warmup", "-1"],
         ["headline", "--interval", "0"],
         ["headline", "--retries", "-1"],
+        ["headline", "--pipeview-window", "0"],
+        ["headline", "--fuzz", "0"],
+        ["headline", "--diff-threshold", "0"],
     ])
     def test_experiments_cli_numeric_args_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -291,6 +291,15 @@ class TestSweepFlags:
         assert runner._SETTINGS.cache is None
         assert pool._FAULT_INJECTOR is outer
 
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0), ("retries", -1), ("retry_backoff", -1),
+        ("timeout", 0)])
+    def test_settings_out_of_bounds_are_rejected(self, field, value):
+        # Every way to a sweep's policy, configured() included, goes
+        # through the record, so its bounds hold everywhere.
+        with pytest.raises(ValueError, match=field):
+            runner.SweepSettings(**{field: value})
+
 
 class TestIncrementalPersistence:
     def test_completed_results_stored_before_abort(self, tmp_path):

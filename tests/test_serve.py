@@ -613,3 +613,40 @@ class TestServeSpool:
         finally:
             stop()
         worker.join(timeout=30)
+
+    @pytest.mark.parametrize("publish, marker", [
+        ("fail", {"failure": {"attempts": "many"}}),
+        ("complete", {"status": "ok", "run": {"model": "x"}}),
+        ("fail", None),
+    ], ids=["failed", "done", "null"])
+    def test_marker_that_does_not_rehydrate_is_requeued(
+            self, tmp_path, publish, marker):
+        # As with a disk-cache failure record: a spool marker that
+        # parses but does not rehydrate is dropped and its job queued
+        # again, instead of failing every batch that names the job.
+        spec = job_spec(measure=300, warmup=600)
+        spool = Spool(tmp_path / "spool")
+        spool.enqueue(parse_job(spec).sim_job().digest, {"job": spec})
+        getattr(spool, publish)(spool.claim(), marker)
+        server, stop = start_in_background(
+            cache=DiskCache(tmp_path / "cache"), spool=spool,
+            spool_poll=0.02)
+        worker = threading.Thread(
+            target=run_worker, args=(Spool(tmp_path / "spool"),),
+            kwargs={"cache": DiskCache(tmp_path / "cache"),
+                    "poll": 0.02, "max_jobs": 1, "idle_exit": 10.0},
+            daemon=True)
+        worker.start()
+        client = ServeClient(server.host, server.port, timeout=60)
+        try:
+            first = client.run_batch({"jobs": [spec]})[-1]
+            second = client.run_batch({"jobs": [spec]})[-1]
+        finally:
+            stop()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert "error" not in first
+        assert first["by_source"] == {"simulated": 1}
+        assert first["ok"] == 1
+        assert "error" not in second
+        assert second["by_source"] == {"cache": 1}
