@@ -20,8 +20,8 @@ from repro.experiments.pool import (
 from repro.experiments.runner import (
     BenchmarkRun,
     JobFailedError,
-    complete_subset,
     run_benchmark,
+    run_grid,
     failed_runs,
     prefetch,
     geomean,
@@ -41,9 +41,9 @@ __all__ = [
     "JobTimeoutError",
     "SimJob",
     "SweepAborted",
-    "complete_subset",
     "failed_runs",
     "run_benchmark",
+    "run_grid",
     "run_jobs",
     "prefetch",
     "geomean",

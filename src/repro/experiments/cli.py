@@ -786,7 +786,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         wall_seconds=time.time() - started_clock,
         workers=args.jobs,
         jobs_simulated=sum(1 for r in job_records if r.ok),
-        jobs_failed=sum(1 for r in job_records if not r.ok),
+        jobs_failed=len(failures),
         fault_policy=settings.fault_policy,
         job_records=[JobRecord.from_pool(r) for r in job_records],
         cache=cache_counts,

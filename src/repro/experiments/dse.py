@@ -607,21 +607,14 @@ def explore(
         measure = rung_measure(budget, eta, rungs, rung, min_measure)
         warmup = int(round(measure * warmup_factor))
         began = time.time()
-        runner.prefetch(
-            [(configs[p.name], bench) for p in alive
-             for bench in benchmarks],
-            measure=measure, warmup=warmup, seed=seed)
+        grid = runner.run_grid([configs[p.name] for p in alive],
+                               benchmarks, measure, warmup, seed)
         entries: List[Dict] = []
         entry_points: List[DesignPoint] = []
         rung_failed: List[str] = []
         rung_runs: List = []
         for point in alive:
-            runs = [
-                runner.run_benchmark(configs[point.name], bench,
-                                     measure, warmup, seed=seed,
-                                     missing_ok=True)
-                for bench in benchmarks
-            ]
+            runs = [grid[configs[point.name], bench] for bench in benchmarks]
             if any(run is None for run in runs):
                 failed[point.name] = rung
                 rung_failed.append(point.name)
@@ -1024,6 +1017,7 @@ def cmd(args: argparse.Namespace,
             seed=args.seed, min_measure=args.min_measure,
             warmup_factor=args.warmup_factor, log=print)
         job_records = runner.pop_job_records()
+        jobs_failed = len(runner.failed_runs())
         cache_counts = (settings.cache.counters()
                         if settings.cache is not None else {})
 
@@ -1085,7 +1079,7 @@ def cmd(args: argparse.Namespace,
             wall_seconds=time.time() - started_clock,
             workers=args.jobs,
             jobs_simulated=sum(1 for r in job_records if r.ok),
-            jobs_failed=sum(1 for r in job_records if not r.ok),
+            jobs_failed=jobs_failed,
             fault_policy=settings.fault_policy,
             job_records=[JobRecord.from_pool(r) for r in job_records],
             cache=cache_counts,

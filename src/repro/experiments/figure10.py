@@ -13,10 +13,8 @@ from repro.core import model_config, MODEL_NAMES
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import FP_BENCHMARKS, INT_BENCHMARKS
 
@@ -28,31 +26,22 @@ def run(
     warmup: int = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[str, float]]:
     """Return {model: {"INT"|"FP"|"ALL": PER relative to BIG}}."""
-    benchmarks = list(benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS))
-    configs = [model_config("BIG")] + [model_config(m) for m in models]
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
+    big = model_config("BIG")
+    grid = run_grid([big] + [model_config(m) for m in models],
+                    benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS),
+                    measure, warmup)
     # Group geomeans need every model on every program: drop benchmarks
     # with quarantined jobs (the sweep's explicit gaps).
-    benchmarks = complete_subset(configs, benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed on every model; nothing to "
-            "aggregate (see the failure summary)")
+    benchmarks = grid.complete()
     int_set = [b for b in benchmarks if b in INT_BENCHMARKS]
     fp_set = [b for b in benchmarks if b in FP_BENCHMARKS]
-    base = {
-        bench: run_benchmark(model_config("BIG"), bench, measure, warmup)
-        for bench in benchmarks
-    }
     results: Dict[str, Dict[str, float]] = {}
     for model in models:
         config = model_config(model)
-        rel_per = {}
-        for bench in benchmarks:
-            run_result = run_benchmark(config, bench, measure, warmup)
-            rel_per[bench] = run_result.per / base[bench].per
+        rel_per = {
+            bench: grid[config, bench].per / grid[big, bench].per
+            for bench in benchmarks
+        }
         entry = {}
         if int_set:
             entry["INT"] = geomean([rel_per[b] for b in int_set])
@@ -82,10 +71,3 @@ def format_chart(results: Dict[str, Dict[str, float]]) -> str:
     return bar_chart(values, title="Figure 10 (PER vs BIG)",
                      reference=1.0)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

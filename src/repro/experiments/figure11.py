@@ -16,10 +16,8 @@ from repro.core.presets import half_fx_config
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import ALL_BENCHMARKS
 
@@ -50,28 +48,18 @@ def run(
     Values are geometric-mean IPC over the benchmarks, relative to
     [3,3,3] with the full bypass network.
     """
-    benchmarks = list(benchmarks or ALL_BENCHMARKS)
     sweep = tuple(sweep)
     configs = [_config((3, 3, 3), True)]
     for stage_fus in sweep:
         configs.append(_config(stage_fus, True))
         configs.append(_config(stage_fus, False))
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
+    grid = run_grid(configs, benchmarks or ALL_BENCHMARKS, measure, warmup)
     # Relative-IPC geomeans need every sweep point on every program:
     # drop benchmarks with quarantined jobs (the sweep's explicit gaps).
-    benchmarks = complete_subset(configs, benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed on every sweep point; nothing to "
-            "aggregate (see the failure summary)")
+    benchmarks = grid.complete()
 
     def mean_ipc(config) -> float:
-        return geomean([
-            run_benchmark(config, bench, measure, warmup).ipc
-            for bench in benchmarks
-        ])
+        return geomean([grid[config, bench].ipc for bench in benchmarks])
 
     baseline = mean_ipc(_config((3, 3, 3), full_bypass=True))
     results: Dict[str, Dict[str, float]] = {"full": {}, "opt": {}}
@@ -97,10 +85,3 @@ def format_table(results: Dict[str, Dict[str, float]]) -> str:
         )
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

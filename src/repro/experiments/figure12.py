@@ -15,10 +15,8 @@ from repro.core.presets import half_fx_config
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import FP_BENCHMARKS, INT_BENCHMARKS
 
@@ -38,30 +36,20 @@ def run(
     warmup: int = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[int, float]]:
     """Return {"INT"|"FP"|"ALL": {depth: executed-in-IXU rate}}."""
-    benchmarks = list(
-        benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS)
-    )
     configs = [depth_config(d) for d in depths]
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
+    grid = run_grid(configs, benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS),
+                    measure, warmup)
     # Depth-series geomeans need every depth on every program: drop
     # benchmarks with quarantined jobs (the sweep's explicit gaps).
-    benchmarks = complete_subset(configs, benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed at every depth; nothing to "
-            "aggregate (see the failure summary)")
+    benchmarks = grid.complete()
     int_set = [b for b in benchmarks if b in INT_BENCHMARKS]
     fp_set = [b for b in benchmarks if b in FP_BENCHMARKS]
     results: Dict[str, Dict[int, float]] = {
         "INT": {}, "FP": {}, "ALL": {}
     }
-    for depth in depths:
-        config = depth_config(depth)
+    for depth, config in zip(depths, configs):
         rates = {
-            bench: run_benchmark(config, bench, measure, warmup)
-            .stats.ixu_executed_rate
+            bench: grid[config, bench].stats.ixu_executed_rate
             for bench in benchmarks
         }
         if int_set:
@@ -96,10 +84,3 @@ def format_chart(results: Dict[str, Dict[int, float]]) -> str:
 
     return series_chart(results, title="Figure 12 (IXU executed rate)")
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

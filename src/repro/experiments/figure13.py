@@ -13,10 +13,8 @@ from repro.experiments.figure12 import DEPTHS, depth_config
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import FP_BENCHMARKS, INT_BENCHMARKS
 
@@ -28,35 +26,22 @@ def run(
     warmup: int = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[int, float]]:
     """Return {"INT"|"FP"|"ALL": {depth: IPC relative to BIG}}."""
-    benchmarks = list(
-        benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS)
-    )
     big = model_config("BIG")
-    configs = [big] + [depth_config(d) for d in depths]
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
+    configs = [depth_config(d) for d in depths]
+    grid = run_grid([big] + configs,
+                    benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS),
+                    measure, warmup)
     # Depth-series geomeans need every depth on every program: drop
     # benchmarks with quarantined jobs (the sweep's explicit gaps).
-    benchmarks = complete_subset(configs, benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed at every depth; nothing to "
-            "aggregate (see the failure summary)")
+    benchmarks = grid.complete()
     int_set = [b for b in benchmarks if b in INT_BENCHMARKS]
     fp_set = [b for b in benchmarks if b in FP_BENCHMARKS]
-    base = {
-        bench: run_benchmark(big, bench, measure, warmup).ipc
-        for bench in benchmarks
-    }
     results: Dict[str, Dict[int, float]] = {
         "INT": {}, "FP": {}, "ALL": {}
     }
-    for depth in depths:
-        config = depth_config(depth)
+    for depth, config in zip(depths, configs):
         rel = {
-            bench: run_benchmark(config, bench, measure, warmup).ipc
-            / base[bench]
+            bench: grid[config, bench].ipc / grid[big, bench].ipc
             for bench in benchmarks
         }
         if int_set:
@@ -85,10 +70,3 @@ def format_chart(results: Dict[str, Dict[int, float]]) -> str:
 
     return series_chart(results, title="Figure 13 (IPC vs BIG)")
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

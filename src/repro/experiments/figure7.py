@@ -18,8 +18,7 @@ from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import FP_BENCHMARKS, INT_BENCHMARKS
 
@@ -38,27 +37,18 @@ def run(
     benchmarks = list(benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS))
     int_set = [b for b in benchmarks if b in INT_BENCHMARKS]
     fp_set = [b for b in benchmarks if b in FP_BENCHMARKS]
-    # The whole figure is one up-front job list: every (model, benchmark)
-    # pair plus the BIG baseline, fanned over the worker pool.
-    configs = [model_config("BIG")] + [model_config(m) for m in models]
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
-    base_ipc: Dict[str, Optional[float]] = {}
-    for bench in benchmarks:
-        base = run_benchmark(model_config("BIG"), bench, measure,
-                             warmup, missing_ok=True)
-        base_ipc[bench] = base.ipc if base is not None else None
+    big = model_config("BIG")
+    grid = run_grid([big] + [model_config(m) for m in models], benchmarks,
+                    measure, warmup)
     results: Dict[str, Dict[str, Optional[float]]] = {}
     for model in models:
         config = model_config(model)
         rel: Dict[str, Optional[float]] = {}
         for bench in benchmarks:
-            run_result = run_benchmark(config, bench, measure, warmup,
-                                       missing_ok=True)
-            if run_result is None or base_ipc[bench] is None:
-                rel[bench] = None  # quarantined: explicit gap
-            else:
-                rel[bench] = run_result.ipc / base_ipc[bench]
+            run, base = grid[config, bench], grid[big, bench]
+            # A quarantined cell, or its baseline, is an explicit gap.
+            rel[bench] = (None if run is None or base is None
+                          else run.ipc / base.ipc)
         have = [b for b in benchmarks if rel[b] is not None]
         int_have = [b for b in int_set if rel[b] is not None]
         fp_have = [b for b in fp_set if rel[b] is not None]
@@ -100,10 +90,3 @@ def format_chart(results: Dict[str, Dict[str, float]]) -> str:
     return bar_chart(means, title="Figure 7 (geomean IPC vs BIG)",
                      reference=1.0)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

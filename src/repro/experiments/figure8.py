@@ -15,9 +15,7 @@ from repro.energy import Component
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import ALL_BENCHMARKS
 
@@ -36,24 +34,16 @@ def run(
     ``figure8b``: {model: {"oxu_dynamic", "oxu_static", "ixu_dynamic",
     "ixu_static"}} relative to BIG's FUs+bypass total.
     """
-    benchmarks = list(benchmarks or ALL_BENCHMARKS)
     configs = [model_config(m) for m in models]
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
+    grid = run_grid(configs, benchmarks or ALL_BENCHMARKS, measure, warmup)
     # Stacked sums must cover the same programs for every model, so a
     # benchmark any model's job was quarantined on is dropped whole.
-    benchmarks = complete_subset(configs, benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed on every model; nothing to "
-            "aggregate (see the failure summary)")
+    benchmarks = grid.complete()
     sums: Dict[str, Dict[Component, Dict[str, float]]] = {}
-    for model in models:
-        config = model_config(model)
+    for model, config in zip(models, configs):
         acc = {c: {"dynamic": 0.0, "static": 0.0} for c in Component}
         for bench in benchmarks:
-            breakdown = run_benchmark(config, bench, measure, warmup).energy
+            breakdown = grid[config, bench].energy
             for component in Component:
                 acc[component]["dynamic"] += breakdown.dynamic.get(
                     component, 0.0)
@@ -120,10 +110,3 @@ def format_table(results: Dict[str, Dict]) -> str:
     lines.append(f"{'TOTAL':12s}{totals}")
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -62,10 +62,3 @@ def format_table(results: Dict[str, Dict]) -> str:
         lines.append(f"{component:10s}{cells}")
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

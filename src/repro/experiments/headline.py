@@ -22,10 +22,8 @@ from repro.energy import AreaModel, Component
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import FP_BENCHMARKS, INT_BENCHMARKS
 
@@ -41,28 +39,16 @@ def run(
     model's job was quarantined on are dropped (the sweep's explicit
     gaps) rather than crashing the table.
     """
-    benchmarks = list(
-        benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS)
-    )
     models = ("BIG", "HALF", "LITTLE", "HALF+FX", "BIG+FX")
     configs = [model_config(m) for m in models]
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
-    benchmarks = complete_subset(configs, benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed on every model; nothing to "
-            "aggregate (see the failure summary)")
+    grid = run_grid(configs, benchmarks or (INT_BENCHMARKS + FP_BENCHMARKS),
+                    measure, warmup)
+    benchmarks = grid.complete()
     int_set = [b for b in benchmarks if b in INT_BENCHMARKS]
     fp_set = [b for b in benchmarks if b in FP_BENCHMARKS]
     runs = {
-        model: {
-            bench: run_benchmark(model_config(model), bench,
-                                 measure, warmup)
-            for bench in benchmarks
-        }
-        for model in models
+        model: {bench: grid[config, bench] for bench in benchmarks}
+        for model, config in zip(models, configs)
     }
 
     def rel_ipc(model, subset):
@@ -175,10 +161,3 @@ def format_table(results: Dict[str, float]) -> str:
         lines.append(f"{claim:34s}{paper:10.3f}{measured:10.3f}")
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

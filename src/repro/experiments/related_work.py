@@ -23,10 +23,8 @@ from repro.energy import Component
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import ALL_BENCHMARKS
 
@@ -42,7 +40,6 @@ def run(
     "eu_energy": rel FUs+IXU energy, "xforwards": inter-cluster
     forwards per kilo-instruction}}.
     """
-    benchmarks = list(benchmarks or ALL_BENCHMARKS)
     configs = {
         "BIG": model_config("BIG"),
         "CA/dependence": ca_config("dependence"),
@@ -50,19 +47,11 @@ def run(
                                  name="CA-rr"),
         "HALF+FX": model_config("HALF+FX"),
     }
-    prefetch([(c, b) for c in configs.values() for b in benchmarks],
-             measure=measure, warmup=warmup)
+    grid = run_grid(configs.values(), benchmarks or ALL_BENCHMARKS,
+                    measure, warmup)
     # Cross-model sums/geomeans: drop benchmarks with quarantined jobs.
-    benchmarks = complete_subset(configs.values(), benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed on every model; nothing to "
-            "aggregate (see the failure summary)")
-    base_runs = {
-        bench: run_benchmark(configs["BIG"], bench, measure, warmup)
-        for bench in benchmarks
-    }
+    benchmarks = grid.complete()
+    base_runs = {bench: grid[configs["BIG"], bench] for bench in benchmarks}
     base_energy = sum(r.total_energy for r in base_runs.values())
     base_eu = sum(
         r.energy.component_total(Component.FUS)
@@ -71,8 +60,7 @@ def run(
     )
     results: Dict[str, Dict[str, float]] = {}
     for label, config in configs.items():
-        runs = [run_benchmark(config, bench, measure, warmup)
-                for bench in benchmarks]
+        runs = [grid[config, bench] for bench in benchmarks]
         rel_ipc = geomean([
             r.ipc / base_runs[r.benchmark].ipc for r in runs
         ])
@@ -106,10 +94,3 @@ def format_table(results: Dict[str, Dict[str, float]]) -> str:
         )
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -15,10 +15,8 @@ from repro.core import model_config
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import ALL_BENCHMARKS
 
@@ -29,7 +27,6 @@ def run(
     warmup: int = DEFAULT_WARMUP,
 ) -> Dict[str, Dict[str, float]]:
     """Return {corner: {"ipc", "energy", "eliminated_per_kinst"}}."""
-    benchmarks = list(benchmarks or ALL_BENCHMARKS)
     corners = {
         "BIG": model_config("BIG"),
         "BIG+RENO": replace(model_config("BIG"), name="BIG+RENO",
@@ -39,24 +36,15 @@ def run(
                                 name="HALF+FX+RENO",
                                 move_elimination=True),
     }
-    prefetch([(c, b) for c in corners.values() for b in benchmarks],
-             measure=measure, warmup=warmup)
+    grid = run_grid(corners.values(), benchmarks or ALL_BENCHMARKS,
+                    measure, warmup)
     # Cross-corner sums/geomeans: drop benchmarks with quarantined jobs.
-    benchmarks = complete_subset(corners.values(), benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed on every corner; nothing to "
-            "aggregate (see the failure summary)")
-    base = {
-        bench: run_benchmark(corners["BIG"], bench, measure, warmup)
-        for bench in benchmarks
-    }
+    benchmarks = grid.complete()
+    base = {bench: grid[corners["BIG"], bench] for bench in benchmarks}
     base_energy = sum(r.total_energy for r in base.values())
     results: Dict[str, Dict[str, float]] = {}
     for label, config in corners.items():
-        runs = [run_benchmark(config, bench, measure, warmup)
-                for bench in benchmarks]
+        runs = [grid[config, bench] for bench in benchmarks]
         committed = sum(r.stats.committed for r in runs)
         eliminated = sum(
             r.stats.events.moves_eliminated for r in runs
@@ -83,10 +71,3 @@ def format_table(results: Dict[str, Dict[str, float]]) -> str:
         )
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,12 +17,12 @@ one identity, :class:`~repro.experiments.pool.SimJob`.
 
 :func:`run_sweep` is the one sweep engine: :func:`cached_outcome` (disk
 cache, then sticky failure records), then the fault-tolerant pool.  The
-job server and spool worker call it directly; experiment modules declare
-their whole job list up front via :func:`prefetch`, which hands the
-unmemoised jobs to :func:`run_sweep` under the active
-:class:`SweepSettings` (worker count, cache, fault policy) and seeds the
-memo, so the per-benchmark ``run_benchmark`` calls that follow are pure
-lookups; one that misses goes through :func:`prefetch` itself.
+job server and spool worker call it directly.  Experiment modules sweep
+one configs x benchmarks grid each through :func:`run_grid`: its
+:func:`prefetch` hands the unmemoised jobs to :func:`run_sweep` under
+the active :class:`SweepSettings` (worker count, cache, fault policy)
+and seeds the memo, so the ``run_benchmark`` reads that follow are pure
+lookups; a lookup that misses goes through :func:`prefetch` itself.
 
 Sweeps are fault tolerant: a job that crashes, hangs past the per-job
 timeout or kills its worker is retried per :func:`set_fault_policy` and,
@@ -31,8 +31,8 @@ completes, the failure is recorded (in-process and, when a disk cache is
 installed, as a persistent failure record), and later lookups see the
 gap instead of re-paying the crash: ``run_benchmark(..., missing_ok=
 True)`` returns None for a quarantined job, plain ``run_benchmark``
-raises :class:`JobFailedError`, and :func:`complete_subset` filters a
-benchmark list down to the rows every config has a result for.  Results
+raises :class:`JobFailedError`, and :meth:`Grid.complete` lists the
+benchmarks every config of a grid has a result for.  Results
 are persisted to the disk cache as they land (completion order), so an
 interrupted sweep loses nothing and a resumed one re-runs only the
 missing or failed jobs.
@@ -460,8 +460,8 @@ def prefetch(
 ) -> int:
     """Simulate every uncached (config, benchmark) pair via the pool.
 
-    Experiment modules call this with their complete job list before
-    reading any individual result.  Pairs already memoised — or
+    :func:`run_grid` calls this with a figure's whole job list before
+    it reads any individual result.  Pairs already memoised — or
     quarantined in this process, outside resume mode — are skipped;
     the rest go to :func:`run_sweep` under the active
     :class:`SweepSettings`, and its outcomes seed the memo and the
@@ -514,32 +514,65 @@ def prefetch(
     return simulated
 
 
-def complete_subset(
+class Grid(dict):
+    """The runs of one configs x benchmarks sweep (see :func:`run_grid`),
+    keyed by ``(config, benchmark)``; a quarantined job's cell is None."""
+
+    def __init__(self, configs: List[CoreConfig], benchmarks: List[str],
+                 cells) -> None:
+        super().__init__(cells)
+        self.configs = configs
+        self.benchmarks = benchmarks
+
+    def complete(self) -> List[str]:
+        """The benchmarks every config has a run for, in sweep order.
+
+        A figure that sums or averages across configs reads only these
+        rows, so a benchmark any config's job was quarantined on is
+        dropped from every aggregate (its absence is the explicit gap).
+        Raises RuntimeError when no benchmark is left.
+        """
+        rows = [bench for bench in self.benchmarks
+                if all(self[config, bench] is not None
+                       for config in self.configs)]
+        if not rows:
+            raise RuntimeError(
+                "no benchmark completed on every config; nothing to "
+                "aggregate (see the failure summary)")
+        return rows
+
+
+def run_grid(
     configs: Iterable[CoreConfig],
     benchmarks: Iterable[str],
-    measure: int = DEFAULT_MEASURE,
-    warmup: int = DEFAULT_WARMUP,
+    measure: int,
+    warmup: int,
     seed: int = 0,
-) -> List[str]:
-    """Benchmarks for which *every* config has a non-quarantined run.
+) -> Grid:
+    """Sweep every (config, benchmark) pair, then read each cell once.
 
-    Figure modules call this right after :func:`prefetch` to degrade
-    gracefully: a benchmark any model failed on is dropped from the
-    aggregates (its absence is the explicit gap) instead of crashing
-    the figure.  Pure bookkeeping — never triggers a simulation.
+    The one sweep step of the experiment modules: the whole grid goes
+    to :func:`prefetch` in config-major order before any cell is read,
+    and each cell is then a memo lookup (``run_benchmark(...,
+    missing_ok=True)``), so a quarantined job's cell is None.  A figure
+    that shows gaps reads the cells; one that aggregates reads the rows
+    of :meth:`Grid.complete`.
     """
     configs = list(configs)
-    return [
-        benchmark for benchmark in benchmarks
-        if not any(SimJob(config, benchmark, measure, warmup, seed)
-                   in _FAILED for config in configs)
-    ]
+    benchmarks = list(benchmarks)
+    prefetch([(config, bench) for config in configs
+              for bench in benchmarks], measure, warmup, seed)
+    return Grid(configs, benchmarks, {
+        (config, bench): run_benchmark(config, bench, measure, warmup,
+                                       seed, missing_ok=True)
+        for config in configs for bench in benchmarks})
 
 
 def failed_runs() -> List:
     """Every currently-quarantined
     :class:`~repro.experiments.pool.JobFailure`, submission order not
-    guaranteed.  The CLI renders these as the failure summary table."""
+    guaranteed.  The CLI renders these as the failure summary table, and
+    the CLI and DSE manifests count them as ``jobs_failed``."""
     return list(_FAILED.values())
 
 
@@ -617,7 +650,8 @@ def configured(settings: SweepSettings, injector=None):
     :func:`repro.experiments.pool.set_fault_injector`).
 
     The block starts and ends with empty :func:`pop_job_records` /
-    :func:`pop_served_runs` accounting, so it reads only its own jobs;
+    :func:`pop_served_runs` accounting and an empty quarantine map
+    (:func:`failed_runs`), so it reads only its own jobs and failures;
     the previous settings and injector come back on exit.
     """
     global _SETTINGS
@@ -626,6 +660,7 @@ def configured(settings: SweepSettings, injector=None):
     _SETTINGS = settings
     _JOB_RECORDS.clear()
     _SERVED.clear()
+    _FAILED.clear()
     try:
         yield settings
     finally:
@@ -633,6 +668,7 @@ def configured(settings: SweepSettings, injector=None):
         set_fault_injector(previous_injector)
         _JOB_RECORDS.clear()
         _SERVED.clear()
+        _FAILED.clear()
 
 
 def clear_cache() -> None:

@@ -19,10 +19,8 @@ from repro.energy import Component
 from repro.experiments.runner import (
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
-    complete_subset,
     geomean,
-    prefetch,
-    run_benchmark,
+    run_grid,
 )
 from repro.workloads import ALL_BENCHMARKS
 
@@ -57,30 +55,21 @@ def run(
     IPC and IQ energy are relative to BIG (= the 64x4 point without an
     IXU).
     """
-    benchmarks = list(benchmarks or ALL_BENCHMARKS)
     sweep = tuple(sweep)
     if not sweep:
         raise ValueError(
             "sensitivity sweep needs at least one (iq_entries, "
             "issue_width) point")
-    configs = [model_config("BIG")]
+    big = model_config("BIG")
+    configs = [big]
     for entries, width in sweep:
         configs.append(_config(entries, width, False))
         configs.append(_config(entries, width, True))
-    prefetch([(c, b) for c in configs for b in benchmarks],
-             measure=measure, warmup=warmup)
+    grid = run_grid(configs, benchmarks or ALL_BENCHMARKS, measure, warmup)
     # The sweep compares sums/geomeans across points, so a benchmark any
     # point's job was quarantined on is dropped whole (explicit gap).
-    benchmarks = complete_subset(configs, benchmarks,
-                                 measure=measure, warmup=warmup)
-    if not benchmarks:
-        raise RuntimeError(
-            "no benchmark completed at every sweep point; nothing to "
-            "aggregate (see the failure summary)")
-    base_runs = {
-        bench: run_benchmark(model_config("BIG"), bench, measure, warmup)
-        for bench in benchmarks
-    }
+    benchmarks = grid.complete()
+    base_runs = {bench: grid[big, bench] for bench in benchmarks}
     base_iq_energy = sum(
         r.energy.component_total(Component.IQ)
         for r in base_runs.values()
@@ -92,10 +81,7 @@ def run(
         for with_ixu, family in ((False, "without_ixu"),
                                  (True, "with_ixu")):
             config = _config(entries, width, with_ixu)
-            runs = [
-                run_benchmark(config, bench, measure, warmup)
-                for bench in benchmarks
-            ]
+            runs = [grid[config, bench] for bench in benchmarks]
             rel_ipc = geomean([
                 r.ipc / base_runs[r.benchmark].ipc for r in runs
             ])
@@ -124,10 +110,3 @@ def format_table(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
         )
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

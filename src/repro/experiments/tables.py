@@ -103,12 +103,3 @@ def format_table2(rows: Dict[str, str]) -> str:
         lines.append(f"  {key:22s}{value}")
     return "\n".join(lines)
 
-
-def main() -> None:
-    print(format_table1(table1()))
-    print()
-    print(format_table2(table2()))
-
-
-if __name__ == "__main__":
-    main()

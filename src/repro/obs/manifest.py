@@ -107,7 +107,10 @@ class RunManifest:
     finished_at: str = ""
     wall_seconds: float = 0.0
     workers: int = 1
+    #: Jobs this invocation simulated to success.
     jobs_simulated: int = 0
+    #: Distinct jobs this invocation answered as failed, a failure
+    #: record replayed from the cache included.
     jobs_failed: int = 0
     fault_policy: Dict[str, object] = field(default_factory=dict)
     job_records: List[JobRecord] = field(default_factory=list)

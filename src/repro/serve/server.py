@@ -67,7 +67,7 @@ from repro.experiments.runner import (
     cached_outcome,
     run_sweep,
 )
-from repro.experiments.sweepflags import add_sweep_args
+from repro.experiments.sweepflags import add_sweep_args, float_at_least
 from repro.obs import slog
 from repro.obs.manifest import (
     JobRecord,
@@ -431,7 +431,7 @@ class SimServer:
             finished_at=_now_iso(),
             wall_seconds=wall,
             workers=self.settings.workers,
-            jobs_simulated=len(records),
+            jobs_simulated=sum(1 for record in records if record.ok),
             jobs_failed=failed,
             fault_policy=self._settings_for(batch).fault_policy,
             job_records=records,
@@ -1050,8 +1050,9 @@ def configure_parser(parser) -> None:
                         help="write one Perfetto trace per batch here "
                              "(admit/queue/claim/simulate spans across "
                              "all participating hosts)")
-    parser.add_argument("--spool-reclaim", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--spool-reclaim",
+                        type=float_at_least(0.0, exclusive=True),
+                        default=None, metavar="SECONDS",
                         help="requeue spool claims idle longer than "
                              "this (the owning worker died); server-"
                              "side complement of the worker's "

@@ -343,6 +343,8 @@ def run_worker(spool: Spool, cache=None, poll: float = 0.5,
 
 
 def configure_parser(parser) -> None:
+    from repro.experiments.sweepflags import float_at_least
+
     parser.add_argument("--spool", required=True, metavar="DIR",
                         help="shared spool directory (same --spool the "
                              "server was started with)")
@@ -350,7 +352,7 @@ def configure_parser(parser) -> None:
                         help="content-addressed result cache shared "
                              "with the server (default "
                              "~/.cache/fxa-repro)")
-    parser.add_argument("--poll", type=float, default=0.5,
+    parser.add_argument("--poll", type=float_at_least(0.0), default=0.5,
                         metavar="SECONDS",
                         help="sleep between empty queue scans "
                              "(default 0.5)")
@@ -362,8 +364,9 @@ def configure_parser(parser) -> None:
                         metavar="SECONDS",
                         help="exit after the queue has been empty this "
                              "long (default: run forever)")
-    parser.add_argument("--reclaim-after", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--reclaim-after",
+                        type=float_at_least(0.0, exclusive=True),
+                        default=None, metavar="SECONDS",
                         help="requeue claims idle longer than this "
                              "(another worker died mid-job)")
     from repro.obs import slog

@@ -145,9 +145,23 @@ class TestArgumentValidation:
         ["serve", "--retry-backoff", "-1"],
         ["serve", "--timeout", "0"],
         ["serve", "--timeout", "-1"],
+        # A reclaim age of 0 or less requeues claims that live workers
+        # still hold; a negative poll fails at the first idle sleep.
+        ["serve", "--spool-reclaim", "0"],
+        ["serve", "--spool-reclaim", "-1"],
+        ["spool-worker", "--spool", "s", "--reclaim-after", "0"],
+        ["spool-worker", "--spool", "s", "--reclaim-after", "-5"],
+        ["spool-worker", "--spool", "s", "--poll", "-1"],
     ])
     def test_bad_numeric_args_exit_2_with_clear_error(self, argv,
-                                                      capsys):
+                                                      capsys,
+                                                      monkeypatch):
+        # A value the parser lets through must fail here, not start a
+        # server or a worker.
+        from repro.serve import server, spool
+
+        for module in (server, spool):
+            monkeypatch.setattr(module, "cmd", lambda args: 0)
         with pytest.raises(SystemExit) as excinfo:
             repro_exp_main(argv)
         assert excinfo.value.code == 2

@@ -28,10 +28,10 @@ from repro.experiments import pool, runner, sweepflags
 from repro.experiments.runner import (
     JobFailedError,
     clear_cache,
-    complete_subset,
     failed_runs,
     prefetch,
     run_benchmark,
+    run_grid,
     set_disk_cache,
     set_fault_policy,
     set_jobs,
@@ -212,10 +212,14 @@ class TestRunnerQuarantine:
         failures = failed_runs()
         assert [f.job.benchmark for f in failures] == ["lbm"]
 
-    def test_complete_subset_drops_failed_benchmark(self):
+    def test_grid_complete_drops_failed_benchmark(self):
         self._sweep_with_crash()
-        subset = complete_subset([model_config("BIG")], BENCHES, **SMALL)
-        assert subset == ["hmmer", "mcf"]
+        big = model_config("BIG")
+        grid = run_grid([big], BENCHES, **SMALL)
+        assert grid[big, "lbm"] is None
+        assert grid.complete() == ["hmmer", "mcf"]
+        with pytest.raises(RuntimeError, match="nothing to aggregate"):
+            run_grid([big], ["lbm"], **SMALL).complete()
 
     def test_quarantine_not_rerun_without_resume(self):
         self._sweep_with_crash()

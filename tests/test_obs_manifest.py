@@ -6,6 +6,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import MODEL_NAMES
+from repro.experiments import runner
+from repro.experiments.cli import main as cli_main
+from repro.experiments.diskcache import DiskCache
+from repro.experiments.pool import FaultSpec, set_fault_injector
 from repro.obs import (
     JobRecord,
     RunManifest,
@@ -13,6 +18,8 @@ from repro.obs import (
     host_info,
     manifest_path_for,
 )
+from repro.serve.client import ServeClient
+from repro.serve.server import start_in_background
 
 
 def sample_manifest():
@@ -167,3 +174,70 @@ class TestPathHelper:
 
     def test_other_suffixes_are_appended(self):
         assert manifest_path_for("out.dat") == "out.dat.manifest.json"
+
+
+class TestJobCounts:
+    """``jobs_simulated`` counts the jobs a run simulated to success and
+    ``jobs_failed`` the distinct jobs it answered as failed, a failure
+    record replayed from the cache included, in every producer.
+
+    The probe: the five models on hmmer and lbm (10 jobs) with every lbm
+    job crashing, run cold and then warm on one cache directory."""
+
+    PROBE = {"measure": 300, "warmup": 600}
+
+    def _cli(self, tmp_path):
+        manifests = []
+        for run in ("cold", "warm"):
+            runner.clear_cache()  # as a new process: only the disk cache
+            path = tmp_path / f"{run}.manifest.json"
+            assert cli_main([
+                "figure7", "--benchmarks", "hmmer", "lbm",
+                "--measure", "300", "--warmup", "600",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--inject-fault", "crash:lbm",
+                "--manifest", str(path)]) == 0
+            manifests.append(json.loads(path.read_text()))
+        runner.clear_cache()
+        return manifests
+
+    def _serve(self, tmp_path):
+        batch = {"jobs": [
+            {"benchmark": bench, "model": model, **self.PROBE}
+            for model in MODEL_NAMES for bench in ("hmmer", "lbm")]}
+        set_fault_injector(FaultSpec("crash", "lbm"))
+        try:
+            server, stop = start_in_background(
+                cache=DiskCache(tmp_path / "cache"), workers=1)
+            try:
+                client = ServeClient(server.host, server.port, timeout=300)
+                return [client.run_batch(batch)[-1]["manifest"]
+                        for _ in ("cold", "warm")]
+            finally:
+                stop()
+        finally:
+            set_fault_injector(None)
+
+    @pytest.mark.parametrize("producer", ["cli", "serve"])
+    def test_counts_cold_and_warm(self, tmp_path, producer):
+        cold, warm = getattr(self, f"_{producer}")(tmp_path)
+        assert (cold["jobs_simulated"], cold["jobs_failed"]) == (5, 5)
+        assert (warm["jobs_simulated"], warm["jobs_failed"]) == (0, 5)
+
+    def test_counts_cover_one_invocation(self, tmp_path):
+        # A second run in the same process, without the fault and the
+        # cache, simulates lbm again instead of counting the first
+        # run's failures.
+        runner.clear_cache()
+        manifests = []
+        for fault in (["--inject-fault", "crash:lbm"], []):
+            path = tmp_path / f"run{len(manifests)}.manifest.json"
+            assert cli_main([
+                "figure7", "--benchmarks", "hmmer", "lbm",
+                "--measure", "300", "--warmup", "600", "--no-cache",
+                "--manifest", str(path)] + fault) == 0
+            manifests.append(json.loads(path.read_text()))
+        runner.clear_cache()
+        first, second = manifests
+        assert (first["jobs_simulated"], first["jobs_failed"]) == (5, 5)
+        assert (second["jobs_simulated"], second["jobs_failed"]) == (5, 0)

@@ -44,9 +44,8 @@ class TestSensitivityEdgeCases:
         from repro.experiments import runner
 
         captured = {}
-        original = runner.prefetch
 
-        def spy(pairs, **kw):
+        def spy(pairs, *args, **kw):
             pairs = list(pairs)
             captured["benchmarks"] = {b for _, b in pairs}
             # Don't actually simulate the full suite; the contract
@@ -56,16 +55,16 @@ class TestSensitivityEdgeCases:
         class _Sentinel(Exception):
             pass
 
-        sensitivity_prefetch = sensitivity.prefetch
+        original = runner.prefetch
         try:
-            sensitivity.prefetch = spy
+            runner.prefetch = spy
             try:
                 sensitivity.run(benchmarks=[], sweep=((64, 4),),
                                 **SMALL)
             except _Sentinel:
                 pass
         finally:
-            sensitivity.prefetch = sensitivity_prefetch
+            runner.prefetch = original
         assert captured["benchmarks"] == set(ALL_BENCHMARKS)
 
     def test_single_point_sweep(self):

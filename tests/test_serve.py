@@ -593,7 +593,7 @@ class TestServeSpool:
             target=run_worker,
             args=(Spool(tmp_path / "spool"),),
             kwargs={"cache": DiskCache(tmp_path / "cache"),
-                    "poll": 0.02, "idle_exit": 10.0},
+                    "poll": 0.02, "max_jobs": 1, "idle_exit": 10.0},
             daemon=True)
         worker.start()
         client = ServeClient(server.host, server.port, timeout=300)
@@ -613,6 +613,7 @@ class TestServeSpool:
         finally:
             stop()
         worker.join(timeout=30)
+        assert not worker.is_alive()
 
     @pytest.mark.parametrize("publish, marker", [
         ("fail", {"failure": {"attempts": "many"}}),
