@@ -29,7 +29,7 @@ from repro.backend import FUPool
 from repro.core.config import CoreConfig
 from repro.core.inflight import InFlight
 from repro.core.ooo import OutOfOrderCore
-from repro.isa.opclass import FUType, FU_FOR_OPCLASS
+from repro.isa.opclass import FUType
 from repro.isa.registers import RegClass
 
 

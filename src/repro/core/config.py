@@ -133,7 +133,10 @@ class CoreConfig:
     frontend_queue_depth: int = 16
     #: Whether a correctly-predicted taken branch ends the fetch group.
     #: The wide OoO front ends (BTB-redirected, two blocks per cycle)
-    #: fetch through; the little core's simpler fetch unit breaks.
+    #: fetch through.  Only the out-of-order fetch reads it: the little
+    #: core's simpler fetch unit always breaks
+    #: (``InOrderCore.ALWAYS_STOP_AT_TAKEN``), so an in-order config
+    #: runs the same with either value.
     fetch_breaks_on_taken: bool = False
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     ixu: Optional[IXUConfig] = None

@@ -30,9 +30,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Tuple
 
+from repro.core.base import memory_bound_leaf
 from repro.core.config import CoreConfig
 from repro.core.inflight import InFlight
-from repro.core.ooo import OutOfOrderCore, memory_bound_leaf
+from repro.core.ooo import OutOfOrderCore
 from repro.backend import BypassNetwork
 from repro.isa.opclass import FUType
 from repro.ixu.pipeline import BypassRegistry

@@ -28,7 +28,7 @@ class InFlight:
         "mispredicted",
         "btb_redirect",
         "fetch_cycle",
-        "rename_ready",
+        "deliver_cycle",
         "rename_cycle",
         "dispatch_cycle",
         "iq_cycle",
@@ -68,7 +68,9 @@ class InFlight:
         self.mispredicted = False
         self.btb_redirect = False
         self.fetch_cycle = fetch_cycle
-        self.rename_ready = fetch_cycle
+        # Cycle the front end hands the entry on (to rename, or to
+        # issue on the in-order core).
+        self.deliver_cycle = fetch_cycle
         self.rename_cycle = UNSCHEDULED
         self.dispatch_cycle = UNSCHEDULED
         self.iq_cycle = UNSCHEDULED

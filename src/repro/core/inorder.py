@@ -5,33 +5,33 @@ no issue queue, no load/store queue — which is precisely why its energy
 per instruction is the lowest of all models (paper Section VI-I).  Issue
 stalls at the oldest not-ready instruction; a small store buffer provides
 store-to-load forwarding (memory ordering is trivially maintained because
-memory operations issue in program order).
+memory operations issue in program order).  The front end is the one
+every family shares (:mod:`repro.core.base`), at LITTLE's width and
+depth; its fetch always stops at a taken branch.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
-from repro.backend import BypassNetwork, FUPool
-from repro.branch import BranchPredictor
-from repro.core.config import CoreConfig
-from repro.core.inflight import InFlight
-from repro.core.stats import CoreStats, EventCounts
-from repro.isa.instruction import DynInst
-from repro.isa.opclass import FUType, FU_FOR_OPCLASS, LATENCY, OpClass
-from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS
-from repro.mem.hierarchy import CacheHierarchy
-
+from repro.backend import BypassNetwork
 from repro.core import kernel
-from repro.core.kernel import NO_EVENT
-from repro.core.ooo import (
-    DEADLOCK_LIMIT,
+from repro.core.base import (
+    _FP_ARITH,
+    CoreBase,
     SimulationError,
     frontend_stall,
     memory_bound_leaf,
 )
+from repro.core.config import CoreConfig
+from repro.core.inflight import InFlight
+from repro.core.kernel import DEADLOCK_LIMIT
+from repro.core.stats import CoreStats, EventCounts
+from repro.isa.instruction import DynInst
+from repro.isa.opclass import OpClass
+from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS
 
 #: Store-buffer entries kept for forwarding.
 STORE_BUFFER_DEPTH = 8
@@ -41,35 +41,25 @@ _SIMPLE_INT = frozenset(
     {OpClass.INT_ALU, OpClass.BR_COND, OpClass.BR_UNCOND}
 )
 
-#: FP arithmetic classes counted at commit (not FP loads/stores).
-_FP_ARITH = frozenset({OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV})
 
+class InOrderCore(CoreBase):
+    """In-order superscalar (LITTLE of Table I).
 
-class InOrderCore:
-    """In-order superscalar (LITTLE of Table I)."""
+    Takes the :class:`~repro.core.base.CoreBase` arguments.  Fetched
+    entries wait in the front-end queue until their delivery cycle
+    (``fetch_to_rename`` after fetch), then issue in program order.
+    """
+
+    CORE_TYPE = "inorder"
+    #: A short in-order pipe flushes little wrong-path work.
+    WRONGPATH_SHARE = 0.25
+    #: LITTLE's simple fetch unit; ``CoreConfig.fetch_breaks_on_taken``
+    #: is not read.
+    ALWAYS_STOP_AT_TAKEN = True
 
     def __init__(self, config: CoreConfig, obs=None, validator=None):
-        if config.core_type != "inorder":
-            raise ValueError("InOrderCore requires an 'inorder' config")
-        self.config = config
-        self.predictor = BranchPredictor(
-            pht_entries=config.pht_entries,
-            btb_entries=config.btb_entries,
-            ras_depth=config.ras_depth,
-            kind=config.predictor_kind,
-        )
-        self.hierarchy = CacheHierarchy(config.hierarchy)
-        self.fu = {
-            FUType.INT: FUPool(FUType.INT, config.fu_int),
-            FUType.MEM: FUPool(FUType.MEM, config.fu_mem),
-            FUType.FP: FUPool(FUType.FP, config.fu_fp),
-        }
+        super().__init__(config, obs, validator)
         self.bypass = BypassNetwork("inorder", config.total_oxu_fus)
-        self.stats = CoreStats(model=config.name)
-        # Fast-forward kernel state (see repro.core.kernel).
-        self._ff = kernel.fastforward_enabled()
-        self._ff_skipped = 0  # cycles jumped, not ticked
-        self._max_cycles: Optional[int] = None
         # Per-tick scratch for early/late ALU pairing, holding flat
         # register indices (cleared, never reallocated, in _issue).
         self._early_results: set = set()
@@ -80,23 +70,9 @@ class InOrderCore:
         )
         self._rf_reads = 0
         self._rf_writes = 0
-        # Pipeline state.
-        self.cycle = 0
-        self.trace: List[DynInst] = []
-        self.fetch_idx = 0
-        self.fetch_resume_cycle = 0
-        self.waiting_branch: Optional[InFlight] = None
-        self.issue_q: Deque[InFlight] = deque()
-        self._completions: List[Tuple[int, int, InFlight]] = []
-        self._completion_counter = 0
-        self._last_fetched_line = -1
         self._last_issue_cycle = 0
         self._store_buffer: OrderedDict = OrderedDict()
         self._final_cycle = 0
-        # Observability (free when obs is None, see repro.obs).
-        self._obs = obs
-        self._pipeview = obs.pipeview if obs is not None else None
-        self._fetch_stall_kind = ""
         # Registers whose pending value is produced by an in-flight
         # load (distinguishes dcache stalls from ALU operand waits).
         self._load_dest: List[bool] = (
@@ -109,11 +85,7 @@ class InOrderCore:
         self._load_wait: List[int] = (
             [0] * (NUM_INT_REGS + NUM_FP_REGS)
         )
-        if obs is not None:
-            obs.attach(self)
-        self._validator = validator
-        if validator is not None:
-            validator.attach(self)
+        self._attach_observers()
 
     # ------------------------------------------------------------------
 
@@ -123,7 +95,7 @@ class InOrderCore:
         self.trace = trace
         self._max_cycles = max_cycles  # clamps the fast-forward jump
         trace_len = len(trace)
-        while self.fetch_idx < trace_len or self.issue_q:
+        while self.fetch_idx < trace_len or self.frontend_q:
             if max_cycles is not None and self.cycle >= max_cycles:
                 break
             self._tick()
@@ -132,13 +104,7 @@ class InOrderCore:
                     f"{self.config.name}: no issue for {DEADLOCK_LIMIT} "
                     f"cycles at cycle {self.cycle}"
                 )
-        self.stats.cycles = max(self.cycle, self._final_cycle)
-        self._collect_events()
-        if self._obs is not None:
-            self._obs.finalize(self)
-        if self._validator is not None:
-            self._validator.finalize(self)
-        return self.stats
+        return self._finish_run(max(self.cycle, self._final_cycle))
 
     def _tick(self) -> None:
         completions = self._completions
@@ -162,7 +128,9 @@ class InOrderCore:
     # ------------------------------------------------------------------
 
     def _event_horizon(self) -> int:
-        """Earliest future cycle at which any state can change.
+        """Earliest future cycle at which any state can change: the
+        shared thresholds (``_base_horizon``), then the front-end queue
+        head.
 
         Every future register arrival is also a pending completion, so
         the completion heap alone covers operand waits; the head-of-
@@ -170,19 +138,10 @@ class InOrderCore:
         redirect bubbles.
         """
         cycle = self.cycle
-        horizon = NO_EVENT
-        completions = self._completions
-        if completions:
-            horizon = completions[0][0]
-        resume = self.fetch_resume_cycle
-        if cycle <= resume < horizon:
-            horizon = resume
-        fill = self.hierarchy.fill_horizon(cycle)
-        if fill is not None and fill < horizon:
-            horizon = fill
-        if self.issue_q:
-            head = self.issue_q[0]
-            ready = head.issue_ready
+        horizon = self._base_horizon()
+        if self.frontend_q:
+            head = self.frontend_q[0]
+            ready = head.deliver_cycle
             if ready >= cycle:
                 if ready < horizon:
                     horizon = ready
@@ -205,80 +164,12 @@ class InOrderCore:
         return horizon
 
     # ------------------------------------------------------------------
-    # Fetch (mirrors the OoO front end at LITTLE's width/depth)
-    # ------------------------------------------------------------------
-
-    def _fetch(self) -> bool:
-        if self.cycle < self.fetch_resume_cycle:
-            return False
-        if self.waiting_branch is not None:
-            return False
-        config = self.config
-        trace = self.trace
-        trace_len = len(trace)
-        issue_q = self.issue_q
-        line_bytes = config.hierarchy.line_bytes
-        fetch_width = config.fetch_width
-        queue_depth = config.frontend_queue_depth
-        stats = self.stats
-        cycle = self.cycle
-        fetch_idx = self.fetch_idx
-        issue_lat = config.fetch_to_rename
-        fetched = 0
-        while (
-            fetched < fetch_width
-            and fetch_idx < trace_len
-            and len(issue_q) < queue_depth
-        ):
-            inst = trace[fetch_idx]
-            line = inst.pc // line_bytes
-            if line != self._last_fetched_line:
-                result = self.hierarchy.fetch(inst.pc)
-                self._last_fetched_line = line
-                if not result.l1_hit:
-                    self.fetch_idx = fetch_idx
-                    stats.fetched += fetched
-                    self.fetch_resume_cycle = cycle + result.latency
-                    self.hierarchy.note_refill(self.fetch_resume_cycle)
-                    self._fetch_stall_kind = "icache"
-                    return True
-            entry = InFlight(inst, fetch_cycle=cycle)
-            entry.issue_ready = cycle + issue_lat
-            stop_after = False
-            if inst.is_branch:
-                stats.branches += 1
-                entry.prediction = self.predictor.predict(inst)
-                if not entry.prediction.correct_for(inst):
-                    if (entry.prediction.taken and inst.taken
-                            and entry.prediction.target is None):
-                        entry.btb_redirect = True
-                        self.stats.btb_redirects += 1
-                        self.fetch_resume_cycle = (
-                            cycle + config.decode_redirect_latency
-                        )
-                        self._fetch_stall_kind = "redirect"
-                    else:
-                        entry.mispredicted = True
-                        self.waiting_branch = entry
-                    stop_after = True
-                elif inst.taken:
-                    stop_after = True
-            issue_q.append(entry)
-            fetch_idx += 1
-            fetched += 1
-            if stop_after:
-                break
-        self.fetch_idx = fetch_idx
-        stats.fetched += fetched
-        return fetched > 0
-
-    # ------------------------------------------------------------------
     # In-order issue
     # ------------------------------------------------------------------
 
     def _issue(self) -> int:
-        issue_q = self.issue_q
-        if not issue_q:
+        frontend_q = self.frontend_q
+        if not frontend_q:
             return 0
         issued = 0
         cycle = self.cycle
@@ -292,9 +183,9 @@ class InOrderCore:
         early_results = self._early_results
         early_results.clear()
         late_slot_used = False
-        while issue_q and issued < width:
-            entry = issue_q[0]
-            if entry.issue_ready > cycle:
+        while frontend_q and issued < width:
+            entry = frontend_q[0]
+            if entry.deliver_cycle > cycle:
                 break
             inst = entry.inst
             uses_late = False
@@ -316,7 +207,7 @@ class InOrderCore:
                 break
             if not fu[inst.fu_type].try_issue(inst.op, cycle):
                 break
-            issue_q.popleft()
+            frontend_q.popleft()
             self._rf_reads += len(inst.srcs)
             self._execute(entry, cycle)
             if uses_late:
@@ -387,20 +278,7 @@ class InOrderCore:
             if pipeview is not None:
                 pipeview.record(entry, self.cycle, flushed=False)
             if entry.inst.is_branch:
-                self.predictor.resolve(entry.inst, entry.prediction)
-                if entry.mispredicted:
-                    self.stats.mispredictions += 1
-                    # A short in-order pipe flushes little wrong-path work.
-                    window = max(
-                        0, self.cycle - entry.fetch_cycle
-                        - self.config.fetch_to_rename
-                    )
-                    self.stats.events.wrongpath_ops += (
-                        0.25 * self.config.issue_width * window
-                    )
-                if self.waiting_branch is entry:
-                    self.waiting_branch = None
-                    self.fetch_resume_cycle = self.cycle + 1
+                self._resolve_branch(entry)
 
     # ------------------------------------------------------------------
     # Cycle classification (read by repro.obs)
@@ -412,8 +290,8 @@ class InOrderCore:
         load-operand stall's leaf is the blocking load's miss level,
         from its frozen total latency; an FU structural conflict (head
         due, operands ready, pool refused) is ``fu_port``."""
-        entry = self.issue_q[0] if self.issue_q else None
-        if entry is not None and entry.issue_ready <= self.cycle:
+        entry = self.frontend_q[0] if self.frontend_q else None
+        if entry is not None and entry.deliver_cycle <= self.cycle:
             cycle = self.cycle
             reg_ready = self._reg_ready
             for flat in entry.inst.src_flats:
@@ -437,34 +315,13 @@ class InOrderCore:
     # ------------------------------------------------------------------
 
     def snapshot_events(self) -> EventCounts:
-        """Fresh :class:`EventCounts` from the live counters (see
-        ``OutOfOrderCore.snapshot_events``).  Mid-run the reported
-        drain-extended cycle count is not known yet, so ``cycles``
-        falls back to the live tick."""
-        events = EventCounts()
+        """The shared counters (``CoreBase.snapshot_events``) plus the
+        architectural register file and bypass counts.  Mid-run the
+        reported drain-extended cycle count is not known yet, so
+        ``cycles`` falls back to the live tick."""
+        events = super().snapshot_events()
         events.cycles = self.stats.cycles or self.cycle
-        events.wrongpath_ops = self.stats.events.wrongpath_ops
-        events.fetched = self.stats.fetched
-        events.decoded = self.stats.fetched
         events.prf_reads = self._rf_reads
         events.prf_writes = self._rf_writes
-        events.fu_int_ops = self.fu[FUType.INT].executions
-        events.fu_mem_ops = self.fu[FUType.MEM].executions
-        events.fu_fp_ops = self.fu[FUType.FP].executions
         events.oxu_bypass_broadcasts = self.bypass.broadcasts
-        events.predictor_lookups = self.predictor.lookups
-        events.btb_lookups = self.predictor.lookups
-        l1i, l1d, l2 = (self.hierarchy.l1i, self.hierarchy.l1d,
-                        self.hierarchy.l2)
-        events.l1i_accesses = l1i.stats.accesses
-        events.l1i_misses = l1i.stats.misses
-        events.l1d_accesses = l1d.stats.accesses
-        events.l1d_misses = l1d.stats.misses
-        events.l2_accesses = l2.stats.accesses
-        events.l2_misses = l2.stats.misses
-        events.mem_accesses = self.hierarchy.mem_accesses
-        events.prefetches = self.hierarchy.prefetches
         return events
-
-    def _collect_events(self) -> None:
-        self.stats.events = self.snapshot_events()

@@ -3,7 +3,8 @@
 Trace-driven model of the conventional physical-register-file superscalar
 the paper compares against (BIG / HALF).  Key mechanisms:
 
-* Fetch with g-share+BTB+RAS prediction; a misprediction stops fetch until
+* The front end every family shares (:mod:`repro.core.base`): fetch
+  with g-share+BTB+RAS prediction; a misprediction stops fetch until
   the branch executes (no wrong-path fetch), after which the front-end
   refill depth supplies the Table I penalty.
 * Rename allocates PRF/ROB/LSQ/IQ resources in program order and stalls on
@@ -18,8 +19,8 @@ the paper compares against (BIG / HALF).  Key mechanisms:
 
 The model executes no wrong-path instructions; their FU energy is instead
 estimated statistically at each misprediction resolution (see
-``_charge_wrongpath``) so the energy comparison against the in-order core
-keeps the paper's Figure 8b shape.
+``CoreBase._resolve_branch``) so the energy comparison against the
+in-order core keeps the paper's Figure 8b shape.
 """
 
 from __future__ import annotations
@@ -31,25 +32,26 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.backend import (
     BypassNetwork,
-    FUPool,
     IssueQueue,
     LoadStoreQueue,
     ReorderBuffer,
     StoreSetPredictor,
 )
-from repro.branch import BranchPredictor
 from repro.core import kernel
+from repro.core.base import (
+    _FP_ARITH,
+    CoreBase,
+    SimulationError,
+    frontend_stall,
+    memory_bound_leaf,
+)
 from repro.core.config import CoreConfig
 from repro.core.inflight import InFlight
 from repro.core.kernel import DEADLOCK_LIMIT, NO_EVENT
 from repro.core.stats import CoreStats, EventCounts
 from repro.isa.instruction import DynInst
-from repro.isa.opclass import FUType, FU_FOR_OPCLASS, LATENCY, OpClass
-from repro.mem.hierarchy import CacheHierarchy
+from repro.isa.opclass import OpClass
 from repro.rename.prf import NEVER
-
-#: FP arithmetic classes the commit stage counts (not FP loads/stores).
-_FP_ARITH = frozenset({OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV})
 
 #: Slot-tree leaf of each rename stall (see ``_classify``).
 _RENAME_STALL_LEAVES = {
@@ -60,65 +62,16 @@ _RENAME_STALL_LEAVES = {
 }
 
 
-def memory_bound_leaf(hier, wait: int) -> str:
-    """Bucket a stalled load by its *frozen* total latency (complete -
-    issue cycle, never the remaining wait, which would diverge between
-    serial ticks and fast-forwarded gaps) into the memory sub-tree.
-    The thresholds mirror CacheHierarchy's access results (+1 covers
-    the issue->execute cycle): L1 hit <= 1+l1, L2 hit <= 1+l1+l2, else
-    DRAM.  Store-forward hits (latency 1) land in l1d_bound."""
-    if wait <= 1 + hier.l1_latency:
-        return "backend_bound.memory.l1d_bound"
-    if wait <= 1 + hier.l1_latency + hier.l2_latency:
-        return "backend_bound.memory.l2_bound"
-    return "backend_bound.memory.dram_bound"
-
-
-def frontend_stall(core) -> Tuple[str, str]:
-    """Classify a stall no back-end instruction is to blame for (the
-    tail of every family's ``_classify``): the front end is waiting on
-    a branch, an L1I refill or a decode redirect, or has nothing to
-    deliver."""
-    if core.waiting_branch is not None:
-        return "branch_recovery", "bad_speculation.branch_recovery"
-    if core.cycle < core.fetch_resume_cycle:
-        kind = core._fetch_stall_kind
-        if kind == "icache":
-            return "icache_miss", "frontend_bound.icache_miss"
-        if kind == "redirect":
-            return "branch_recovery", "frontend_bound.redirect"
-        return "branch_recovery", "bad_speculation.branch_recovery"
-    return "frontend_fill", "frontend_bound.queue_empty"
-
-
-class SimulationError(RuntimeError):
-    """The pipeline wedged (a model bug, surfaced loudly)."""
-
-
-class OutOfOrderCore:
+class OutOfOrderCore(CoreBase):
     """Conventional out-of-order superscalar (BIG/HALF of Table I).
 
-    Args:
-        config: Table I parameters for this model.
-        obs: Optional :class:`~repro.obs.Observability` bundle; when
-            None (the default) the pipeline pays one ``is None`` test
-            per cycle and collects nothing.
-        validator: Optional :class:`~repro.validate.Validator`; same
-            contract as ``obs`` — None (the default) costs one ``is
-            None`` test per hook site and checks nothing.
+    Takes the :class:`~repro.core.base.CoreBase` arguments.
     """
 
+    CORE_TYPE = "ooo"
+
     def __init__(self, config: CoreConfig, obs=None, validator=None):
-        if config.core_type != "ooo":
-            raise ValueError("OutOfOrderCore requires an 'ooo' config")
-        self.config = config
-        self.predictor = BranchPredictor(
-            pht_entries=config.pht_entries,
-            btb_entries=config.btb_entries,
-            ras_depth=config.ras_depth,
-            kind=config.predictor_kind,
-        )
-        self.hierarchy = CacheHierarchy(config.hierarchy)
+        super().__init__(config, obs, validator)
         # Renamer import is local to avoid a cycle with repro.rename docs.
         from repro.rename import Renamer
 
@@ -128,33 +81,14 @@ class OutOfOrderCore:
         self.iq = IssueQueue(config.iq_entries, config.issue_width)
         self.lsq = LoadStoreQueue(config.lq_entries, config.sq_entries)
         self.store_sets = StoreSetPredictor()
-        self.fu = {
-            FUType.INT: FUPool(FUType.INT, config.fu_int),
-            FUType.MEM: FUPool(FUType.MEM, config.fu_mem),
-            FUType.FP: FUPool(FUType.FP, config.fu_fp),
-        }
         self.oxu_bypass = BypassNetwork("oxu", config.total_oxu_fus)
-        self.stats = CoreStats(model=config.name)
-        # Fast-forward kernel state (see repro.core.kernel).  The PRF
-        # ready lists are prebound per class once: they are mutated in
-        # place and never rebound, so rename can pair each source preg
-        # with its list for flat-column operand checks.
-        self._ff = kernel.fastforward_enabled()
-        self._ff_skipped = 0  # cycles jumped, not ticked
-        self._max_cycles: Optional[int] = None
+        # The PRF ready lists are prebound per class once: they are
+        # mutated in place and never rebound, so rename can pair each
+        # source preg with its list for flat-column operand checks.
         self._ready_lists = {
             cls: prf.ready_cycles for cls, prf in self.renamer.prf.items()
         }
-        # Pipeline state.
-        self.cycle = 0
-        self.trace: List[DynInst] = []
-        self.fetch_idx = 0
-        self.fetch_resume_cycle = 0
-        self.waiting_branch: Optional[InFlight] = None
-        self.rename_q: Deque[InFlight] = deque()
         self.dispatch_q: Deque[InFlight] = deque()
-        self._completions: List[Tuple[int, int, InFlight]] = []
-        self._completion_counter = 0
         # Event-driven wakeup (see _schedule_entry): entries whose
         # operand-arrival cycles are all known sit in the wake heap
         # keyed (wake_cycle, seq); entries waiting on an unscheduled
@@ -165,7 +99,6 @@ class OutOfOrderCore:
         self._wake_heap: List[Tuple[int, int, InFlight]] = []
         self._ready_entries: List[Tuple[int, InFlight]] = []
         self._iq_waiters: Dict[Tuple, List[InFlight]] = {}
-        self._last_fetched_line = -1
         self._last_commit_cycle = 0
         self._iq_reserved = 0
         # PRF read ports claimed this cycle, as one ``(cycle, claimed)``
@@ -176,17 +109,10 @@ class OutOfOrderCore:
         # the plain OoO and clustered cores never touch it.
         self._prf_ports: Tuple[int, int] = (-1, 0)
         self._track_prf_ports = False
-        # Observability (stall attribution state is kept even when obs
-        # is off: the stores sit on cold paths and cost nothing).
-        self._obs = obs
-        self._pipeview = obs.pipeview if obs is not None else None
+        # Stall attribution state is kept even when obs is off: the
+        # stores sit on cold paths and cost nothing.
         self._stall_reason: Optional[str] = None
-        self._fetch_stall_kind = ""
-        if obs is not None:
-            obs.attach(self)
-        self._validator = validator
-        if validator is not None:
-            validator.attach(self)
+        self._attach_observers()
 
     # ------------------------------------------------------------------
     # Public API
@@ -205,7 +131,7 @@ class OutOfOrderCore:
         self._max_cycles = max_cycles  # clamps the fast-forward jump
         trace_len = len(trace)
         rob_entries = self.rob._entries
-        while self.fetch_idx < trace_len or rob_entries or self.rename_q:
+        while self.fetch_idx < trace_len or rob_entries or self.frontend_q:
             if max_cycles is not None and self.cycle >= max_cycles:
                 break
             self._tick()
@@ -215,13 +141,7 @@ class OutOfOrderCore:
                     f"{DEADLOCK_LIMIT} cycles at cycle {self.cycle} "
                     f"(head={self.rob.head()!r})"
                 )
-        self.stats.cycles = self.cycle
-        self._collect_events()
-        if self._obs is not None:
-            self._obs.finalize(self)
-        if self._validator is not None:
-            self._validator.finalize(self)
-        return self.stats
+        return self._finish_run(self.cycle)
 
     # ------------------------------------------------------------------
     # One cycle
@@ -261,25 +181,19 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------
 
     def _event_horizon(self) -> int:
-        """Earliest future cycle at which any pipeline state can change.
+        """Earliest future cycle at which any pipeline state can change:
+        the shared thresholds (``_base_horizon``), then the heads of the
+        front-end queue (rename's input) and the dispatch queue and the
+        issue queue's earliest wakeup.
 
         Only consulted on idle ticks.  Conservative thresholds (those
         that merely *might* unblock a stage) are always safe: they only
         shorten the jump.
         """
         cycle = self.cycle
-        horizon = NO_EVENT
-        completions = self._completions
-        if completions:
-            horizon = completions[0][0]
-        resume = self.fetch_resume_cycle
-        if cycle <= resume < horizon:
-            horizon = resume
-        fill = self.hierarchy.fill_horizon(cycle)
-        if fill is not None and fill < horizon:
-            horizon = fill
-        if self.rename_q:
-            ready = self.rename_q[0].rename_ready
+        horizon = self._base_horizon()
+        if self.frontend_q:
+            ready = self.frontend_q[0].deliver_cycle
             if cycle <= ready < horizon:
                 horizon = ready
         if self.dispatch_q:
@@ -318,85 +232,13 @@ class OutOfOrderCore:
         return NO_EVENT
 
     # ------------------------------------------------------------------
-    # Fetch
-    # ------------------------------------------------------------------
-
-    def _fetch(self) -> bool:
-        if self.cycle < self.fetch_resume_cycle:
-            return False
-        if self.waiting_branch is not None:
-            return False
-        config = self.config
-        cycle = self.cycle
-        trace = self.trace
-        trace_len = len(trace)
-        rename_q = self.rename_q
-        fetch_width = config.fetch_width
-        queue_depth = config.frontend_queue_depth
-        line_bytes = config.hierarchy.line_bytes
-        rename_lat = config.fetch_to_rename
-        stats = self.stats
-        fetch_idx = self.fetch_idx
-        fetched = 0
-        while (
-            fetched < fetch_width
-            and fetch_idx < trace_len
-            and len(rename_q) < queue_depth
-        ):
-            inst = trace[fetch_idx]
-            line = inst.pc // line_bytes
-            if line != self._last_fetched_line:
-                result = self.hierarchy.fetch(inst.pc)
-                self._last_fetched_line = line
-                if not result.l1_hit:
-                    # Refill in flight: resume once the line arrives.
-                    self.fetch_idx = fetch_idx
-                    stats.fetched += fetched
-                    self.fetch_resume_cycle = cycle + result.latency
-                    self.hierarchy.note_refill(self.fetch_resume_cycle)
-                    self._fetch_stall_kind = "icache"
-                    return True
-            entry = InFlight(inst, fetch_cycle=cycle)
-            entry.rename_ready = cycle + rename_lat
-            stop_after = False
-            if inst.is_branch:
-                stats.branches += 1
-                entry.prediction = self.predictor.predict(inst)
-                if not entry.prediction.correct_for(inst):
-                    if (entry.prediction.taken and inst.taken
-                            and entry.prediction.target is None):
-                        # Direction right, BTB cold: the decoder computes
-                        # the target — a short front-end redirect.
-                        entry.btb_redirect = True
-                        self.stats.btb_redirects += 1
-                        self.fetch_resume_cycle = (
-                            cycle + config.decode_redirect_latency
-                        )
-                        self._fetch_stall_kind = "redirect"
-                    else:
-                        entry.mispredicted = True
-                        self.waiting_branch = entry
-                    stop_after = True
-                elif inst.taken and config.fetch_breaks_on_taken:
-                    # Simple fetch units stop at a taken branch.
-                    stop_after = True
-            rename_q.append(entry)
-            fetch_idx += 1
-            fetched += 1
-            if stop_after:
-                break
-        self.fetch_idx = fetch_idx
-        stats.fetched += fetched
-        return fetched > 0
-
-    # ------------------------------------------------------------------
     # Rename
     # ------------------------------------------------------------------
 
     def _rename(self) -> int:
         self._stall_reason = None
-        rename_q = self.rename_q
-        if not rename_q:
+        frontend_q = self.frontend_q
+        if not frontend_q:
             return 0
         cycle = self.cycle
         width = self.config.rename_width
@@ -404,14 +246,14 @@ class OutOfOrderCore:
         rob = self.rob
         rob_entries = rob._entries
         renamed = 0
-        while rename_q and renamed < width:
-            entry = rename_q[0]
-            if entry.rename_ready > cycle:
+        while frontend_q and renamed < width:
+            entry = frontend_q[0]
+            if entry.deliver_cycle > cycle:
                 break
             eliminable = self._is_eliminable(entry.inst)
             if not self._rename_resources_ready(entry, eliminable):
                 break
-            rename_q.popleft()
+            frontend_q.popleft()
             if eliminable:
                 # RENO: the move becomes a rename-table update; it still
                 # takes a ROB slot and commits, but never executes.
@@ -764,32 +606,6 @@ class OutOfOrderCore:
             if entry.inst.is_branch:
                 self._resolve_branch(entry)
 
-    def _resolve_branch(self, entry: InFlight) -> None:
-        self.predictor.resolve(entry.inst, entry.prediction)
-        if entry.mispredicted:
-            self.stats.mispredictions += 1
-            if entry.executed_in_ixu:
-                self.stats.mispredictions_resolved_in_ixu += 1
-            self._charge_wrongpath(entry)
-        if self.waiting_branch is entry:
-            self.waiting_branch = None
-            self.fetch_resume_cycle = self.cycle + 1
-
-    def _charge_wrongpath(self, entry: InFlight) -> None:
-        """Estimate wrong-path FU work for one misprediction.
-
-        The model fetches no wrong path, but real cores execute down it
-        until resolution; the deeper/wider the window, the more flushed
-        work (the reason LITTLE's FU energy is lowest in Figure 8b).  We
-        charge half the issue bandwidth over the resolution window.
-        """
-        window = max(
-            0, self.cycle - entry.fetch_cycle - self.config.fetch_to_rename
-        )
-        self.stats.events.wrongpath_ops += (
-            0.5 * self.config.issue_width * window
-        )
-
     # ------------------------------------------------------------------
     # Memory-ordering violation: squash and replay
     # ------------------------------------------------------------------
@@ -819,7 +635,7 @@ class OutOfOrderCore:
         self.iq.squash_younger_than(boundary_seq)
         self._scheduler_squash(boundary_seq)
         self.lsq.squash_younger_than(boundary_seq)
-        for queue in (self.rename_q, self.dispatch_q):
+        for queue in (self.frontend_q, self.dispatch_q):
             for entry in queue:
                 if entry.seq > boundary_seq:
                     # Renamed entries were already flush-recorded by the
@@ -827,8 +643,8 @@ class OutOfOrderCore:
                     if pipeview is not None and not entry.squashed:
                         pipeview.record(entry, self.cycle, flushed=True)
                     entry.squashed = True
-        self.rename_q = deque(
-            e for e in self.rename_q if not e.squashed
+        self.frontend_q = deque(
+            e for e in self.frontend_q if not e.squashed
         )
         kept_dispatch = deque()
         for entry in self.dispatch_q:
@@ -970,63 +786,34 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------
 
     def snapshot_events(self) -> EventCounts:
-        """Fresh :class:`EventCounts` read from the live counters.
-
-        Callable mid-run (the timeline collector deltas successive
-        snapshots at interval boundaries) as well as at the end of the
-        run; each call builds a new object, so calling it twice never
-        double-counts.  ``wrongpath_ops`` is the one count accumulated
-        on ``stats.events`` during the run rather than on a live
-        structure, so it is copied across.
-        """
-        events = EventCounts()
-        events.cycles = self.cycle
-        events.wrongpath_ops = self.stats.events.wrongpath_ops
-        events.fetched = self.stats.fetched
-        events.decoded = self.stats.fetched
-        events.iq_dispatches = self.iq.dispatches
-        events.iq_issues = self.iq.issues
-        events.iq_wakeup_broadcasts = self.iq.wakeup_broadcasts
-        events.iq_cam_compares = self.iq.wakeup_cam_compares
-        events.lsq_writes = self.lsq.stats.writes
-        events.lsq_searches = self.lsq.stats.searches
-        events.lsq_omitted_writes = self.lsq.stats.omitted_load_writes
-        events.lsq_omitted_searches = (
-            self.lsq.stats.omitted_violation_searches
-        )
-        prf = self.renamer.prf
+        """The shared counters (``CoreBase.snapshot_events``) plus the
+        rename, IQ, LSQ, ROB and OXU bypass counts."""
+        events = super().snapshot_events()
+        iq = self.iq
+        events.iq_dispatches = iq.dispatches
+        events.iq_issues = iq.issues
+        events.iq_wakeup_broadcasts = iq.wakeup_broadcasts
+        events.iq_cam_compares = iq.wakeup_cam_compares
+        lsq_stats = self.lsq.stats
+        events.lsq_writes = lsq_stats.writes
+        events.lsq_searches = lsq_stats.searches
+        events.lsq_omitted_writes = lsq_stats.omitted_load_writes
+        events.lsq_omitted_searches = lsq_stats.omitted_violation_searches
+        renamer = self.renamer
+        prf = renamer.prf
         events.prf_reads = sum(p.reads for p in prf.values())
         events.prf_writes = sum(p.writes for p in prf.values())
         events.scoreboard_reads = sum(
-            s.reads for s in self.renamer.scoreboard.values()
+            s.reads for s in renamer.scoreboard.values()
         )
-        events.rat_reads = sum(
-            r.reads for r in self.renamer.rat.values()
-        )
-        events.rat_writes = sum(
-            r.writes for r in self.renamer.rat.values()
-        )
+        events.rat_reads = sum(r.reads for r in renamer.rat.values())
+        events.rat_writes = sum(r.writes for r in renamer.rat.values())
         events.rob_allocations = self.rob.allocations
-        events.moves_eliminated = self.renamer.moves_eliminated
-        events.fu_int_ops = self.fu[FUType.INT].executions
-        events.fu_mem_ops = self.fu[FUType.MEM].executions
-        events.fu_fp_ops = self.fu[FUType.FP].executions
+        events.moves_eliminated = renamer.moves_eliminated
         events.oxu_bypass_broadcasts = self.oxu_bypass.broadcasts
-        events.predictor_lookups = self.predictor.lookups
-        events.btb_lookups = self.predictor.lookups
-        l1i, l1d, l2 = (self.hierarchy.l1i, self.hierarchy.l1d,
-                        self.hierarchy.l2)
-        events.l1i_accesses = l1i.stats.accesses
-        events.l1i_misses = l1i.stats.misses
-        events.l1d_accesses = l1d.stats.accesses
-        events.l1d_misses = l1d.stats.misses
-        events.l2_accesses = l2.stats.accesses
-        events.l2_misses = l2.stats.misses
-        events.mem_accesses = self.hierarchy.mem_accesses
-        events.prefetches = self.hierarchy.prefetches
         return events
 
     def _collect_events(self) -> None:
-        self.stats.events = self.snapshot_events()
+        super()._collect_events()
         self.stats.iq_mean_occupancy = self.iq.mean_occupancy
         self.stats.forwarded_loads = self.lsq.stats.forwarded_loads

@@ -19,8 +19,8 @@ from repro.mem.cache import CacheStats
 def functional_warmup(core, trace: Iterable[DynInst]) -> None:
     """Train ``core``'s predictor and caches on ``trace``; reset counters.
 
-    Works on any core exposing ``predictor``, ``hierarchy`` and ``config``
-    (all three models do).
+    Works on any :class:`~repro.core.base.CoreBase`: the predictor and
+    the hierarchy it trains are the ones every core family builds there.
     """
     line_bytes = core.config.hierarchy.line_bytes
     last_line = -1

@@ -97,7 +97,7 @@ def _backend_occupancy(core):
 
 def _frontend_occupancy(core):
     """Front-end queue fill of the in-order core."""
-    return (len(core.issue_q),)
+    return (len(core.frontend_q),)
 
 
 class Observability:

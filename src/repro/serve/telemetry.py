@@ -454,8 +454,12 @@ class ServeTelemetry:
             self.jobs.labels(source=source, status=status).add()
             self.sim_seconds.labels(source=source).observe(
                 max(0.0, seconds))
-            self.registry.counter(f"serve.jobs_{source}").add()
-            if status != "ok":
+            # A successful answer counts under its source (simulated
+            # or cache); every failed one, fresh or a replayed failure
+            # record, counts once as quarantined.
+            if status == "ok":
+                self.registry.counter(f"serve.jobs_{source}").add()
+            else:
                 self.registry.counter("serve.jobs_quarantined").add()
 
     def observe_attempt(self, status: str) -> None:

@@ -456,9 +456,8 @@ class Validator:
             if cycle % self.audit_interval == 0:
                 self._audit_freelists(core)
         else:
-            queue = getattr(core, "issue_q", None)
-            if (queue is not None
-                    and len(queue) > config.frontend_queue_depth):
+            queue = core.frontend_q
+            if len(queue) > config.frontend_queue_depth:
                 self._record(
                     "occupancy_frontend_queue", cycle, None,
                     f"front-end queue holds {len(queue)} > "

@@ -1,5 +1,7 @@
 """Tests for the in-order (LITTLE) core."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import InOrderCore, build_core
@@ -53,6 +55,16 @@ class TestInOrderBasics:
         a = build_core("LITTLE").run(trace)
         b = build_core("LITTLE").run(trace)
         assert a.cycles == b.cycles
+
+    @pytest.mark.parametrize("bench", ["hmmer", "gcc", "mcf"])
+    def test_fetch_always_stops_at_a_taken_branch(self, bench):
+        """The in-order fetch does not read ``fetch_breaks_on_taken``:
+        LITTLE with it False runs exactly as the preset (True)."""
+        trace = generate_trace(bench, 1500, seed=3)
+        preset = build_core(little_config()).run(trace)
+        through = build_core(replace(
+            little_config(), fetch_breaks_on_taken=False)).run(trace)
+        assert through.to_dict() == preset.to_dict()
 
 
 class TestInOrderStalls:

@@ -1,9 +1,10 @@
-"""Golden pin of FXA results, byte for byte.
+"""Golden pin of every core family's results, byte for byte.
 
-Every case runs an FXA core unobserved and compares
-``CoreStats.to_dict()`` with the committed ``fxa_golden.json`` through
-``json.dumps`` without ``sort_keys``, so key order is pinned too, once
-with the fast-forward kernel on and once with the serial tick loop.
+Every case runs a core unobserved and compares ``CoreStats.to_dict()``
+(event counters included) with the committed ``fxa_golden.json``
+through ``json.dumps`` without ``sort_keys``, so key order is pinned
+too, once with the fast-forward kernel on and once with the serial tick
+loop.
 
 Cases:
 
@@ -14,9 +15,14 @@ Cases:
   six-stage IXUs (the ends of figure 12's depth range), the full and
   the one-stage bypass network, no IXU memory ops, no IXU branches,
   and a single shared PRF read port.
-* The FXA config of ``sample_case(seed, 0|1)`` for three fuzz seeds.
+* BIG, HALF, LITTLE and CA on the same four benchmarks, so the
+  out-of-order, in-order and clustered cores that share FXA's front
+  end are pinned alongside it.
+* All four configs of ``sample_case(seed, 0|1)`` for three fuzz seeds:
+  in-order, out-of-order and clustered first, FXA last.
 
-After an intended change to FXA's results, rewrite the file with::
+After an intended change to any family's results, rewrite the file
+with::
 
     PYTHONPATH=src python -m tests.test_fxa_golden
 """
@@ -29,7 +35,12 @@ from pathlib import Path
 import pytest
 
 from repro.core import build_core
-from repro.core.presets import PAPER_IXU, big_fx_config, half_fx_config
+from repro.core.presets import (
+    PAPER_IXU,
+    big_fx_config,
+    half_fx_config,
+    model_config,
+)
 from repro.validate.fuzz import sample_case
 from repro.workloads import generate_trace
 
@@ -37,6 +48,11 @@ GOLDEN = Path(__file__).with_name("fxa_golden.json")
 BENCHMARKS = ("mcf", "hmmer", "libquantum", "soplex")
 VARIANT_BENCHMARKS = ("hmmer", "soplex")
 FUZZ_SEEDS = (7, 1106, 2024)
+#: The presets of the families without an IXU.
+OTHER_MODELS = ("BIG", "HALF", "LITTLE", "CA")
+#: ``FuzzCase.configs`` positions: in-order, out-of-order, clustered,
+#: then FXA.
+FUZZ_CONFIGS = (0, 1, 3, 2)
 
 
 def _variants():
@@ -65,11 +81,14 @@ def _cases():
     for name, config in _variants().items():
         for bench in VARIANT_BENCHMARKS:
             cases[f"HALF+FX[{name}]/{bench}"] = (config, bench, 1500, 3)
-    for seed in FUZZ_SEEDS:
-        for index in range(2):
-            case = sample_case(seed=seed, index=index)
-            config = case.configs[2]
-            assert config.ixu is not None
+    for name in OTHER_MODELS:
+        for bench in BENCHMARKS:
+            cases[f"{name}/{bench}"] = (model_config(name), bench, 1500, 3)
+    fuzz = [(seed, sample_case(seed=seed, index=index))
+            for seed in FUZZ_SEEDS for index in range(2)]
+    for position in FUZZ_CONFIGS:
+        for seed, case in fuzz:
+            config = case.configs[position]
             cases[f"{seed}:{config.name}/{case.benchmark}"] = (
                 config, case.benchmark, case.length, case.trace_seed)
     return cases

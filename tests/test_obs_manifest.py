@@ -182,7 +182,9 @@ class TestJobCounts:
     record replayed from the cache included, in every producer.
 
     The probe: the five models on hmmer and lbm (10 jobs) with every lbm
-    job crashing, run cold and then warm on one cache directory."""
+    job crashing, run cold and then warm on one cache directory.  Each
+    producer returns the two manifests and, when it is a server, its
+    ``/v1/status`` after both batches."""
 
     PROBE = {"measure": 300, "warmup": 600}
 
@@ -199,7 +201,7 @@ class TestJobCounts:
                 "--manifest", str(path)]) == 0
             manifests.append(json.loads(path.read_text()))
         runner.clear_cache()
-        return manifests
+        return manifests, None
 
     def _serve(self, tmp_path):
         batch = {"jobs": [
@@ -211,8 +213,9 @@ class TestJobCounts:
                 cache=DiskCache(tmp_path / "cache"), workers=1)
             try:
                 client = ServeClient(server.host, server.port, timeout=300)
-                return [client.run_batch(batch)[-1]["manifest"]
-                        for _ in ("cold", "warm")]
+                manifests = [client.run_batch(batch)[-1]["manifest"]
+                             for _ in ("cold", "warm")]
+                return manifests, client.status()
             finally:
                 stop()
         finally:
@@ -220,9 +223,17 @@ class TestJobCounts:
 
     @pytest.mark.parametrize("producer", ["cli", "serve"])
     def test_counts_cold_and_warm(self, tmp_path, producer):
-        cold, warm = getattr(self, f"_{producer}")(tmp_path)
+        (cold, warm), status = getattr(self, f"_{producer}")(tmp_path)
         assert (cold["jobs_simulated"], cold["jobs_failed"]) == (5, 5)
         assert (warm["jobs_simulated"], warm["jobs_failed"]) == (0, 5)
+        if status is not None:
+            # /v1/status counts successful answers by source and every
+            # failed answer, replayed ones included, as quarantined.
+            metrics = status["metrics"]
+            assert (metrics["serve.jobs_simulated"],
+                    metrics["serve.jobs_cache"],
+                    metrics["serve.jobs_quarantined"]) == (5, 5, 10)
+            assert "serve.jobs_quarantine" not in metrics
 
     def test_counts_cover_one_invocation(self, tmp_path):
         # A second run in the same process, without the fault and the
