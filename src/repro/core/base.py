@@ -83,9 +83,6 @@ class CoreBase:
     #: Share of the issue width charged as wrong-path FU work for each
     #: cycle of a misprediction's resolution window.
     WRONGPATH_SHARE = 0.5
-    #: Fetch stops at every correctly predicted taken branch, whatever
-    #: ``CoreConfig.fetch_breaks_on_taken`` says.
-    ALWAYS_STOP_AT_TAKEN = False
 
     def __init__(self, config: CoreConfig, obs=None, validator=None):
         if config.core_type != self.CORE_TYPE:
@@ -117,8 +114,7 @@ class CoreBase:
         self.waiting_branch: Optional[InFlight] = None
         self._last_fetched_line = -1
         self._fetch_stall_kind = ""  # read by frontend_stall
-        self._stop_at_taken = (self.ALWAYS_STOP_AT_TAKEN
-                               or config.fetch_breaks_on_taken)
+        self._stop_at_taken = config.fetch_breaks_on_taken
         self.frontend_q: Deque[InFlight] = deque()
         self._completions: List[Tuple[int, int, InFlight]] = []
         self._completion_counter = 0

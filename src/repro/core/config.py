@@ -133,10 +133,8 @@ class CoreConfig:
     frontend_queue_depth: int = 16
     #: Whether a correctly-predicted taken branch ends the fetch group.
     #: The wide OoO front ends (BTB-redirected, two blocks per cycle)
-    #: fetch through.  Only the out-of-order fetch reads it: the little
-    #: core's simpler fetch unit always breaks
-    #: (``InOrderCore.ALWAYS_STOP_AT_TAKEN``), so an in-order config
-    #: runs the same with either value.
+    #: fetch through.  The little core's simpler fetch unit always
+    #: breaks, so an in-order config always records True.
     fetch_breaks_on_taken: bool = False
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     ixu: Optional[IXUConfig] = None
@@ -147,6 +145,8 @@ class CoreConfig:
             raise ValueError(f"unknown core type {self.core_type!r}")
         if self.core_type == "inorder" and self.ixu is not None:
             raise ValueError("the IXU attaches to out-of-order cores only")
+        if self.core_type == "inorder":
+            object.__setattr__(self, "fetch_breaks_on_taken", True)
         if self.clusters is not None and self.ixu is not None:
             raise ValueError("a core is clustered or FXA, not both")
         if self.clusters is not None and self.core_type != "ooo":

@@ -53,9 +53,6 @@ class InOrderCore(CoreBase):
     CORE_TYPE = "inorder"
     #: A short in-order pipe flushes little wrong-path work.
     WRONGPATH_SHARE = 0.25
-    #: LITTLE's simple fetch unit; ``CoreConfig.fetch_breaks_on_taken``
-    #: is not read.
-    ALWAYS_STOP_AT_TAKEN = True
 
     def __init__(self, config: CoreConfig, obs=None, validator=None):
         super().__init__(config, obs, validator)

@@ -51,7 +51,6 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-import repro
 from repro.atomicio import replace_json, replacing
 from repro.core import MODEL_NAMES, model_config
 from repro.experiments import (
@@ -59,7 +58,6 @@ from repro.experiments import (
     headline, related_work, reno, sensitivity, tables,
 )
 from repro.experiments import runner, sweepflags
-from repro.experiments.diskcache import code_version
 from repro.experiments.pool import (
     SweepAborted,
     split_outcomes,
@@ -67,12 +65,10 @@ from repro.experiments.pool import (
 )
 from repro.obs import (
     DEFAULT_INTERVAL,
-    JobRecord,
     KanataWriter,
     Observability,
     RunManifest,
     STALL_CAUSES,
-    aggregate_entry,
     TimelineCollector,
     TopDownCollector,
     format_energy_by_class,
@@ -91,7 +87,7 @@ from repro.obs.diffrun import (
     diff_manifests,
     format_diff_report,
 )
-from repro.obs.traceevent import TraceEventWriter
+from repro.obs.traceevent import export_timelines
 from repro.workloads import ALL_BENCHMARKS
 
 #: Models the observability passes simulate ("CA" included: the
@@ -260,44 +256,24 @@ def _timeline_pass(args, started_clock: float):
     return collectors, spans
 
 
-def _build_aggregates(served, job_records, observed: Dict,
-                      topdowns: Dict) -> List[Dict]:
-    """Manifest aggregates: one entry per (model, benchmark) run the
-    sweep served (cache replays included).
-
-    ``wall_seconds``/``insts_per_second`` come from the job records of
-    freshly simulated jobs (0.0 for cache replays); the stall mix,
-    fast-forward engagement and top-down payload are taken from the
-    observed pass when one ran (``topdown`` is None and
-    ``ff_skipped_cycles`` falls back to the observed metrics counter,
-    then 0, otherwise).
-    """
-    wall: Dict = {}
-    for record in job_records:
-        if record.ok:
-            wall[(record.job.config.name, record.job.benchmark)] = (
-                record.wall_seconds)
-    entries = []
-    for run in sorted(served, key=lambda r: (r.model, r.benchmark)):
-        key = (run.model, run.benchmark)
-        wall_seconds = wall.get(key, 0.0)
-        observed_stats = observed.get(key)
-        stalls = (observed_stats.stalls if observed_stats is not None
-                  else run.stats.stalls)
+def _observed_fields(observed: Dict, topdowns: Dict) -> Dict:
+    """The observed pass's manifest-aggregate fields per (model,
+    benchmark): the stall mix, fast-forward engagement (the top-down
+    collector's, else the metrics counter, else 0) and top-down payload.
+    A run the pass did not observe keeps its own stall mix, 0 and None
+    (see :func:`runner.build_manifest`)."""
+    fields = {}
+    for key, stats in observed.items():
         topdown = topdowns.get(key)
         if topdown is not None:
             ff_skipped = topdown.ff_skipped
-        elif observed_stats is not None and observed_stats.metrics:
-            ff_skipped = observed_stats.metrics.get(
-                "counters", {}).get("cycles.fastforwarded", 0)
         else:
-            ff_skipped = 0
-        entries.append(aggregate_entry(
-            run, wall_seconds=wall_seconds, stalls=stalls,
-            ff_skipped=ff_skipped,
-            topdown=(topdown.to_dict()
-                     if topdown is not None else None)))
-    return entries
+            ff_skipped = (stats.metrics or {}).get(
+                "counters", {}).get("cycles.fastforwarded", 0)
+        fields[key] = {
+            "stalls": stats.stalls, "ff_skipped": ff_skipped,
+            "topdown": topdown.to_dict() if topdown is not None else None}
+    return fields
 
 
 def _merge_topdowns(topdowns: Dict) -> Dict[str, Dict]:
@@ -396,7 +372,7 @@ def _json_default(obj):
 def _run_validation(args) -> int:
     """Handle ``--validate`` and ``--fuzz N`` (exit-code style)."""
     from repro.validate import validate_all
-    from repro.validate.fuzz import fuzz, render_failures
+    from repro.validate.fuzz import fuzz, render_summary
 
     failed = False
     report_payload = {}
@@ -411,19 +387,8 @@ def _run_validation(args) -> int:
         report_payload["validate"] = [r.to_dict() for r in reports]
     if args.fuzz is not None:
         result = fuzz(args.fuzz, args.seed)
-        if result.ok:
-            print(f"fuzz OK: {len(result.cases)} case(s), "
-                  f"{len(result.reports)} validated runs, seed "
-                  f"{result.seed} — no divergence, no invariant "
-                  f"violation")
-        else:
-            print(render_failures(result))
-            print(f"fuzz FAILED: {len(result.failures)} of "
-                  f"{len(result.reports)} runs, seed {result.seed}; "
-                  f"re-run one case with: python -m repro.validate.fuzz"
-                  f" --seed {result.seed} --case "
-                  f"{result.failing_case_indices[0]} -v")
-            failed = True
+        print(render_summary(result))
+        failed = failed or not result.ok
         report_payload["fuzz"] = result.to_dict()
     if args.fuzz_report:
         replace_json(args.fuzz_report, report_payload, indent=2,
@@ -619,8 +584,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment is None:
         parser.error("an experiment name is required "
                      "(or --validate / --fuzz N)")
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the disk cache; drop --no-cache")
     baseline_manifest = None
     if args.baseline:
         try:
@@ -641,7 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError, KeyError, TypeError) as error:
             parser.error(f"--report-baseline: cannot load "
                          f"{args.report_baseline}: {error}")
-    started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     started_clock = time.time()
     todo = names if args.experiment == "all" else [args.experiment]
     collected = {}
@@ -715,14 +677,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             job_records = runner.pop_job_records()
             served_runs = runner.pop_served_runs()
             if args.timeline:
-                writer = TraceEventWriter()
-                for collector in timeline_collectors:
-                    writer.add_timeline(collector)
-                for span in stage_spans + timeline_spans:
-                    writer.add_span(span["name"], span["ts"], span["dur"],
-                                    tid=span.get("tid", 0))
-                writer.add_job_spans(job_records, started_clock)
-                writer.write(args.timeline)
+                export_timelines(timeline_collectors, args.timeline,
+                                 stage_spans + timeline_spans,
+                                 job_records, started_clock)
                 print(f"timeline trace written to {args.timeline} "
                       f"(load at https://ui.perfetto.dev)")
             if job_records:
@@ -730,11 +687,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             failures = runner.failed_runs()
             if failures:
                 _print_failure_summary(failures)
+            sweepflags.print_cache_line(settings)
             cache = settings.cache
-            cache_counts = cache.counters() if cache is not None else {}
-            if cache is not None and (cache.hits or cache.stores):
-                print(f"[disk cache: {cache.hits} hits, "
-                      f"{cache.stores} new entries under {cache.root}]")
             if args.resume and cache is not None:
                 simulated = sum(1 for r in job_records if r.ok)
                 print(f"[resume: {cache.hits} job(s) replayed from cache, "
@@ -755,45 +709,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest_paths.append(args.manifest_path)
     if args.json_path:
         manifest_paths.append(manifest_path_for(args.json_path))
-    outputs = {}
-    if args.json_path:
-        outputs["json"] = args.json_path
-    if args.pipeview:
-        outputs["pipeview"] = args.pipeview
-    if args.timeline:
-        outputs["timeline"] = args.timeline
-    if args.stall_report_csv:
-        outputs["stall_report_csv"] = args.stall_report_csv
-    if args.profile_sim:
-        outputs["profile"] = args.profile_sim
-    if args.metrics_json:
-        outputs["metrics_json"] = args.metrics_json
-    if args.report:
-        outputs["report"] = args.report
+    outputs = {name: path for name, path in (
+        ("json", args.json_path), ("pipeview", args.pipeview),
+        ("timeline", args.timeline),
+        ("stall_report_csv", args.stall_report_csv),
+        ("profile", args.profile_sim), ("metrics_json", args.metrics_json),
+        ("report", args.report)) if path}
     # Built even with no --manifest/--json: --baseline diffs it and
     # --trajectory appends it.
-    manifest = RunManifest(
-        command=list(sys.argv[1:] if argv is None else argv),
-        experiments=todo,
-        benchmarks=args.benchmarks,
-        measure=args.measure,
-        warmup=args.warmup,
-        seed=0,
-        code_version=code_version(),
-        repro_version=repro.__version__,
-        started_at=started_at,
-        finished_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        wall_seconds=time.time() - started_clock,
-        workers=args.jobs,
-        jobs_simulated=sum(1 for r in job_records if r.ok),
-        jobs_failed=len(failures),
-        fault_policy=settings.fault_policy,
-        job_records=[JobRecord.from_pool(r) for r in job_records],
-        cache=cache_counts,
-        outputs=outputs,
-        aggregates=_build_aggregates(served_runs, job_records, observed,
-                                     topdowns),
-    )
+    manifest = runner.build_manifest(
+        settings, job_records, failures, started_clock,
+        command=sys.argv[1:] if argv is None else argv,
+        experiments=todo, benchmarks=args.benchmarks,
+        measure=args.measure, warmup=args.warmup, outputs=outputs,
+        runs=sorted(served_runs, key=lambda served: (
+            served[1].model, served[1].benchmark)),
+        observed=_observed_fields(observed, topdowns))
     for path in manifest_paths:
         manifest.write(path)
         print(f"run manifest written to {path}")

@@ -90,11 +90,13 @@ from repro.experiments.pareto import (
     pareto_front_indices,
     pareto_ranks,
 )
+from repro.experiments.pool import SimJob
 from repro.experiments.sweepflags import (
     add_sweep_args,
     applied,
     float_at_least,
     int_at_least,
+    print_cache_line,
 )
 from repro.experiments.textchart import scatter_chart
 from repro.workloads import ALL_BENCHMARKS
@@ -561,7 +563,8 @@ class ExploreResult:
     """Everything one sweep produced (JSON payload + harness extras)."""
 
     payload: Dict
-    #: Final-rung BenchmarkRuns, for manifest aggregates.
+    #: Final-rung (SimJob, BenchmarkRun) pairs, for manifest
+    #: aggregates.
     final_runs: List = field(default_factory=list)
     #: (name, started_ts, ended_ts) per rung, for the timeline export.
     rung_spans: List[Tuple[str, float, float]] = field(
@@ -614,7 +617,8 @@ def explore(
         rung_failed: List[str] = []
         rung_runs: List = []
         for point in alive:
-            runs = [grid[configs[point.name], bench] for bench in benchmarks]
+            config = configs[point.name]
+            runs = [grid[config, bench] for bench in benchmarks]
             if any(run is None for run in runs):
                 failed[point.name] = rung
                 rung_failed.append(point.name)
@@ -631,7 +635,9 @@ def explore(
                 "score": ipc / epi if epi else 0.0,
             })
             entry_points.append(point)
-            rung_runs.extend(runs)
+            rung_runs.extend(
+                (SimJob(config, bench, measure, warmup, seed), run)
+                for bench, run in zip(benchmarks, runs))
         vectors = [_vector(entry) for entry in entries]
         ranks = pareto_ranks(vectors)
         front = set(pareto_front_indices(vectors))
@@ -918,6 +924,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
              "(default 4.0).")
     parser.add_argument(
         "--benchmarks", nargs="*", default=None,
+        choices=ALL_BENCHMARKS, metavar="BENCHMARK",
         help="Benchmarks to measure (geomean across them; default "
              f"{' '.join(DEFAULT_BENCHMARKS)}).")
     parser.add_argument(
@@ -981,8 +988,6 @@ def cmd(args: argparse.Namespace,
     ``argv`` is the argument list they were parsed from, recorded as
     the manifest's ``command`` (default ``sys.argv[1:]``).
     """
-    from repro.experiments.diskcache import code_version
-
     if args.verify:
         return _cmd_verify(args.verify)
     if args.list_spaces:
@@ -991,10 +996,6 @@ def cmd(args: argparse.Namespace,
             print(f"{name:8s} {space.grid_size():5d} grid points + "
                   f"{len(space.seeds):2d} seeds  {space.description}")
         return 0
-    if args.resume and args.no_cache:
-        print("dse: --resume needs the disk cache; drop --no-cache",
-              file=sys.stderr)
-        return 2
     try:
         space = load_space(args.space)
     except SpaceError as error:
@@ -1002,14 +1003,8 @@ def cmd(args: argparse.Namespace,
         return 2
     benchmarks = (list(args.benchmarks) if args.benchmarks
                   else list(DEFAULT_BENCHMARKS))
-    unknown = set(benchmarks) - set(ALL_BENCHMARKS)
-    if unknown:
-        print(f"dse: unknown benchmarks: {sorted(unknown)}",
-              file=sys.stderr)
-        return 2
 
-    started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    started_clock = time.time()
+    started = time.time()
     with applied(args) as settings:
         result = explore(
             space, samples=args.samples, budget=args.budget,
@@ -1017,9 +1012,7 @@ def cmd(args: argparse.Namespace,
             seed=args.seed, min_measure=args.min_measure,
             warmup_factor=args.warmup_factor, log=print)
         job_records = runner.pop_job_records()
-        jobs_failed = len(runner.failed_runs())
-        cache_counts = (settings.cache.counters()
-                        if settings.cache is not None else {})
+        failures = runner.failed_runs()
 
     payload = result.payload
     replace_json(args.out, payload, indent=2, sort_keys=True,
@@ -1043,61 +1036,29 @@ def cmd(args: argparse.Namespace,
     print(f"frontier JSON written to {args.out} "
           f"({len(payload['frontier'])} frontier configs of "
           f"{payload['samples']} sampled)")
-    if cache_counts and (cache_counts.get("hits")
-                         or cache_counts.get("stores")):
-        print(f"[disk cache: {cache_counts['hits']} hits, "
-              f"{cache_counts['stores']} new entries under "
-              f"{cache_counts['root']}]")
+    print_cache_line(settings)
 
     if args.manifest:
-        import repro
-        from repro.obs import JobRecord, RunManifest, aggregate_entry
-
-        wall = {}
-        for record in job_records:
-            if record.ok:
-                wall[(record.job.config.name, record.job.benchmark,
-                      record.job.measure)] = record.wall_seconds
-        final_measure = rung_measure(args.budget, args.eta, args.rungs,
-                                     args.rungs - 1, args.min_measure)
-        aggregates = [
-            aggregate_entry(run, wall_seconds=wall.get(
-                (run.model, run.benchmark, final_measure), 0.0))
-            for run in sorted(result.final_runs,
-                              key=lambda r: (r.model, r.benchmark))]
-        manifest = RunManifest(
-            command=list(sys.argv[1:] if argv is None else argv),
-            experiments=["dse"],
-            benchmarks=benchmarks,
+        runner.build_manifest(
+            settings, job_records, failures, started,
+            command=sys.argv[1:] if argv is None else argv,
+            experiments=["dse"], benchmarks=benchmarks,
             measure=args.budget,
             warmup=int(round(args.budget * args.warmup_factor)),
-            seed=args.seed,
-            code_version=code_version(),
-            repro_version=repro.__version__,
-            started_at=started_at,
-            finished_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            wall_seconds=time.time() - started_clock,
-            workers=args.jobs,
-            jobs_simulated=sum(1 for r in job_records if r.ok),
-            jobs_failed=jobs_failed,
-            fault_policy=settings.fault_policy,
-            job_records=[JobRecord.from_pool(r) for r in job_records],
-            cache=cache_counts,
-            outputs={"frontier": args.out},
-            aggregates=aggregates,
-        )
-        manifest.write(args.manifest)
+            seed=args.seed, outputs={"frontier": args.out},
+            runs=sorted(result.final_runs, key=lambda final: (
+                final[1].model, final[1].benchmark)),
+        ).write(args.manifest)
         print(f"run manifest written to {args.manifest}")
 
     if args.timeline:
-        from repro.obs.traceevent import TraceEventWriter
+        from repro.obs.traceevent import export_timelines
 
-        writer = TraceEventWriter()
-        for name, began, ended in result.rung_spans:
-            writer.add_span(name, (began - started_clock) * 1e6,
-                            (ended - began) * 1e6, tid=1)
-        writer.add_job_spans(job_records, started_clock)
-        writer.write(args.timeline)
+        export_timelines((), args.timeline, [
+            {"name": name, "ts": (began - started) * 1e6,
+             "dur": (ended - began) * 1e6, "tid": 1}
+            for name, began, ended in result.rung_spans],
+            job_records, started)
         print(f"timeline trace written to {args.timeline}")
     return 0
 

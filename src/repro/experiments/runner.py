@@ -44,12 +44,15 @@ import contextlib
 import dataclasses
 import math
 import pickle
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+import repro
 from repro.core import CoreConfig, CoreStats, build_core
 from repro.core.warmup import functional_warmup
 from repro.energy import EnergyBreakdown, EnergyModel
+from repro.experiments.diskcache import code_version
 from repro.experiments.pool import (
     JobFailure,
     JobResult,
@@ -140,12 +143,68 @@ class SweepSettings:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
 
-    @property
-    def fault_policy(self) -> Dict:
-        """The fault-policy fields as a plain dict, as run manifests
-        record them."""
-        return {name: getattr(self, name) for name in
-                ("retries", "retry_backoff", "fail_fast", "timeout", "resume")}
+
+def _timestamp(seconds: float) -> str:
+    """A manifest's ``started_at``/``finished_at``: local time with its
+    UTC offset, e.g. ``2026-10-19T10:38:26+0000``."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(seconds))
+
+
+def build_manifest(settings: SweepSettings, answers, failures,
+                   started: float, *, command, experiments, benchmarks,
+                   measure: int, warmup: int, runs, seed: int = 0,
+                   outputs: Optional[Dict[str, str]] = None,
+                   observed: Optional[Dict] = None):
+    """The :class:`~repro.obs.manifest.RunManifest` of one harness
+    invocation: a CLI run, a DSE run or one served batch.
+
+    ``settings`` is the :class:`SweepSettings` it ran under, ``answers``
+    the pool ``JobResult``/``JobFailure`` records of the jobs it
+    simulated (as :func:`pop_job_records` returns them), ``failures``
+    the distinct jobs it answered as failed, and ``started`` its start,
+    host wall-clock epoch seconds; the wall-clock fields end now.
+    ``runs`` are the ``(SimJob, BenchmarkRun)`` pairs the aggregates
+    describe, in the order they are recorded: an aggregate's
+    ``wall_seconds`` is its job's in ``answers``, 0.0 for a job
+    answered without simulating.  ``observed`` maps a ``(model,
+    benchmark)`` pair to more :func:`~repro.obs.manifest.aggregate_entry`
+    keywords, from an observed pass.  The other keywords are the
+    manifest fields of the same names.
+    """
+    # Here, not at the top: a sweep that records no manifest never
+    # loads repro.obs.
+    from repro.obs.manifest import JobRecord, RunManifest, aggregate_entry
+
+    finished = time.time()
+    wall = {answer.job: answer.wall_seconds
+            for answer in answers if answer.ok}
+    observed = observed or {}
+    return RunManifest(
+        command=list(command),
+        experiments=list(experiments),
+        benchmarks=benchmarks,
+        measure=measure,
+        warmup=warmup,
+        seed=seed,
+        code_version=code_version(),
+        repro_version=repro.__version__,
+        started_at=_timestamp(started),
+        finished_at=_timestamp(finished),
+        wall_seconds=finished - started,
+        workers=settings.workers,
+        jobs_simulated=sum(1 for answer in answers if answer.ok),
+        jobs_failed=len(failures),
+        fault_policy={name: getattr(settings, name) for name in (
+            "retries", "retry_backoff", "fail_fast", "timeout", "resume")},
+        job_records=[JobRecord.from_pool(answer) for answer in answers],
+        cache=(settings.cache.counters()
+               if settings.cache is not None else {}),
+        outputs=dict(outputs or {}),
+        aggregates=[
+            aggregate_entry(run, wall_seconds=wall.get(job, 0.0),
+                            **observed.get((run.model, run.benchmark), {}))
+            for job, run in runs],
+    )
 
 
 class Interval:
@@ -589,15 +648,15 @@ def pop_job_records() -> List:
     return records
 
 
-def pop_served_runs() -> List[BenchmarkRun]:
+def pop_served_runs() -> List[Tuple[SimJob, BenchmarkRun]]:
     """Drain every :class:`BenchmarkRun` served since the last drain
-    (cache replays included), deduplicated per job key.
+    (cache replays included), one ``(job, run)`` pair per job.
 
     The CLI builds the manifest's per-(model, benchmark) aggregates
-    from this, so a warm-cache invocation still records what its tables
-    were computed from.
+    from this (see :func:`build_manifest`), so a warm-cache invocation
+    still records what its tables were computed from.
     """
-    runs = list(_SERVED.values())
+    runs = list(_SERVED.items())
     _SERVED.clear()
     return runs
 

@@ -65,7 +65,8 @@ def add_sweep_args(parser: argparse.ArgumentParser, *,
     --retry-backoff --inject-fault``.  ``in_process`` adds
     ``--no-cache`` and ``--resume``, which only a sweep this process
     runs for itself takes: the job server always caches, and its
-    clients choose resume per batch.
+    clients choose resume per batch.  The two exclude each other: a
+    resume replays from the cache.
     """
     parser.add_argument(
         "--jobs", type=int_at_least(1), default=1, metavar="N",
@@ -75,11 +76,12 @@ def add_sweep_args(parser: argparse.ArgumentParser, *,
         help="On-disk result cache directory "
              "(default ~/.cache/fxa-repro).")
     if in_process:
-        parser.add_argument(
+        cache_use = parser.add_mutually_exclusive_group()
+        cache_use.add_argument(
             "--no-cache", action="store_true",
             help="Disable the on-disk result cache (always "
                  "re-simulate).")
-        parser.add_argument(
+        cache_use.add_argument(
             "--resume", action="store_true",
             help="Replay completed jobs from the disk cache and re-run "
                  "only missing or previously-failed ones (clears their "
@@ -104,6 +106,15 @@ def add_sweep_args(parser: argparse.ArgumentParser, *,
         help="Testing/CI hook: inject a worker fault, e.g. crash:lbm, "
              "flaky:mcf:2, die:hmmer, hang:lbm:30, sleep::0.2 "
              "(KIND[:BENCHMARK[:PARAM]]; empty benchmark = all jobs).")
+
+
+def print_cache_line(settings) -> None:
+    """Print ``[disk cache: H hits, S new entries under ROOT]`` when the
+    sweep run under ``settings`` read or wrote its disk cache."""
+    cache = settings.cache
+    if cache is not None and (cache.hits or cache.stores):
+        print(f"[disk cache: {cache.hits} hits, {cache.stores} new "
+              f"entries under {cache.root}]")
 
 
 def applied(args: argparse.Namespace):

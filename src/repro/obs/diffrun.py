@@ -345,13 +345,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Manifest-level experiment utilities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Lazy imports: repro.experiments.cli imports this module at import
+    # time, so pulling in the experiments package here would cycle.
+    from repro.experiments import dse as dse_module
+    from repro.experiments.sweepflags import float_at_least
+    from repro.serve import server as serve_module
+    from repro.serve import spool as spool_module
+    from repro.serve import top as top_module
+
     diff = sub.add_parser(
         "diff", help="compare two run manifests for regressions "
                      f"(exit {EXIT_REGRESSION} on a threshold breach)")
     diff.add_argument("base", help="baseline *.manifest.json")
     diff.add_argument("new", help="candidate *.manifest.json")
-    diff.add_argument("--threshold", type=float, default=None,
-                      metavar="FRAC",
+    diff.add_argument("--threshold",
+                      type=float_at_least(0.0, exclusive=True),
+                      default=None, metavar="FRAC",
                       help="IPC/energy regression tolerance "
                            "(default 0.02 = 2%%)")
     diff.add_argument("--json", metavar="PATH", default=None,
@@ -370,13 +379,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report.add_argument("--title", default=None,
                         help="report title (default derives from the "
                              "manifest path)")
-
-    # Lazy import: repro.experiments.cli imports this module at import
-    # time, so pulling in the experiments package here would cycle.
-    from repro.experiments import dse as dse_module
-    from repro.serve import server as serve_module
-    from repro.serve import spool as spool_module
-    from repro.serve import top as top_module
 
     dse = sub.add_parser(
         "dse", help="design-space autotuner: successive-halving sweep "
@@ -422,9 +424,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _cmd_diff(args) -> int:
     thresholds = DiffThresholds()
     if args.threshold is not None:
-        if args.threshold <= 0:
-            print("--threshold must be positive", file=sys.stderr)
-            return 2
         thresholds.ipc = thresholds.energy = args.threshold
     try:
         base = RunManifest.read(args.base)

@@ -11,7 +11,9 @@ behind it.  The manifest captures, for one CLI/runner invocation:
 * the disk-cache hit/miss/store counters for the invocation.
 
 ``fxa-experiments ... --json out.json`` writes ``out.manifest.json``
-next to the results; ``--manifest PATH`` emits one explicitly.  The
+next to the results; ``--manifest PATH`` emits one explicitly.  Every
+producer (the CLI, ``repro-exp dse`` and each served batch) builds it
+through :func:`repro.experiments.runner.build_manifest`.  The
 record round-trips through ``to_dict``/``from_dict`` like every other
 result object in the repo.
 """
@@ -177,10 +179,12 @@ def aggregate_entry(run, *, wall_seconds: float = 0.0,
 
     ``run`` is any object with the :class:`BenchmarkRun` surface
     (``model``, ``benchmark``, ``ipc``, ``stats``, ``energy``,
-    ``total_energy``).  Shared by the CLI sweep and the job server so
-    every producer of aggregates emits the exact schema the differ and
-    the HTML report consume; ``wall_seconds`` is 0.0 for cache replays
-    (``insts_per_second`` then reads 0.0 and is never gated on).
+    ``total_energy``).  Shared by the manifest builder
+    (:func:`repro.experiments.runner.build_manifest`) and the job
+    server's job events, so every producer of aggregates emits the exact
+    schema the differ and the HTML report consume; ``wall_seconds`` is
+    0.0 for cache replays (``insts_per_second`` then reads 0.0 and is
+    never gated on).
     """
     return {
         "model": run.model,

@@ -15,7 +15,8 @@ Two clock domains share the one timestamp axis (microseconds):
 * **the host** (process row 1): ``ts`` is wall-clock microseconds since
   the run started, so sweep-job spans show real scheduling/overlap.
 
-Usage (what the CLI ``--timeline OUT.json`` does)::
+Usage (:func:`export_timelines` does this for the CLI's and the
+DSE's ``--timeline OUT.json``)::
 
     writer = TraceEventWriter()
     writer.add_timeline(collector)           # one call per core
@@ -174,11 +175,16 @@ class TraceEventWriter:
 
 def export_timelines(collectors: Sequence[TimelineCollector],
                      path: str,
-                     spans: Optional[Sequence[Dict]] = None) -> None:
-    """One-shot convenience: core timelines + optional host spans.
+                     spans: Optional[Sequence[Dict]] = None,
+                     jobs: Sequence = (), origin: float = 0.0) -> None:
+    """Write a run's host trace: core timelines, host spans and one
+    span per sweep job (what ``fxa-experiments --timeline`` and
+    ``repro-exp dse --timeline`` write).
 
     ``spans`` entries are dicts with ``name``, ``ts``, ``dur`` and
     optionally ``tid``/``args`` (microseconds, host wall clock).
+    ``jobs`` are sweep job records placed against ``origin``, the run's
+    start (see :meth:`TraceEventWriter.add_job_spans`).
     """
     writer = TraceEventWriter()
     for collector in collectors:
@@ -186,6 +192,7 @@ def export_timelines(collectors: Sequence[TimelineCollector],
     for span in spans or ():
         writer.add_span(span["name"], span["ts"], span["dur"],
                         tid=span.get("tid", 0), args=span.get("args"))
+    writer.add_job_spans(jobs, origin)
     writer.write(path)
 
 

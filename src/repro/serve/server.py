@@ -52,7 +52,6 @@ import threading
 import time
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-import repro
 from repro.atomicio import _HOST
 from repro.experiments.diskcache import DiskCache, code_version
 from repro.experiments.pool import (
@@ -64,16 +63,13 @@ from repro.experiments.pool import (
 from repro.experiments.runner import (
     BenchmarkRun,
     SweepSettings,
+    build_manifest,
     cached_outcome,
     run_sweep,
 )
 from repro.experiments.sweepflags import add_sweep_args, float_at_least
 from repro.obs import slog
-from repro.obs.manifest import (
-    JobRecord,
-    RunManifest,
-    aggregate_entry,
-)
+from repro.obs.manifest import RunManifest, aggregate_entry
 from repro.serve.protocol import (
     BatchSpec,
     JobSpec,
@@ -130,9 +126,6 @@ class Batch:
         self.spec = spec
         self.distinct_jobs = distinct_jobs
         self.priority = priority
-        #: Each ok job event's ``result`` entry, by digest; the batch
-        #: manifest's aggregates reuse them.
-        self.results: Dict[str, Dict] = {}
         self.events: List[Dict] = []
         self.done = False
         self.trace = trace if trace is not None else TraceContext.new()
@@ -401,7 +394,7 @@ class SimServer:
             "attempts": outcome.attempts,
         }
         if outcome.ok:
-            event["result"] = batch.results[digest] = aggregate_entry(
+            event["result"] = aggregate_entry(
                 outcome.run,
                 wall_seconds=(outcome.wall_seconds
                               if outcome.source == "simulated" else 0.0))
@@ -409,56 +402,42 @@ class SimServer:
             event["failure"] = outcome.to_dict()
         return event
 
-    def _manifest_for(self, batch: Batch, records: List[JobRecord],
-                      aggregates: List[Dict], failed: int,
-                      started_at: str, wall: float) -> RunManifest:
-        """Provenance for one batch, in the CLI sweep's exact schema
-        (``repro-exp diff`` and ``report`` consume it unchanged)."""
+    def _manifest_for(self, batch: Batch,
+                      distinct: List[Union[JobResult, JobFailure]],
+                      started: float) -> RunManifest:
+        """Provenance for one batch, from its distinct answers in
+        submission order, in the CLI sweep's exact schema (``repro-exp
+        diff`` and ``report`` consume it unchanged)."""
         specs = batch.spec.jobs
         measures = {spec.measure for spec in specs}
         warmups = {spec.warmup for spec in specs}
         seeds = {spec.seed for spec in specs}
-        return RunManifest(
+        return build_manifest(
+            self._settings_for(batch),
+            [outcome for outcome in distinct
+             if outcome.source == "simulated"],
+            [outcome for outcome in distinct if not outcome.ok], started,
             command=["repro-exp", "serve", f"batch:{batch.id}"],
             experiments=[f"serve/{batch.spec.tenant}/{batch.id}"],
             benchmarks=sorted({spec.benchmark for spec in specs}),
             measure=measures.pop() if len(measures) == 1 else 0,
             warmup=warmups.pop() if len(warmups) == 1 else 0,
             seed=seeds.pop() if len(seeds) == 1 else 0,
-            code_version=code_version(),
-            repro_version=repro.__version__,
-            started_at=started_at,
-            finished_at=_now_iso(),
-            wall_seconds=wall,
-            workers=self.settings.workers,
-            jobs_simulated=sum(1 for record in records if record.ok),
-            jobs_failed=failed,
-            fault_policy=self._settings_for(batch).fault_policy,
-            job_records=records,
-            cache=self.cache.counters(),
-            aggregates=aggregates,
-        )
+            runs=[(outcome.job, outcome.run) for outcome in distinct
+                  if outcome.ok])
 
     async def _finish_batch(self, batch: Batch,
                             outcomes: List[Union[JobResult, JobFailure]],
-                            started_at: str, wall: float) -> None:
+                            started: float) -> None:
         """Tally the distinct answers once (submission order; duplicate
-        specs share one record) into ``batch_end`` and the manifest."""
-        by_source: Dict[str, int] = {}
-        records: List[JobRecord] = []
-        aggregates: List[Dict] = []
-        distinct = {outcome.job.digest: outcome for outcome in outcomes}
-        for digest, outcome in distinct.items():
-            by_source[outcome.source] = (
-                by_source.get(outcome.source, 0) + 1)
-            if outcome.ok:
-                aggregates.append(batch.results[digest])
-            if outcome.source == "simulated":
-                records.append(JobRecord.from_pool(outcome))
-        ok = len(aggregates)
-        manifest = self._manifest_for(batch, records, aggregates,
-                                      len(distinct) - ok, started_at,
-                                      wall)
+        specs share one record) into ``batch_end`` and the manifest;
+        ``started`` is the batch's start, host wall-clock epoch
+        seconds."""
+        distinct = list({outcome.job.digest: outcome
+                         for outcome in outcomes}.values())
+        by_source = dict(collections.Counter(
+            outcome.source for outcome in distinct))
+        manifest = self._manifest_for(batch, distinct, started)
         manifest_path = None
         if self.manifest_dir is not None:
             from pathlib import Path
@@ -476,10 +455,10 @@ class SimServer:
             "trace_path": batch.trace_path,
             "jobs": len(batch.spec.jobs),
             "distinct_jobs": len(distinct),
-            "ok": ok,
-            "failed": len(distinct) - ok,
+            "ok": len(distinct) - manifest.jobs_failed,
+            "failed": manifest.jobs_failed,
             "by_source": by_source,
-            "wall_seconds": wall,
+            "wall_seconds": manifest.wall_seconds,
             "manifest_path": manifest_path,
             "manifest": manifest.to_dict(),
         })
@@ -532,21 +511,18 @@ class SimServer:
             outcomes: List[Union[JobResult, JobFailure]]) -> None:
         """Stream a batch answered at admission: its every job was a
         disk hit or a sticky failure record."""
-        started_at = _now_iso()
-        perf = time.perf_counter()
+        started = time.time()
         await self._push_start(batch)
         for outcome in outcomes:
             await batch.push(self._job_event(batch, outcome))
-        await self._finish_batch(batch, outcomes, started_at,
-                                 time.perf_counter() - perf)
+        await self._finish_batch(batch, outcomes, started)
 
     async def _run_batch_local(self, batch: Batch,
                                jobs: List[SimJob]) -> None:
         """Execute one batch via :func:`runner.run_sweep` (cache dedup
         included), every miss in a forked pool worker."""
         loop = asyncio.get_running_loop()
-        started_at = _now_iso()
-        perf = time.perf_counter()
+        started = time.time()
         await self._push_start(batch)
 
         def on_outcome(outcome: Union[JobResult, JobFailure]) -> None:
@@ -577,8 +553,7 @@ class SimServer:
                 isolate=True)
 
         outcomes = await loop.run_in_executor(None, sweep)
-        await self._finish_batch(batch, outcomes, started_at,
-                                 time.perf_counter() - perf)
+        await self._finish_batch(batch, outcomes, started)
 
     async def _run_batch_spool(self, batch: Batch,
                                jobs: List[SimJob]) -> None:
@@ -591,8 +566,7 @@ class SimServer:
         one spool entry.
         """
         assert self.spool is not None
-        started_at = _now_iso()
-        perf = time.perf_counter()
+        started = time.time()
         distinct: Dict[str, Tuple[SimJob, JobSpec]] = {}
         for job, spec in zip(jobs, batch.spec.jobs):
             distinct.setdefault(job.digest, (job, spec))
@@ -654,8 +628,7 @@ class SimServer:
                 await batch.push(self._job_event(batch, outcome))
             pending = still
         outcomes = [outcome_of[job.digest] for job in jobs]
-        await self._finish_batch(batch, outcomes, started_at,
-                                 time.perf_counter() - perf)
+        await self._finish_batch(batch, outcomes, started)
 
     def _merge_worker_spans(self, batch: Batch, payload: Dict) -> None:
         """Stitch a spool worker's spans into the batch's trace.

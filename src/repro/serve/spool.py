@@ -343,7 +343,7 @@ def run_worker(spool: Spool, cache=None, poll: float = 0.5,
 
 
 def configure_parser(parser) -> None:
-    from repro.experiments.sweepflags import float_at_least
+    from repro.experiments.sweepflags import float_at_least, int_at_least
 
     parser.add_argument("--spool", required=True, metavar="DIR",
                         help="shared spool directory (same --spool the "
@@ -356,12 +356,12 @@ def configure_parser(parser) -> None:
                         metavar="SECONDS",
                         help="sleep between empty queue scans "
                              "(default 0.5)")
-    parser.add_argument("--max-jobs", type=int, default=None,
+    parser.add_argument("--max-jobs", type=int_at_least(1), default=None,
                         metavar="N",
                         help="exit after executing N jobs "
                              "(default: run forever)")
-    parser.add_argument("--idle-exit", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--idle-exit", type=float_at_least(0.0),
+                        default=None, metavar="SECONDS",
                         help="exit after the queue has been empty this "
                              "long (default: run forever)")
     parser.add_argument("--reclaim-after",

@@ -21,6 +21,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.sweepflags import float_at_least, int_at_least
 from repro.experiments.textchart import sparkline
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.telemetry import (
@@ -207,10 +208,11 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--url", default="http://127.0.0.1:8023",
                         help="server base URL "
                              "(default http://127.0.0.1:8023)")
-    parser.add_argument("--interval", type=float, default=2.0,
-                        metavar="SECONDS",
+    parser.add_argument("--interval",
+                        type=float_at_least(0.0, exclusive=True),
+                        default=2.0, metavar="SECONDS",
                         help="poll interval (default 2.0)")
-    parser.add_argument("--iterations", type=int, default=0,
+    parser.add_argument("--iterations", type=int_at_least(0), default=0,
                         metavar="N",
                         help="render N frames then exit "
                              "(default 0 = run until interrupted)")
@@ -224,9 +226,6 @@ def cmd(args: argparse.Namespace) -> int:
         host, port = _parse_url(args.url)
     except ValueError as error:
         print(str(error), file=sys.stderr)
-        return 2
-    if args.interval <= 0:
-        print("--interval must be positive", file=sys.stderr)
         return 2
     client = ServeClient(host, port, timeout=max(args.interval * 2, 5.0))
     view = TopView()

@@ -227,13 +227,25 @@ def fuzz(n: int, seed: int, invariants: bool = True,
     return result
 
 
-def render_failures(result: FuzzResult) -> str:
-    """Human-readable first-divergence report for failing cases."""
-    lines = []
-    for report in result.failures:
-        lines.append(report.describe())
-        lines.append("")
-    return "\n".join(lines).rstrip()
+def render_summary(result: FuzzResult) -> str:
+    """A fuzz run's outcome as ``fxa-experiments --fuzz`` and this
+    module's ``main`` print it: the OK line, or each failing run's
+    first divergence, the FAILED line and the command that re-runs the
+    first failing case."""
+    checked = len(result.reports)
+    if result.ok:
+        return (f"fuzz OK: {len(result.cases)} case(s), {checked} "
+                f"validated runs, seed {result.seed} — no divergence, "
+                f"no invariant violation")
+    lines = [
+        "\n\n".join(report.describe() for report in result.failures).rstrip(),
+        f"fuzz FAILED: {len(result.failures)} of {checked} runs across "
+        f"{len(result.cases)} case(s), seed {result.seed}"]
+    if result.failing_case_indices:
+        lines.append(f"re-run one case with: python -m repro.validate.fuzz "
+                     f"--seed {result.seed} --case "
+                     f"{result.failing_case_indices[0]} -v")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -269,20 +281,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         replace_json(args.report, result.to_dict(), indent=2,
                      sort_keys=True)
         print(f"fuzz report written to {args.report}")
-    checked = len(result.reports)
-    if result.ok:
-        print(f"fuzz OK: {len(result.cases)} case(s), {checked} "
-              f"validated runs, seed {result.seed} — no divergence, "
-              f"no invariant violation")
-        return 0
-    print(render_failures(result))
-    print(f"fuzz FAILED: {len(result.failures)} of {checked} runs "
-          f"across {len(result.cases)} case(s), seed {result.seed}")
-    failing = result.failing_case_indices
-    if failing:
-        print(f"re-run one case with: python -m repro.validate.fuzz "
-              f"--seed {result.seed} --case {failing[0]} -v")
-    return 1
+    print(render_summary(result))
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

@@ -58,12 +58,14 @@ class TestInOrderBasics:
 
     @pytest.mark.parametrize("bench", ["hmmer", "gcc", "mcf"])
     def test_fetch_always_stops_at_a_taken_branch(self, bench):
-        """The in-order fetch does not read ``fetch_breaks_on_taken``:
-        LITTLE with it False runs exactly as the preset (True)."""
+        """The in-order fetch always breaks, so an in-order config
+        records ``fetch_breaks_on_taken`` True: LITTLE given False is
+        the preset and runs exactly as it does."""
         trace = generate_trace(bench, 1500, seed=3)
+        given_false = replace(little_config(), fetch_breaks_on_taken=False)
+        assert given_false == little_config()
         preset = build_core(little_config()).run(trace)
-        through = build_core(replace(
-            little_config(), fetch_breaks_on_taken=False)).run(trace)
+        through = build_core(given_false).run(trace)
         assert through.to_dict() == preset.to_dict()
 
 

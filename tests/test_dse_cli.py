@@ -121,8 +121,15 @@ class TestCrashResume:
         assert resumed.read_bytes() == clean.read_bytes()
 
     def test_resume_requires_the_disk_cache(self, capsys):
-        assert _run(["--resume", "--no-cache"]) == 2
-        assert "--no-cache" in capsys.readouterr().err
+        # Refused at parse time by both sweep commands.
+        for main in (_run, lambda argv: experiments_main(
+                ["headline"] + argv)):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--resume", "--no-cache"])
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err
+            assert "--no-cache" in message
+            assert "Traceback" not in message
 
 
 class TestArgumentValidation:
@@ -152,6 +159,14 @@ class TestArgumentValidation:
         ["spool-worker", "--spool", "s", "--reclaim-after", "0"],
         ["spool-worker", "--spool", "s", "--reclaim-after", "-5"],
         ["spool-worker", "--spool", "s", "--poll", "-1"],
+        # --max-jobs 0 would exit at once having run nothing.
+        ["spool-worker", "--spool", "s", "--max-jobs", "0"],
+        ["spool-worker", "--spool", "s", "--idle-exit", "-1"],
+        ["diff", "a.json", "b.json", "--threshold", "0"],
+        ["diff", "a.json", "b.json", "--threshold", "-1"],
+        ["top", "--interval", "0"],
+        # --iterations -1 would draw one frame and exit 0.
+        ["top", "--iterations", "-1"],
     ])
     def test_bad_numeric_args_exit_2_with_clear_error(self, argv,
                                                       capsys,
@@ -172,9 +187,13 @@ class TestArgumentValidation:
     def test_unknown_space_and_benchmark_exit_2(self, capsys):
         assert _run(["--space", "nosuch"]) == 2
         assert "preset" in capsys.readouterr().err
-        assert _run(SWEEP[:-4] + ["--no-cache", "--benchmarks",
-                                  "nosuchbench"]) == 2
-        assert "unknown benchmarks" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            _run(SWEEP[:-4] + ["--no-cache", "--benchmarks",
+                               "nosuchbench"])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+        assert "--benchmarks" in message and "nosuchbench" in message
+        assert "Traceback" not in message
 
     def test_bad_fault_spec_exits_2(self, capsys):
         for argv in (["dse"] + SWEEP + ["--inject-fault", "explode:mcf"],

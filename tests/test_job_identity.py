@@ -117,6 +117,18 @@ class TestDigest:
         assert job == twin and hash(job) == hash(twin)
         assert twin.digest == job.digest
 
+    def test_in_order_fetch_override_names_one_machine(self):
+        # The in-order fetch always breaks at a taken branch, so a
+        # served LITTLE spec that says it does not is the same job.
+        jobs = [parse_job({"benchmark": "hmmer", "model": "LITTLE",
+                           "measure": 500, "warmup": 2000,
+                           "overrides": {"fetch_breaks_on_taken": value}})
+                .sim_job() for value in (False, True)]
+        assert jobs[0].digest == jobs[1].digest
+        stats = [runner.simulate(job.config, job.benchmark, job.measure,
+                                 job.warmup).stats for job in jobs]
+        assert stats[0] == stats[1]
+
 
 class TestOneFingerprintPerJob:
     @pytest.mark.parametrize("workers", [1, 2])

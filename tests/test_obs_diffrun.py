@@ -176,7 +176,10 @@ class TestCli:
         assert main(["diff", base, new,
                      "--threshold", "0.005"]) == EXIT_REGRESSION
         capsys.readouterr()
-        assert main(["diff", base, new, "--threshold", "-1"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["diff", base, new, "--threshold", "-1"])
+        assert excinfo.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
 
     def test_json_report_output(self, tmp_path, capsys):
         base = write(tmp_path, "a.manifest.json",

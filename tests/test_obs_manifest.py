@@ -1,7 +1,9 @@
 """Tests for run manifests (provenance records)."""
 
+import dataclasses
 import json
 import os
+from datetime import datetime
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +20,7 @@ from repro.obs import (
     host_info,
     manifest_path_for,
 )
+from repro.obs.diffrun import main as repro_exp_main
 from repro.serve.client import ServeClient
 from repro.serve.server import start_in_background
 
@@ -181,12 +184,15 @@ class TestJobCounts:
     ``jobs_failed`` the distinct jobs it answered as failed, a failure
     record replayed from the cache included, in every producer.
 
-    The probe: the five models on hmmer and lbm (10 jobs) with every lbm
-    job crashing, run cold and then warm on one cache directory.  Each
-    producer returns the two manifests and, when it is a server, its
-    ``/v1/status`` after both batches."""
+    The probe: the five models (the DSE: the ten smoke-space configs)
+    on hmmer and lbm with every lbm job crashing, run cold and then
+    warm on one cache directory.  Each producer returns the two
+    manifests and, when it is a server, its ``/v1/status`` after both
+    batches."""
 
     PROBE = {"measure": 300, "warmup": 600}
+    #: (jobs_simulated, jobs_failed) of each producer's cold run.
+    COLD = {"cli": (5, 5), "serve": (5, 5), "dse": (10, 10)}
 
     def _cli(self, tmp_path):
         manifests = []
@@ -198,6 +204,24 @@ class TestJobCounts:
                 "--measure", "300", "--warmup", "600",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--inject-fault", "crash:lbm",
+                "--manifest", str(path)]) == 0
+            manifests.append(json.loads(path.read_text()))
+        runner.clear_cache()
+        return manifests, None
+
+    def _dse(self, tmp_path):
+        manifests = []
+        for run in ("cold", "warm"):
+            runner.clear_cache()
+            path = tmp_path / f"{run}.manifest.json"
+            # One rung at the probe's interval: 300 measured
+            # instructions after a warm-up of 2 x 300.
+            assert repro_exp_main([
+                "dse", "--space", "smoke", "--benchmarks", "hmmer", "lbm",
+                "--budget", "300", "--rungs", "1", "--warmup-factor", "2",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--inject-fault", "crash:lbm",
+                "--out", str(tmp_path / f"{run}.json"),
                 "--manifest", str(path)]) == 0
             manifests.append(json.loads(path.read_text()))
         runner.clear_cache()
@@ -221,11 +245,13 @@ class TestJobCounts:
         finally:
             set_fault_injector(None)
 
-    @pytest.mark.parametrize("producer", ["cli", "serve"])
+    @pytest.mark.parametrize("producer", ["cli", "serve", "dse"])
     def test_counts_cold_and_warm(self, tmp_path, producer):
         (cold, warm), status = getattr(self, f"_{producer}")(tmp_path)
-        assert (cold["jobs_simulated"], cold["jobs_failed"]) == (5, 5)
-        assert (warm["jobs_simulated"], warm["jobs_failed"]) == (0, 5)
+        simulated, failed = self.COLD[producer]
+        assert (cold["jobs_simulated"], cold["jobs_failed"]) == (
+            simulated, failed)
+        assert (warm["jobs_simulated"], warm["jobs_failed"]) == (0, failed)
         if status is not None:
             # /v1/status counts successful answers by source and every
             # failed answer, replayed ones included, as quarantined.
@@ -252,3 +278,23 @@ class TestJobCounts:
         first, second = manifests
         assert (first["jobs_simulated"], first["jobs_failed"]) == (5, 5)
         assert (second["jobs_simulated"], second["jobs_failed"]) == (5, 0)
+
+    def test_every_producer_builds_one_record(self, tmp_path):
+        # One builder: the same keys, timestamp format, versions,
+        # worker count, fault-policy keys and cache keys everywhere.
+        manifests = [
+            manifest
+            for producer in ("cli", "serve", "dse")
+            for manifest in getattr(self, f"_{producer}")(
+                tmp_path / producer)[0]]
+        fields = {field.name for field in dataclasses.fields(RunManifest)}
+        for manifest in manifests:
+            assert set(manifest) == fields
+            for stamp in (manifest["started_at"], manifest["finished_at"]):
+                # Local time with its UTC offset, to the second.
+                datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%S%z")
+        for key in ("code_version", "repro_version", "workers"):
+            assert len({manifest[key] for manifest in manifests}) == 1
+        for key in ("fault_policy", "cache"):
+            assert len({frozenset(manifest[key])
+                        for manifest in manifests}) == 1

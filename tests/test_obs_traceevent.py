@@ -140,3 +140,70 @@ def test_failed_rewrite_keeps_previous_trace(tmp_path):
         writer.write(str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def _span_rows(path):
+    """Each process row's name and each span's (name, pid, tid)."""
+    events = json.loads(path.read_text())["traceEvents"]
+    rows = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+    spans = sorted((e["name"], e["pid"], e["tid"])
+                   for e in events if e["ph"] == "X")
+    return rows, spans
+
+
+def _job_spans(manifest_path):
+    """The span each simulated job of a run's manifest gets."""
+    records = json.loads(manifest_path.read_text())["job_records"]
+    return [(f"job {r['job']}", HOST_PID, r["worker_pid"])
+            for r in records]
+
+
+def test_cli_timeline_host_trace(tmp_path):
+    """``fxa-experiments --timeline``: one row per sampled core, and on
+    the host row the harness stages (tid 1), the timeline pass's
+    simulations (tid 0) and one span per job (tid = its worker)."""
+    from repro.experiments import runner
+    from repro.experiments.cli import main
+
+    trace, manifest = tmp_path / "trace.json", tmp_path / "m.json"
+    runner.clear_cache()
+    assert main(["headline", "--benchmarks", "hmmer", "--measure", "300",
+                 "--warmup", "600", "--no-cache", "--timeline",
+                 str(trace), "--manifest", str(manifest)]) == 0
+    runner.clear_cache()
+    rows, spans = _span_rows(trace)
+    models = ("LITTLE", "HALF", "HALF+FX", "CA")
+    assert rows == {HOST_PID: "host (wall clock)",
+                    **{HOST_PID + 1 + i: f"{model} on hmmer"
+                       for i, model in enumerate(models)}}
+    assert spans == sorted(
+        [("experiment headline", HOST_PID, 1),
+         ("timeline pass", HOST_PID, 1)]
+        + [(f"timeline sim {model}/hmmer", HOST_PID, 0)
+           for model in models]
+        + _job_spans(manifest))
+
+
+def test_dse_timeline_host_trace(tmp_path):
+    """``repro-exp dse --timeline``: the host row alone, one span per
+    rung (tid 1) and one per job (tid = its worker)."""
+    from repro.experiments import runner
+    from repro.obs.diffrun import main
+
+    trace, manifest = tmp_path / "trace.json", tmp_path / "m.json"
+    frontier = tmp_path / "frontier.json"
+    runner.clear_cache()
+    assert main(["dse", "--space", "smoke", "--samples", "3",
+                 "--budget", "300", "--rungs", "2", "--min-measure", "100",
+                 "--warmup-factor", "2", "--benchmarks", "hmmer",
+                 "--no-cache", "--out", str(frontier), "--timeline",
+                 str(trace), "--manifest", str(manifest)]) == 0
+    runner.clear_cache()
+    rows, spans = _span_rows(trace)
+    rungs = json.loads(frontier.read_text())["rungs_detail"]
+    assert [r["measure"] for r in rungs] == [100, 300]
+    assert rows == {HOST_PID: "host (wall clock)"}
+    assert spans == sorted(
+        [(f"dse rung {r['rung']} ({r['configs']} configs @ "
+          f"{r['measure']} insts)", HOST_PID, 1) for r in rungs]
+        + _job_spans(manifest))

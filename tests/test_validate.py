@@ -24,7 +24,11 @@ from repro.validate import (
     validate_core,
     validate_model,
 )
-from repro.validate.fuzz import fuzz, main as fuzz_main, sample_case
+from repro.validate import fuzz as fuzz_module
+from repro.validate.checker import ValidationReport, Violation
+from repro.validate.fuzz import (
+    FuzzResult, fuzz, main as fuzz_main, sample_case,
+)
 from repro.workloads import generate_trace
 
 
@@ -271,3 +275,29 @@ class TestFuzz:
         assert code == 0
         assert report_path.exists()
         assert "fuzz OK" in capsys.readouterr().out
+
+    def test_both_front_ends_print_one_summary(self, capsys, monkeypatch):
+        from repro.experiments.cli import main as cli_main
+
+        diverged = ValidationReport(model="fuzz3-ooo", benchmark="mcf")
+        diverged.violations.append(Violation(
+            kind="commit_value", cycle=12, seq=4,
+            message="r3 = 1, oracle says 2"))
+        result = FuzzResult(
+            seed=9, cases=[sample_case(9, 3)],
+            reports=[ValidationReport(model="fuzz3-inorder",
+                                      benchmark="mcf"), diverged],
+            failing_case_indices=[3])
+        monkeypatch.setattr(fuzz_module, "fuzz",
+                            lambda *args, **kwargs: result)
+        printed = []
+        for main, argv in ((fuzz_main, ["--n", "1"]),
+                           (cli_main, ["--fuzz", "1"])):
+            assert main(argv) == 1
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].splitlines()[-2:] == [
+            "fuzz FAILED: 1 of 2 runs across 1 case(s), seed 9",
+            "re-run one case with: python -m repro.validate.fuzz "
+            "--seed 9 --case 3 -v"]
+        assert "r3 = 1, oracle says 2" in printed[0]
