@@ -38,9 +38,9 @@ writes one explicitly).
 
 Regression gating (see :mod:`repro.obs.diffrun`)::
 
-    fxa-experiments headline --baseline old.manifest.json  # exit 3
+    fxa-experiments headline --manifest new.manifest.json
+    repro-exp diff old.manifest.json new.manifest.json  # exit 3
     fxa-experiments headline --trajectory BENCH_trajectory.json
-    repro-exp diff old.manifest.json new.manifest.json
     repro-exp report new.manifest.json report.html --baseline old...
 """
 
@@ -79,14 +79,7 @@ from repro.obs import (
     manifest_path_for,
     merge_topdown_payloads,
 )
-from repro.obs import slog
-from repro.obs.diffrun import (
-    DiffThresholds,
-    EXIT_REGRESSION,
-    append_trajectory,
-    diff_manifests,
-    format_diff_report,
-)
+from repro.obs.diffrun import append_trajectory
 from repro.obs.traceevent import export_timelines
 from repro.workloads import ALL_BENCHMARKS
 
@@ -227,6 +220,12 @@ def _write_metrics_json(observed: Dict, topdowns: Dict,
 _TIMELINE_MODELS = ("LITTLE", "HALF", "HALF+FX", "CA")
 
 
+def _pass_benchmark(args) -> str:
+    """The benchmark of the one-benchmark passes (timeline, pipeview,
+    profile): the first ``--benchmarks`` entry, else hmmer."""
+    return args.benchmarks[0] if args.benchmarks else "hmmer"
+
+
 def _timeline_pass(args, started_clock: float):
     """Serially simulate the four core types with interval telemetry on.
 
@@ -234,9 +233,7 @@ def _timeline_pass(args, started_clock: float):
     whatever ``--jobs`` says.  Returns (collectors, host-span dicts for
     the Perfetto export, timed per simulated model).
     """
-    benchmark = args.timeline_benchmark or (
-        args.benchmarks[0] if args.benchmarks else "hmmer"
-    )
+    benchmark = _pass_benchmark(args)
     collectors = []
     spans = []
     for model in _TIMELINE_MODELS:
@@ -258,20 +255,17 @@ def _timeline_pass(args, started_clock: float):
 
 def _observed_fields(observed: Dict, topdowns: Dict) -> Dict:
     """The observed pass's manifest-aggregate fields per (model,
-    benchmark): the stall mix, fast-forward engagement (the top-down
-    collector's, else the metrics counter, else 0) and top-down payload.
-    A run the pass did not observe keeps its own stall mix, 0 and None
-    (see :func:`runner.build_manifest`)."""
+    benchmark): the stall mix, plus fast-forward engagement and the
+    top-down payload when the pass collected the top-down tree (else 0
+    and None; ``--metrics-json`` turns the tree on too).  A run the
+    pass did not observe keeps its own stall mix, 0 and None (see
+    :func:`runner.build_manifest`)."""
     fields = {}
     for key, stats in observed.items():
         topdown = topdowns.get(key)
-        if topdown is not None:
-            ff_skipped = topdown.ff_skipped
-        else:
-            ff_skipped = (stats.metrics or {}).get(
-                "counters", {}).get("cycles.fastforwarded", 0)
         fields[key] = {
-            "stalls": stats.stalls, "ff_skipped": ff_skipped,
+            "stalls": stats.stalls,
+            "ff_skipped": topdown.ff_skipped if topdown is not None else 0,
             "topdown": topdown.to_dict() if topdown is not None else None}
     return fields
 
@@ -289,9 +283,7 @@ def _merge_topdowns(topdowns: Dict) -> Dict[str, Dict]:
 
 def _write_pipeview(args) -> str:
     """Run one observed simulation and write its Kanata trace."""
-    benchmark = args.pipeview_benchmark or (
-        args.benchmarks[0] if args.benchmarks else "hmmer"
-    )
+    benchmark = _pass_benchmark(args)
     writer = KanataWriter(args.pipeview, window=args.pipeview_window)
     obs = Observability(metrics=False, stalls=False, pipeview=writer)
     runner.simulate(model_config(args.pipeview_model), benchmark,
@@ -315,9 +307,7 @@ def _profile_sim(args) -> str:
     import marshal
     import pstats
 
-    benchmark = args.profile_benchmark or (
-        args.benchmarks[0] if args.benchmarks else "hmmer"
-    )
+    benchmark = _pass_benchmark(args)
     config = model_config(args.profile_model)
     runner.simulate(config, benchmark, args.measure, args.warmup)
     profiler = cProfile.Profile()
@@ -468,15 +458,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--report-baseline", metavar="MANIFEST", default=None,
         help="Baseline manifest for the --report A/B section "
-             "(rendered with the same differ as --baseline; does not "
-             "gate the exit code).",
+             "(rendered with the same differ as repro-exp diff; does "
+             "not gate the exit code).",
     )
     parser.add_argument(
         "--timeline", metavar="PATH", default=None,
-        help="Export interval telemetry of all four core types as "
-             "Chrome-trace-event JSON (load at https://ui.perfetto.dev),"
-             " including host wall-clock spans per harness stage and "
-             "sweep job.",
+        help="Export interval telemetry of all four core types on the "
+             "first --benchmarks entry (else hmmer) as Chrome-trace-"
+             "event JSON (load at https://ui.perfetto.dev), including "
+             "host wall-clock spans per harness stage and sweep job.",
     )
     parser.add_argument(
         "--timeline-report", action="store_true",
@@ -490,24 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              f"(default {DEFAULT_INTERVAL}).",
     )
     parser.add_argument(
-        "--timeline-benchmark", default=None, choices=ALL_BENCHMARKS,
-        metavar="BENCHMARK",
-        help="Benchmark the timeline pass simulates (default: first "
-             "--benchmarks entry, else hmmer).",
-    )
-    parser.add_argument(
-        "--baseline", metavar="MANIFEST", default=None,
-        help="Diff this run's manifest against a baseline manifest and "
-             f"exit {EXIT_REGRESSION} if IPC/energy regressed past "
-             "--diff-threshold.",
-    )
-    parser.add_argument(
-        "--diff-threshold", type=sweepflags.float_at_least(
-            0.0, exclusive=True), default=None, metavar="FRAC",
-        help="Relative IPC/energy regression tolerance for --baseline "
-             "(default 0.02 = 2%%).",
-    )
-    parser.add_argument(
         "--trajectory", metavar="PATH", default=None,
         help="Append this run's per-model aggregates to a JSON history "
              "(e.g. BENCH_trajectory.json) for cross-run trend plots.",
@@ -515,8 +487,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--pipeview", metavar="PATH", default=None,
         help="Write a Kanata pipeline trace (Konata-loadable) of one "
-             "observed simulation to PATH (gzipped when PATH ends "
-             "in .gz).",
+             "observed simulation of the first --benchmarks entry "
+             "(else hmmer) to PATH (gzipped when PATH ends in .gz).",
     )
     parser.add_argument(
         "--pipeview-window", type=sweepflags.int_at_least(1),
@@ -529,26 +501,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="Model the pipeline trace simulates (default HALF+FX).",
     )
     parser.add_argument(
-        "--pipeview-benchmark", default=None, choices=ALL_BENCHMARKS,
-        metavar="BENCHMARK",
-        help="Benchmark for the pipeline trace (default: first "
-             "--benchmarks entry, else hmmer).",
-    )
-    parser.add_argument(
         "--profile-sim", metavar="OUT.PROF", default=None,
-        help="cProfile one job's simulation phase (trace generation "
+        help="cProfile one job's simulation phase on the first "
+             "--benchmarks entry, else hmmer (trace generation "
              "excluded) and write pstats data to OUT.PROF; prints the "
              "top functions by cumulative time.",
     )
     parser.add_argument(
         "--profile-model", default="HALF+FX", choices=list(_OBS_MODELS),
         help="Model the profiled simulation runs (default HALF+FX).",
-    )
-    parser.add_argument(
-        "--profile-benchmark", default=None, choices=ALL_BENCHMARKS,
-        metavar="BENCHMARK",
-        help="Benchmark for the profiled simulation (default: first "
-             "--benchmarks entry, else hmmer).",
     )
     parser.add_argument(
         "--manifest", dest="manifest_path", default=None, metavar="PATH",
@@ -576,24 +537,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="Write the JSON divergence report of --fuzz/--validate "
              "to PATH (CI uploads it on failure).",
     )
-    slog.add_logging_args(parser)
     args = parser.parse_args(argv)
-    slog.configure_from_args(args)
     if args.validate or args.fuzz is not None:
         return _run_validation(args)
     if args.experiment is None:
         parser.error("an experiment name is required "
                      "(or --validate / --fuzz N)")
-    baseline_manifest = None
-    if args.baseline:
-        try:
-            baseline_manifest = RunManifest.read(args.baseline)
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            parser.error(f"--baseline: cannot load {args.baseline}: "
-                         f"{error}")
-        if not baseline_manifest.aggregates:
-            parser.error(f"--baseline: {args.baseline} has no "
-                         "aggregates (older harness version?)")
     report_baseline_manifest = None
     if args.report_baseline:
         if not args.report:
@@ -715,7 +664,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("stall_report_csv", args.stall_report_csv),
         ("profile", args.profile_sim), ("metrics_json", args.metrics_json),
         ("report", args.report)) if path}
-    # Built even with no --manifest/--json: --baseline diffs it and
+    # Built even with no --manifest/--json: --report renders it and
     # --trajectory appends it.
     manifest = runner.build_manifest(
         settings, job_records, failures, started_clock,
@@ -741,15 +690,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trajectory:
         append_trajectory(manifest, args.trajectory)
         print(f"trajectory appended to {args.trajectory}")
-    if baseline_manifest is not None:
-        thresholds = DiffThresholds()
-        if args.diff_threshold is not None:
-            thresholds.ipc = thresholds.energy = args.diff_threshold
-        report = diff_manifests(baseline_manifest, manifest, thresholds)
-        print(format_diff_report(report, base_label=args.baseline,
-                                 new_label="this run"))
-        if not report.ok:
-            return EXIT_REGRESSION
     return 0
 
 

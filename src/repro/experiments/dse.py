@@ -1039,12 +1039,15 @@ def cmd(args: argparse.Namespace,
     print_cache_line(settings)
 
     if args.manifest:
+        # The final rung's interval: the one its aggregates ran at.
+        measure = rung_measure(args.budget, args.eta, args.rungs,
+                               args.rungs - 1, args.min_measure)
         runner.build_manifest(
             settings, job_records, failures, started,
             command=sys.argv[1:] if argv is None else argv,
             experiments=["dse"], benchmarks=benchmarks,
-            measure=args.budget,
-            warmup=int(round(args.budget * args.warmup_factor)),
+            measure=measure,
+            warmup=int(round(measure * args.warmup_factor)),
             seed=args.seed, outputs={"frontier": args.out},
             runs=sorted(result.final_runs, key=lambda final: (
                 final[1].model, final[1].benchmark)),

@@ -144,9 +144,11 @@ class SweepSettings:
             raise ValueError("timeout must be positive (or None)")
 
 
-def _timestamp(seconds: float) -> str:
-    """A manifest's ``started_at``/``finished_at``: local time with its
-    UTC offset, e.g. ``2026-10-19T10:38:26+0000``."""
+def timestamp(seconds: float) -> str:
+    """Every timestamp the harness writes (a manifest's ``started_at``
+    and ``finished_at``, a BENCH_simspeed entry's ``finished_at``, the
+    server's ``/v1/status`` ``started_at``): local time with its UTC
+    offset, to the second, e.g. ``2026-10-19T10:38:26+0000``."""
     return time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(seconds))
 
 
@@ -188,8 +190,8 @@ def build_manifest(settings: SweepSettings, answers, failures,
         seed=seed,
         code_version=code_version(),
         repro_version=repro.__version__,
-        started_at=_timestamp(started),
-        finished_at=_timestamp(finished),
+        started_at=timestamp(started),
+        finished_at=timestamp(finished),
         wall_seconds=finished - started,
         workers=settings.workers,
         jobs_simulated=sum(1 for answer in answers if answer.ok),

@@ -331,13 +331,14 @@ def build_entry(rates: Dict[str, float],
 
     import repro
     from repro.experiments.diskcache import code_version
+    from repro.experiments.runner import timestamp
 
     pairs = pair_speedups(rates, baseline)
     families = family_speedups(rates, baseline)
     guard_families = family_speedups(rates, baseline,
                                      benchmarks=GUARD_BENCHMARKS)
     return {
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "finished_at": timestamp(time.time()),
         "code_version": code_version(),
         "repro_version": repro.__version__,
         "host": platform.node(),

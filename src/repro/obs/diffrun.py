@@ -18,9 +18,9 @@ metric change:
 
 Entry points::
 
-    repro-exp diff A.manifest.json B.manifest.json   # console script
+    fxa-experiments ... --manifest B.manifest.json   # record a CLI run
+    repro-exp diff A.manifest.json B.manifest.json   # gate it
     repro-exp report RUN.manifest.json OUT.html      # HTML report
-    fxa-experiments ... --baseline A.manifest.json   # gate a CLI run
 
 and :func:`append_trajectory` accumulates each run's aggregates into a
 ``BENCH_trajectory.json`` history so the perf trajectory of the repo
@@ -39,9 +39,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.atomicio import locked, replace_json
 from repro.obs.manifest import RunManifest
 
-#: Exit code of ``repro-exp diff`` / the CLI ``--baseline`` gate when at
-#: least one metric regressed past its threshold.  Distinct from 1
-#: (crash) and 2 (usage error / aborted sweep).
+#: Exit code of ``repro-exp diff`` when at least one metric regressed
+#: past its threshold.  Distinct from 1 (crash) and 2 (usage error /
+#: unloadable manifest).
 EXIT_REGRESSION = 3
 
 

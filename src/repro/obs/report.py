@@ -7,7 +7,7 @@ file: provenance, per-run aggregates, the top-down slot trees and
 energy-by-class tables from :mod:`repro.obs.topdown`, stall-mix bars,
 timeline sparklines, and (optionally) an A/B section rendered from the
 same :func:`~repro.obs.diffrun.diff_manifests` comparison the
-``--baseline`` gate uses.
+``repro-exp diff`` gate uses.
 
 The output is deliberately dependency-free: no JavaScript, no external
 stylesheets, fonts or images — bars are CSS widths, sparklines are

@@ -20,8 +20,9 @@ All repro loggers live under the ``"repro"`` root so one
 idempotent: calling it again replaces the handler rather than stacking
 duplicates, which keeps in-process test servers from double-logging.
 
-CLI entry points share the flag vocabulary through
-:func:`add_logging_args` / :func:`configure_from_args`.
+The commands that log (``repro-exp serve`` and ``spool-worker``) share
+the flag vocabulary through :func:`add_logging_args` /
+:func:`configure_from_args`.
 """
 
 from __future__ import annotations

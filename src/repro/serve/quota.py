@@ -48,13 +48,20 @@ class TenantPolicy:
 _POLICY_KEYS = frozenset({"max_queued", "max_batch", "priority"})
 
 
-def _policy_from(name: str, data: Mapping,
+def _policy_from(name: str, data: object,
                  base: TenantPolicy) -> TenantPolicy:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"tenant {name!r}: policy must be an object")
     unknown = set(data) - _POLICY_KEYS
     if unknown:
         raise ValueError(f"tenant {name!r}: unknown quota key(s) "
                          f"{sorted(unknown)}; known: "
                          f"{sorted(_POLICY_KEYS)}")
+    for key, value in data.items():
+        # bool is an int subclass, but "priority": true is a typo.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"tenant {name!r}: {key} must be an "
+                             f"integer (got {value!r})")
     policy = replace(base, name=name, **dict(data))
     if policy.max_queued < 1 or policy.max_batch < 1:
         raise ValueError(f"tenant {name!r}: max_queued and max_batch "
@@ -80,6 +87,8 @@ class QuotaRegistry:
 
     @classmethod
     def from_file(cls, path) -> "QuotaRegistry":
+        """Load the policies at ``path``; raises OSError when it cannot
+        be read and ValueError when it is not a valid policy file."""
         with open(path) as stream:
             data = json.load(stream)
         if not isinstance(data, Mapping):
@@ -89,10 +98,11 @@ class QuotaRegistry:
             raise ValueError(f"{path}: unknown key(s) {sorted(unknown)}")
         default = _policy_from("default", data.get("default", {}),
                                TenantPolicy())
-        tenants = {
-            name: _policy_from(name, entry, default)
-            for name, entry in (data.get("tenants") or {}).items()
-        }
+        entries = data.get("tenants") or {}
+        if not isinstance(entries, Mapping):
+            raise ValueError(f"{path}: \"tenants\" must be an object")
+        tenants = {name: _policy_from(name, entry, default)
+                   for name, entry in entries.items()}
         return cls(default=default, tenants=tenants)
 
     def policy(self, tenant: str) -> TenantPolicy:

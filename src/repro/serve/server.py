@@ -39,10 +39,10 @@ dependencies, and the protocol surface is four routes.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import collections
 import dataclasses
-import datetime
 import heapq
 import http.client
 import itertools
@@ -66,8 +66,13 @@ from repro.experiments.runner import (
     build_manifest,
     cached_outcome,
     run_sweep,
+    timestamp,
 )
-from repro.experiments.sweepflags import add_sweep_args, float_at_least
+from repro.experiments.sweepflags import (
+    add_sweep_args,
+    float_at_least,
+    int_at_least,
+)
 from repro.obs import slog
 from repro.obs.manifest import RunManifest, aggregate_entry
 from repro.serve.protocol import (
@@ -105,10 +110,6 @@ class _RequestError(Exception):
         self.reason = reason
         self.method = method
         self.path = path
-
-
-def _now_iso() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 class Batch:
@@ -237,7 +238,7 @@ class SimServer:
         #: first; see :data:`FINISHED_BATCHES_KEPT`.
         self._finished: Deque[str] = collections.deque()
         self.started_monotonic = time.monotonic()
-        self.started_at = _now_iso()
+        self.started_at = timestamp(time.time())
         #: ``(-priority, seq, batch, jobs)``: ``jobs`` holds one
         #: :class:`SimJob` per spec, built at admission, and lives only
         #: until the batch has run.
@@ -1004,14 +1005,34 @@ def start_in_background(**kwargs):
 # ----------------------------------------------------------------------
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port number, 0 (a free port) to 65535."""
+    value = int_at_least(0)(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be <= 65535 (got {value})")
+    return value
+
+
+def _quota_file(path: str) -> QuotaRegistry:
+    """argparse type: the policies of a ``--quotas`` file, loaded at
+    parse time so a bad file exits 2 before the server starts."""
+    try:
+        return QuotaRegistry.from_file(path)
+    except (OSError, ValueError) as error:
+        raise argparse.ArgumentTypeError(
+            f"cannot load {path}: {error}") from None
+
+
 def configure_parser(parser) -> None:
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8023,
+    parser.add_argument("--port", type=_port, default=8023,
                         help="bind port; 0 picks a free port "
                              "(default 8023)")
     add_sweep_args(parser, in_process=False)
-    parser.add_argument("--quotas", default=None, metavar="FILE",
+    parser.add_argument("--quotas", type=_quota_file, default=None,
+                        metavar="FILE",
                         help="per-tenant quota/priority policy JSON")
     parser.add_argument("--spool", default=None, metavar="DIR",
                         help="shared spool directory: enqueue misses "
@@ -1027,17 +1048,13 @@ def configure_parser(parser) -> None:
                         type=float_at_least(0.0, exclusive=True),
                         default=None, metavar="SECONDS",
                         help="requeue spool claims idle longer than "
-                             "this (the owning worker died); server-"
-                             "side complement of the worker's "
-                             "--reclaim-after")
+                             "this (the owning worker died)")
     slog.add_logging_args(parser)
 
 
 def cmd(args) -> int:
     slog.configure_from_args(args)
     log = slog.get_logger("repro.serve")
-    quotas = (QuotaRegistry.from_file(args.quotas)
-              if args.quotas else QuotaRegistry())
     spool = Spool(args.spool) if args.spool else None
     set_fault_injector(args.inject_fault)
     server = SimServer(
@@ -1046,7 +1063,7 @@ def cmd(args) -> int:
         timeout=args.timeout,
         retries=args.retries,
         retry_backoff=args.retry_backoff,
-        quotas=quotas,
+        quotas=args.quotas,
         spool=spool,
         manifest_dir=args.manifest_dir,
         host=args.host,

@@ -25,8 +25,9 @@ cache, so results land both as a spool ``done/`` marker (what the
 server streams) and as ordinary content-addressed cache entries (what
 makes the *next* submission of the same digest a pure cache hit on
 any host).  A worker that dies mid-job leaves its claim file behind;
-:meth:`Spool.reclaim_stale` moves claims older than a deadline back
-to ``queued/`` so the job is re-run by someone else.
+the server (``repro-exp serve --spool-reclaim``) periodically calls
+:meth:`Spool.reclaim_stale`, which moves claims older than a deadline
+back to ``queued/`` so the job is re-run by someone else.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ class Spool:
                 continue  # lost the race to another worker
             except OSError:
                 continue
+            try:
+                # The claim's age counts from now: the rename kept the
+                # enqueue time, and reclaim_stale would requeue a live
+                # claim of a job that sat queued past the deadline.
+                os.utime(target)
+            except OSError:
+                pass
             try:
                 with open(target) as stream:
                     request = json.load(stream)["request"]
@@ -296,8 +304,7 @@ def execute_claim(claim: SpoolClaim, cache) -> Dict:
 
 def run_worker(spool: Spool, cache=None, poll: float = 0.5,
                max_jobs: Optional[int] = None,
-               idle_exit: Optional[float] = None,
-               reclaim_after: Optional[float] = None) -> int:
+               idle_exit: Optional[float] = None) -> int:
     """Claim-and-execute loop; returns the number of jobs executed.
 
     Runs until ``max_jobs`` jobs are done or the spool has been empty
@@ -309,12 +316,6 @@ def run_worker(spool: Spool, cache=None, poll: float = 0.5,
     executed = 0
     idle_since: Optional[float] = None
     while max_jobs is None or executed < max_jobs:
-        if reclaim_after is not None:
-            requeued = spool.reclaim_stale(reclaim_after)
-            if requeued:
-                logger.warning("reclaimed stale claims",
-                               extra={"requeued": requeued,
-                                      "worker": spool.worker_id})
         claim = spool.claim()
         if claim is None:
             now = time.monotonic()
@@ -364,11 +365,6 @@ def configure_parser(parser) -> None:
                         default=None, metavar="SECONDS",
                         help="exit after the queue has been empty this "
                              "long (default: run forever)")
-    parser.add_argument("--reclaim-after",
-                        type=float_at_least(0.0, exclusive=True),
-                        default=None, metavar="SECONDS",
-                        help="requeue claims idle longer than this "
-                             "(another worker died mid-job)")
     from repro.obs import slog
 
     slog.add_logging_args(parser)
@@ -388,8 +384,7 @@ def cmd(args) -> int:
                        "cache": str(cache.root)})
     executed = run_worker(spool, cache=cache, poll=args.poll,
                           max_jobs=args.max_jobs,
-                          idle_exit=args.idle_exit,
-                          reclaim_after=args.reclaim_after)
+                          idle_exit=args.idle_exit)
     logger.info("worker exit",
                 extra={"worker": spool.worker_id, "executed": executed})
     return 0

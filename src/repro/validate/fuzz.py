@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.atomicio import replace_json
 from repro.core.config import ClusterConfig, CoreConfig, IXUConfig
 from repro.core.ooo import SimulationError
+from repro.experiments.sweepflags import int_at_least
 from repro.validate.checker import ValidationReport, Violation
 from repro.validate.differential import validate_core
 from repro.validate.oracle import GoldenOracle
@@ -253,14 +254,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Fuzz the core models against the golden oracle "
                     "and the microarchitectural invariant checkers.",
     )
-    parser.add_argument("--n", type=int, default=25,
+    parser.add_argument("--n", type=int_at_least(1), default=25,
                         help="Number of fuzz cases (default 25).")
     parser.add_argument("--seed", type=int, default=0,
                         help="Sweep seed (default 0).")
-    parser.add_argument("--case", type=int, default=None, metavar="K",
+    parser.add_argument("--case", type=int_at_least(0), default=None,
+                        metavar="K",
                         help="Run only case K of the sweep "
                              "(failure minimization).")
-    parser.add_argument("--max-len", type=int, default=None, metavar="N",
+    parser.add_argument("--max-len", type=int_at_least(1), default=None,
+                        metavar="N",
                         help="Cap every case's trace length at N "
                              "(failure minimization).")
     parser.add_argument("--no-invariants", action="store_true",
@@ -271,8 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="Print each case and per-model outcome.")
     args = parser.parse_args(argv)
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     result = fuzz(args.n, args.seed,
                   invariants=not args.no_invariants,
                   case_index=args.case, max_len=args.max_len,

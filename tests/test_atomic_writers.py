@@ -73,8 +73,8 @@ def _save_trace(path, tmp_path):
 
 def _profile_sim(path, tmp_path):
     cli._profile_sim(SimpleNamespace(
-        profile_sim=path, profile_model="BIG", profile_benchmark="hmmer",
-        benchmarks=None, measure=50, warmup=0))
+        profile_sim=path, profile_model="BIG", benchmarks=None,
+        measure=50, warmup=0))
 
 
 @pytest.mark.parametrize("writer, name", [

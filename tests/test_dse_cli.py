@@ -152,12 +152,13 @@ class TestArgumentValidation:
         ["serve", "--retry-backoff", "-1"],
         ["serve", "--timeout", "0"],
         ["serve", "--timeout", "-1"],
+        # Out of range, bind() raises OverflowError.
+        ["serve", "--port", "-1"],
+        ["serve", "--port", "99999"],
         # A reclaim age of 0 or less requeues claims that live workers
         # still hold; a negative poll fails at the first idle sleep.
         ["serve", "--spool-reclaim", "0"],
         ["serve", "--spool-reclaim", "-1"],
-        ["spool-worker", "--spool", "s", "--reclaim-after", "0"],
-        ["spool-worker", "--spool", "s", "--reclaim-after", "-5"],
         ["spool-worker", "--spool", "s", "--poll", "-1"],
         # --max-jobs 0 would exit at once having run nothing.
         ["spool-worker", "--spool", "s", "--max-jobs", "0"],
@@ -182,6 +183,31 @@ class TestArgumentValidation:
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "must be" in message or "expected" in message
+        assert "Traceback" not in message
+
+    @pytest.mark.parametrize("text", [
+        None,
+        "{not json",
+        '{"default": {"priority": "high"}}',
+        '{"tenants": {"ci": {"max_queued": true}}}',
+        '{"tenants": ["ci"]}',
+    ], ids=["missing", "malformed", "string-priority", "bool-max-queued",
+            "tenant-list"])
+    def test_bad_quota_file_exits_2(self, text, tmp_path, capsys,
+                                    monkeypatch):
+        # Loaded at parse time: a bad file never reaches a running
+        # server, where a string priority dropped every submission.
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "cmd", lambda args: 0)
+        path = tmp_path / "quotas.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            repro_exp_main(["serve", "--quotas", str(path)])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+        assert "--quotas" in message and str(path) in message
         assert "Traceback" not in message
 
     def test_unknown_space_and_benchmark_exit_2(self, capsys):
@@ -219,7 +245,6 @@ class TestArgumentValidation:
         ["headline", "--retries", "-1"],
         ["headline", "--pipeview-window", "0"],
         ["headline", "--fuzz", "0"],
-        ["headline", "--diff-threshold", "0"],
     ])
     def test_experiments_cli_numeric_args_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -257,6 +282,20 @@ class TestArtifacts:
         recorded = json.loads(manifest.read_text())
         assert recorded["command"] == ["dse"] + argv
         assert recorded["repro_version"] == repro.__version__
+
+    def test_manifest_records_the_final_rungs_interval(self, tmp_path):
+        # --min-measure above --budget floors the last rung at 150.
+        manifest = tmp_path / "run.manifest.json"
+        assert _run(["--space", "smoke", "--samples", "2", "--budget",
+                     "100", "--min-measure", "150", "--rungs", "1",
+                     "--benchmarks", "hmmer", "--no-cache",
+                     "--out", str(tmp_path / "f.json"),
+                     "--manifest", str(manifest)]) == 0
+        recorded = json.loads(manifest.read_text())
+        assert (recorded["measure"], recorded["warmup"]) == (150, 600)
+        assert recorded["job_records"]
+        for record in recorded["job_records"]:
+            assert "(measure=150, warmup=600," in record["job"]
 
     def test_manifest_self_diff_is_clean(self, tmp_path):
         manifest = tmp_path / "run.manifest.json"

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.cli import main
 from repro.obs import RunManifest
+from repro.obs.diffrun import main as repro_exp_main
 
 
 @pytest.fixture(autouse=True)
@@ -82,9 +83,13 @@ class TestPipeview:
         assert "pipeline trace" in out and "Konata" in out
 
     def test_pipeview_benchmark_validation(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
+        # The one-benchmark passes take their benchmark from
+        # --benchmarks, so its choices check it.
+        with pytest.raises(SystemExit) as excinfo:
             run_cli(tmp_path, "--pipeview", str(tmp_path / "x.kanata"),
-                    "--pipeview-benchmark", "nonexistent")
+                    "--benchmarks", "nonexistent")
+        assert excinfo.value.code == 2
+        assert "--benchmarks" in capsys.readouterr().err
 
 
 class TestJsonStillWorks:
@@ -156,9 +161,6 @@ class TestTimeline:
     def test_interval_validation(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli(tmp_path, "--timeline-report", "--interval", "0")
-        with pytest.raises(SystemExit):
-            run_cli(tmp_path, "--timeline-report",
-                    "--timeline-benchmark", "nonexistent")
 
     def test_samples_identical_across_jobs(self, tmp_path, capsys):
         """The timeline pass is serial by design: identical samples
@@ -179,43 +181,49 @@ class TestTimeline:
 
 
 class TestBaselineGate:
+    """The CLI's manifest gated through ``repro-exp diff``."""
+
     def _manifest(self, tmp_path, name, *extra):
         path = tmp_path / name
         assert run_cli(tmp_path, "--manifest", str(path), *extra) == 0
         return path
 
-    def test_self_baseline_passes(self, tmp_path, capsys):
-        path = self._manifest(tmp_path, "base.manifest.json")
-        capsys.readouterr()
-        assert run_cli(tmp_path, "--baseline", str(path)) == 0
-        out = capsys.readouterr().out
-        assert "Manifest diff" in out and "result: OK" in out
-
-    def test_perturbed_baseline_trips_gate(self, tmp_path, capsys):
+    def _scaled_base(self, tmp_path, factor):
+        """A base manifest claiming ``factor`` times this run's IPC."""
         path = self._manifest(tmp_path, "base.manifest.json")
         data = json.loads(path.read_text())
         assert data["aggregates"]
         for aggregate in data["aggregates"]:
-            aggregate["ipc"] *= 1.10  # baseline claims 10 % more IPC
+            aggregate["ipc"] *= factor
         path.write_text(json.dumps(data))
+        return path
+
+    def test_self_baseline_passes(self, tmp_path, capsys):
+        path = self._manifest(tmp_path, "base.manifest.json")
         capsys.readouterr()
-        assert run_cli(tmp_path, "--baseline", str(path)) == 3
+        assert repro_exp_main(["diff", str(path), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Manifest diff" in out and "result: OK" in out
+
+    def test_perturbed_baseline_trips_gate(self, tmp_path, capsys):
+        base = self._scaled_base(tmp_path, 1.10)
+        new = self._manifest(tmp_path, "new.manifest.json")
+        capsys.readouterr()
+        assert repro_exp_main(["diff", str(base), str(new)]) == 3
         assert "REGRESSED" in capsys.readouterr().out
 
     def test_diff_threshold_widens_gate(self, tmp_path, capsys):
-        path = self._manifest(tmp_path, "base.manifest.json")
-        data = json.loads(path.read_text())
-        for aggregate in data["aggregates"]:
-            aggregate["ipc"] *= 1.05
-        path.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert run_cli(tmp_path, "--baseline", str(path),
-                       "--diff-threshold", "0.20") == 0
+        base = self._scaled_base(tmp_path, 1.05)
+        new = self._manifest(tmp_path, "new.manifest.json")
+        assert repro_exp_main(["diff", str(base), str(new)]) == 3
+        assert repro_exp_main(["diff", str(base), str(new),
+                               "--threshold", "0.20"]) == 0
 
     def test_baseline_validation(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(tmp_path, "--baseline",
-                    str(tmp_path / "missing.json"))
+        new = self._manifest(tmp_path, "new.manifest.json")
+        assert repro_exp_main(["diff", str(tmp_path / "missing.json"),
+                               str(new)]) == 2
+        assert "cannot load" in capsys.readouterr().err
 
     def test_trajectory_appends(self, tmp_path, capsys):
         history = tmp_path / "BENCH_trajectory.json"

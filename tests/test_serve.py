@@ -185,6 +185,17 @@ class TestSpoolUnit:
         assert spool.reclaim_stale(max_age_seconds=0) == 1
         assert spool.state("d1")[0] == "queued"
 
+    def test_claim_age_counts_from_the_claim(self, tmp_path):
+        # A job that waited in the queue past the reclaim age and was
+        # just claimed belongs to a live worker.
+        spool = Spool(tmp_path)
+        spool.enqueue("d1", {"job": {}})
+        waited = time.time() - 60
+        os.utime(tmp_path / "queued" / "d1.json", (waited, waited))
+        spool.claim()
+        assert spool.reclaim_stale(max_age_seconds=30) == 0
+        assert spool.state("d1")[0] == "claimed"
+
     def test_forget_failure_clears_the_marker(self, tmp_path):
         spool = Spool(tmp_path)
         spool.enqueue("d1", {"job": {}})
@@ -614,6 +625,49 @@ class TestServeSpool:
             stop()
         worker.join(timeout=30)
         assert not worker.is_alive()
+
+    def test_server_requeues_a_dead_workers_claim(self, tmp_path):
+        # The server's --spool-reclaim loop is the one reclaim path: a
+        # claim left behind by a dead worker goes back to queued/ and a
+        # live worker finishes the batch.
+        spec = job_spec(measure=300, warmup=600)
+        digest = parse_job(spec).sim_job().digest
+        spool = Spool(tmp_path / "spool")
+        queued = spool.root / "queued" / f"{digest}.json"
+        server, stop = start_in_background(
+            cache=DiskCache(tmp_path / "cache"), spool=spool,
+            spool_poll=0.02, spool_reclaim=0.5)
+        worker = threading.Thread(
+            target=run_worker, args=(Spool(tmp_path / "spool"),),
+            kwargs={"cache": DiskCache(tmp_path / "cache"),
+                    "poll": 0.02, "max_jobs": 1, "idle_exit": 10.0},
+            daemon=True)
+        client = ServeClient(server.host, server.port, timeout=60)
+        try:
+            batch_id = client.submit({"jobs": [spec]})["batch_id"]
+            deadline = time.monotonic() + 10
+            while not queued.exists():
+                assert time.monotonic() < deadline, "never enqueued"
+                time.sleep(0.02)
+            dead = spool.root / "claimed" / f"{digest}.deadhost.1.json"
+            os.replace(queued, dead)
+            stale = time.time() - 3600
+            os.utime(dead, (stale, stale))
+            deadline = time.monotonic() + 10
+            while not queued.exists():
+                assert time.monotonic() < deadline, "never reclaimed"
+                time.sleep(0.02)
+            assert not dead.exists()
+            worker.start()
+            end = list(client.stream(batch_id))[-1]
+            status = client.status()
+        finally:
+            stop()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert end["by_source"] == {"simulated": 1}
+        assert end["ok"] == 1
+        assert status["spool"]["reclaimed"] == 1
 
     @pytest.mark.parametrize("publish, marker", [
         ("fail", {"failure": {"attempts": "many"}}),

@@ -17,6 +17,7 @@ import socket
 import subprocess
 import sys
 import threading
+from datetime import datetime
 
 import pytest
 
@@ -412,7 +413,9 @@ class TestMetricsEndpoint:
         status = client.status()
         assert status["server"]["uptime_seconds"] >= 0
         assert status["server"]["hostname"]
-        assert status["server"]["started_at"].endswith("+00:00")
+        # The format of every timestamp the harness writes.
+        datetime.strptime(status["server"]["started_at"],
+                          "%Y-%m-%dT%H:%M:%S%z")
         assert status["server"]["pid"] == os.getpid()
 
     def test_reason_phrases_and_connection_close(self, serve):

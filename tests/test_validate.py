@@ -276,6 +276,24 @@ class TestFuzz:
         assert report_path.exists()
         assert "fuzz OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "0"], ["--max-len", "0"], ["--max-len", "-3"],
+        ["--case", "-1"],
+    ])
+    def test_fuzz_cli_bounds_exit_2(self, argv, capsys, monkeypatch):
+        # Refused by the parser: --max-len 0 used to validate empty
+        # traces and print "fuzz OK".
+        def never(*args, **kwargs):
+            raise AssertionError("fuzz ran")
+
+        monkeypatch.setattr(fuzz_module, "fuzz", never)
+        with pytest.raises(SystemExit) as excinfo:
+            fuzz_main(argv)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+        assert f"argument {argv[0]}: must be >=" in message
+        assert "Traceback" not in message
+
     def test_both_front_ends_print_one_summary(self, capsys, monkeypatch):
         from repro.experiments.cli import main as cli_main
 
