@@ -35,15 +35,6 @@ class FUPool:
         self._issued = 0
         self.executions = 0
 
-    def available(self, cycle: int) -> int:
-        """Units able to accept a new op this cycle."""
-        if self._busy_max <= cycle:
-            free_units = self.count
-        else:
-            free_units = sum(1 for b in self._busy_until if b <= cycle)
-        issued = self._issued if self._issue_cycle == cycle else 0
-        return max(0, free_units - issued)
-
     def try_issue(self, op: OpClass, cycle: int) -> bool:
         """Claim a unit for ``op`` at ``cycle``; False when none free."""
         if self._issue_cycle != cycle:

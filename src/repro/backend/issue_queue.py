@@ -11,11 +11,18 @@ energy model prices:
 * ``wakeup_cam_compares`` — broadcast × live entries, the dominant
   CAM-search energy term.
 
+The cores' stage loops update the counters they own in place: the
+select loop counts each issued entry into ``issues`` and out of the
+live count ``_live``, the completion stage adds each broadcast and its
+compares against ``_live``, and the tick adds one occupancy sample
+(``_occupancy_accum``/``_occupancy_samples``) per cycle.
+
 Removal is lazy: the select loop marks entries ``issued`` and counts
-them out via :meth:`note_issue`; the backing list is compacted only
-when enough dead entries accumulate (or on a squash).  Every occupancy
-consumer — ``len()``, ``full``/``free``, CAM-compare pricing, the
-occupancy histogram — reads the live count, so laziness is invisible.
+them out of ``_live``; the backing list is compacted only when enough
+dead entries accumulate (:meth:`remove_issued`, or on a squash).  Every
+occupancy consumer — ``len()``, ``full``/``free``, CAM-compare pricing,
+the occupancy histogram — reads the live count, so laziness is
+invisible.
 """
 
 from __future__ import annotations
@@ -66,21 +73,6 @@ class IssueQueue:
         self._live += 1
         self.dispatches += 1
 
-    def issue(self, entry) -> None:
-        """Remove ``entry`` on issue (payload read; direct API)."""
-        self._entries.remove(entry)
-        self._live -= 1
-        self.issues += 1
-
-    def note_issue(self) -> None:
-        """Count an entry the select loop marked ``issued``.
-
-        The entry leaves the live count immediately; the backing list
-        drops it at the next :meth:`remove_issued` compaction.
-        """
-        self.issues += 1
-        self._live -= 1
-
     def remove_issued(self) -> None:
         """Compact the backing list if enough dead entries accumulated."""
         entries = self._entries
@@ -88,11 +80,6 @@ class IssueQueue:
             self._entries = [
                 e for e in entries if not (e.issued or e.squashed)
             ]
-
-    def broadcast_wakeup(self) -> None:
-        """A producer completed: tag broadcast against all live entries."""
-        self.wakeup_broadcasts += 1
-        self.wakeup_cam_compares += self._live
 
     def squash_younger_than(self, seq: int) -> None:
         """Drop squashed entries (and compact any dead ones)."""
@@ -102,14 +89,10 @@ class IssueQueue:
         ]
         self._live = len(self._entries)
 
-    def sample_occupancy(self) -> None:
-        """Record occupancy once per cycle (for reporting)."""
-        self._occupancy_accum += self._live
-        self._occupancy_samples += 1
-
     def sample_occupancy_many(self, cycles: int) -> None:
         """Record ``cycles`` identical occupancy samples (fast-forward:
-        the window is frozen across a jumped gap)."""
+        the window is frozen across a jumped gap; a ticked cycle adds
+        its one sample in the core's tick)."""
         self._occupancy_accum += self._live * cycles
         self._occupancy_samples += cycles
 

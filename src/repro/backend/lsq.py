@@ -96,39 +96,40 @@ class LoadStoreQueue:
 
     # ---------------- execution-time accesses ----------------
 
-    def older_stores_all_executed(self, load_entry) -> bool:
-        """True when every store older than the load has executed."""
-        return all(
-            s.mem_executed for s in self._stores
-            if s.seq < load_entry.seq
-        )
-
     def execute_load(self, entry, in_ixu: bool) -> bool:
         """Perform the LSQ side of a load's execution.
 
         Searches older executed stores for a same-address forward, then
-        records the load (unless the FXA omission applies).
+        records the load unless the FXA omission applies (an IXU load
+        whose older stores have all executed).  The store queue is in
+        program order (rename appends, commit removes the head, a
+        squash drops a younger suffix), so one pass that stops at the
+        first younger store sees exactly the older ones.
 
         Returns:
             True when the load's data is forwarded from the store queue.
         """
-        self.stats.forward_searches += 1
+        stats = self.stats
+        stats.forward_searches += 1
         seq = entry.seq
         addr = entry.inst.mem_addr
         forwarded = False
-        for s in self._stores:
-            if s.seq < seq and s.mem_executed \
-                    and s.inst.mem_addr == addr:
-                forwarded = True
+        older_all_executed = True
+        for store in self._stores:
+            if store.seq >= seq:
                 break
+            if not store.mem_executed:
+                older_all_executed = False
+            elif store.inst.mem_addr == addr:
+                forwarded = True
         if forwarded:
-            self.stats.forwarded_loads += 1
-        if in_ixu and self.older_stores_all_executed(entry):
+            stats.forwarded_loads += 1
+        if in_ixu and older_all_executed:
             # Paper omission 2: the load can never be a violation victim.
-            self.stats.omitted_load_writes += 1
+            stats.omitted_load_writes += 1
             entry.lsq_written = False
         else:
-            self.stats.load_writes += 1
+            stats.load_writes += 1
             entry.lsq_written = True
         entry.mem_executed = True
         if entry.seq > self._youngest_executed_load_seq:
@@ -149,28 +150,32 @@ class LoadStoreQueue:
 
         Writes address+data, and — unless executed in the IXU (paper
         omission 1) — searches younger executed loads for an ordering
-        violation.
+        violation.  The load queue is in program order, so the first
+        violator found is the oldest; the search is skipped when
+        :meth:`has_younger_executed_load` says no load younger than the
+        store has executed (its bound is an upper one: commit leaves it
+        be, a squash recomputes it).
 
         Returns:
             The oldest violating load entry, or None.
         """
-        self.stats.store_writes += 1
+        stats = self.stats
+        stats.store_writes += 1
         entry.mem_executed = True
         if in_ixu:
-            self.stats.omitted_violation_searches += 1
+            stats.omitted_violation_searches += 1
             return None
-        self.stats.violation_searches += 1
-        violators = [
-            load for load in self._loads
-            if load.lsq_written
-            and load.mem_executed
-            and load.seq > entry.seq
-            and load.inst.mem_addr == entry.inst.mem_addr
-        ]
-        if not violators:
-            return None
-        self.stats.violations += 1
-        return min(violators, key=lambda load: load.seq)
+        stats.violation_searches += 1
+        seq = entry.seq
+        if self.has_younger_executed_load(seq):
+            addr = entry.inst.mem_addr
+            for load in self._loads:
+                if (load.seq > seq and load.lsq_written
+                        and load.mem_executed
+                        and load.inst.mem_addr == addr):
+                    stats.violations += 1
+                    return load
+        return None
 
     # ---------------- retire / squash ----------------
 

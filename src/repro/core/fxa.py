@@ -65,6 +65,7 @@ class FXACore(OutOfOrderCore):
         self._ixu_ring: List[List[InFlight]] = [
             [] for _ in range(ixu.depth + 1)
         ]
+        self._ixu_depth = ixu.depth
         self._ixu_occupancy = 0               # entries in stages 0..d-1
         self._ixu_exec_count = 0              # includes squashed replays
         self._ixu_mem_exec_count = 0
@@ -131,14 +132,18 @@ class FXACore(OutOfOrderCore):
         """
         cycle = self.cycle
         iq = self.iq
+        room = iq.free
+        iq_dispatch = iq.dispatch
+        schedule = self._schedule_entry
         scoreboard = self.renamer.scoreboard
         issue_ready = cycle + self.config.dispatch_to_issue
-        for index, entry in enumerate(group):
+        for entry in group:
             if entry.executed_in_ixu:
                 continue
-            if iq.full:
-                del group[:index]
+            if not room:
+                del group[:group.index(entry)]
                 return False  # structural stall: hold the whole pipe
+            room -= 1
             # Second scoreboard read (Section III-C): operands that became
             # ready in the OXU during IXU transit dispatch as ready.
             for cls, _preg in entry.renamed.srcs:
@@ -147,8 +152,8 @@ class FXACore(OutOfOrderCore):
             # issue_ready is final before dispatch: the wakeup engine
             # folds it into the entry's wake cycle on registration.
             entry.issue_ready = issue_ready
-            iq.dispatch(entry)
-            self._schedule_entry(entry)
+            iq_dispatch(entry)
+            schedule(entry)
         group.clear()
         return True
 
@@ -165,9 +170,10 @@ class FXACore(OutOfOrderCore):
         cycle = self.cycle
         ring = self._ixu_ring
         stage_fus = self.ixu_config.stage_fus
-        depth = len(stage_fus)
+        depth = self._ixu_depth
         registry = self._bypass_registry
         available = registry.available
+        record = registry.record
         lsq = self.lsq
         mem_port = self.fu[FUType.MEM]
         execute = self._execute
@@ -181,13 +187,17 @@ class FXACore(OutOfOrderCore):
                         or entry.squashed):
                     continue
                 uncaptured = entry.ixu_uncaptured
-                reachable = True
-                for cls, preg in uncaptured:
-                    if not available(cls, preg, cycle, pos):
-                        reachable = False
-                        break
-                if not reachable:
-                    continue
+                if uncaptured:
+                    reachable = True
+                    for cls, preg in uncaptured:
+                        if not available(cls, preg, cycle, pos):
+                            reachable = False
+                            break
+                    if not reachable:
+                        continue
+                    category = "b"
+                else:
+                    category = "a"
                 inst = entry.inst
                 if inst.is_mem:
                     if inst.is_load:
@@ -213,8 +223,9 @@ class FXACore(OutOfOrderCore):
                 entry.executed_in_ixu = True
                 entry.ixu_exec_cycle = cycle
                 entry.ixu_exec_stage = pos
-                entry.ixu_category = "b" if uncaptured else "a"
-                bypassed += len(uncaptured)
+                entry.ixu_category = category
+                if uncaptured:
+                    bypassed += len(uncaptured)
                 executed += 1
                 execute(entry, cycle, True)
                 # The result reaches the PRF only after the producer
@@ -227,8 +238,8 @@ class FXACore(OutOfOrderCore):
                 renamed = entry.renamed
                 if renamed.dest is not None:
                     broadcasts += 1
-                    registry.record(renamed.dest_cls, renamed.dest, entry,
-                                    cycle, pos, complete)
+                    record(renamed.dest_cls, renamed.dest, entry,
+                           cycle, pos, complete)
                 if not free:
                     break
         self._ixu_exec_count += executed
@@ -248,10 +259,13 @@ class FXACore(OutOfOrderCore):
             claimed = 0
         skips_branches = self._ixu_skips_branches
         skips_mem = self._ixu_skips_mem
+        gated = skips_branches or skips_mem
         entering = min(len(regread_q), self.config.rename_width)
+        popleft = regread_q.popleft
+        append = group.append
         for _ in range(entering):
-            entry = regread_q.popleft()
-            uncaptured = []
+            entry = popleft()
+            uncaptured = ()
             for src in entry.renamed.srcs:
                 # Sequential scoreboard-then-PRF access (Section III-B):
                 # the PRF is read only for available values, and only
@@ -265,14 +279,14 @@ class FXACore(OutOfOrderCore):
                     prf[cls].reads += 1
                     claimed += 1
                 else:
-                    uncaptured.append(src)
+                    uncaptured += (src,)
             entry.ixu_uncaptured = uncaptured
             inst = entry.inst
-            entry.ixu_eligible = inst.ixu_eligible and not (
+            entry.ixu_eligible = inst.ixu_eligible and not (gated and (
                 (skips_branches and inst.is_branch)
                 or (skips_mem and inst.is_mem)
-            )
-            group.append(entry)
+            ))
+            append(entry)
         self._prf_ports = (cycle, claimed)
         self._ixu_occupancy += entering
 

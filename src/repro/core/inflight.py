@@ -17,7 +17,23 @@ UNSCHEDULED = -1
 
 
 class InFlight:
-    """Mutable pipeline state of one in-flight dynamic instruction."""
+    """Mutable pipeline state of one in-flight dynamic instruction.
+
+    The constructor sets the slots that any stage, observer or validator
+    may read of any entry.  The rest belong to one stage or family and
+    are set by the stage that first needs them, so reading one earlier
+    raises ``AttributeError`` instead of returning a stale default:
+
+    * ``prediction`` (branches only): fetch;
+    * ``dispatch_cycle``: out-of-order rename, for the dispatch queue;
+    * ``mem_dep`` (loads only): rename, from the store-set predictor;
+    * ``cluster``: the clustered core's rename steering;
+    * ``src_pairs``, ``wait_count``: dispatch into the issue queue
+      (``OutOfOrderCore._schedule_entry``);
+    * ``ixu_exec_cycle``, ``ixu_exec_stage``, ``ixu_category``: FXA's
+      IXU, when the entry executes there (readers test
+      ``executed_in_ixu`` first).
+    """
 
     __slots__ = (
         "inst",
@@ -26,7 +42,6 @@ class InFlight:
         "src_pairs",
         "prediction",
         "mispredicted",
-        "btb_redirect",
         "fetch_cycle",
         "deliver_cycle",
         "rename_cycle",
@@ -52,32 +67,28 @@ class InFlight:
         "ixu_uncaptured",
     )
 
-    def __init__(self, inst: DynInst, fetch_cycle: int):
+    # ``src_pairs`` (bound at dispatch) holds one ``(prf_ready_cycles_list,
+    # waiter_slots, preg)`` triple per renamed source: the issue loop's
+    # operand check becomes two flat list indexings with no dict lookup
+    # or attribute chase.  The PRF ready lists and the waiter slot lists
+    # are mutated in place and never rebound, so the references stay
+    # valid for the entry's whole lifetime.  ``wait_count`` is its
+    # unscheduled-producer count for the event-driven wakeup engine.
+
+    def __init__(self, inst: DynInst, fetch_cycle: int,
+                 deliver_cycle: int = UNSCHEDULED):
         self.inst = inst
         #: Program-order sequence number (trace position).
         self.seq = inst.seq
         self.renamed = None
-        # Prebound ``(prf_ready_cycles_list, cls, preg)`` triples, one
-        # per renamed source: the issue loop's operand check becomes two
-        # flat list indexings with no dict lookup or attribute chase.
-        # Bound when the entry is dispatched into the issue queue (the
-        # PRF ready lists are mutated in place and never rebound, so the
-        # references stay valid for the entry's whole lifetime).
-        self.src_pairs: Sequence[Tuple] = ()
-        self.prediction = None
         self.mispredicted = False
-        self.btb_redirect = False
         self.fetch_cycle = fetch_cycle
         # Cycle the front end hands the entry on (to rename, or to
         # issue on the in-order core).
-        self.deliver_cycle = fetch_cycle
+        self.deliver_cycle = deliver_cycle
         self.rename_cycle = UNSCHEDULED
-        self.dispatch_cycle = UNSCHEDULED
         self.iq_cycle = UNSCHEDULED
         self.issue_ready = UNSCHEDULED
-        # Unscheduled-producer count for the event-driven wakeup engine
-        # (see OutOfOrderCore._schedule_entry).
-        self.wait_count = 0
         self.issued = False
         self.issue_cycle = UNSCHEDULED
         self.complete_cycle = UNSCHEDULED
@@ -87,14 +98,9 @@ class InFlight:
         self.squashed = False
         self.mem_executed = False
         self.lsq_written = False
-        self.mem_dep = None
-        self.cluster = -1
         self.executed_in_ixu = False
         # Resolved at IXU entry: op class, branch/mem config gates.
         self.ixu_eligible = False
-        self.ixu_exec_cycle = UNSCHEDULED
-        self.ixu_exec_stage = -1
-        self.ixu_category = ""
         # Sources *not* captured at register read: the per-cycle IXU
         # execute attempt only re-checks these against the bypass net.
         self.ixu_uncaptured: Sequence[Tuple] = ()

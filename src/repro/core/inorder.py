@@ -12,7 +12,6 @@ depth; its fetch always stops at a taken branch.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
@@ -104,8 +103,8 @@ class InOrderCore(CoreBase):
         return self._finish_run(max(self.cycle, self._final_cycle))
 
     def _tick(self) -> None:
-        completions = self._completions
-        quiet = not completions or completions[0][0] > self.cycle
+        completion_cycles = self._completion_cycles
+        quiet = not completion_cycles or completion_cycles[0] > self.cycle
         if not quiet:
             self._process_completions()
         issued = self._issue()
@@ -130,7 +129,7 @@ class InOrderCore(CoreBase):
         head.
 
         Every future register arrival is also a pending completion, so
-        the completion heap alone covers operand waits; the head-of-
+        the completion calendar alone covers operand waits; the head-of-
         queue thresholds keep the horizon tight on issue-latency and
         redirect bubbles.
         """
@@ -246,10 +245,7 @@ class InOrderCore(CoreBase):
             self._load_wait[flat] = complete - cycle
             self._rf_writes += 1
             self.bypass.broadcast()
-        self._completion_counter += 1
-        heapq.heappush(
-            self._completions, (complete, self._completion_counter, entry)
-        )
+        self._schedule_completion(entry, complete)
         # Commit accounting: in-order issue means the instruction will
         # retire; count it now and classify.
         if self._validator is not None:
@@ -269,8 +265,7 @@ class InOrderCore(CoreBase):
 
     def _process_completions(self) -> None:
         pipeview = self._pipeview
-        while self._completions and self._completions[0][0] <= self.cycle:
-            _, _, entry = heapq.heappop(self._completions)
+        for entry in self._due_completions():
             entry.done = True
             if pipeview is not None:
                 pipeview.record(entry, self.cycle, flushed=False)

@@ -3,7 +3,7 @@
 The per-cycle tick loops burn most of their time on cycles where nothing
 can possibly change: long memory-miss shadows, branch-redirect bubbles,
 front-end refills.  On such a cycle every pipeline stage re-evaluates a
-frozen predicate — the completion heap's head is in the future, every
+frozen predicate — the next completion cycle is in the future, every
 queue head is not yet due, every issue-queue entry waits on an operand
 that arrives with a future completion.  This module lets a core jump
 ``self.cycle`` straight to the earliest cycle at which any state *can*
@@ -19,7 +19,7 @@ Correctness rests on two facts the cores uphold:
    cheap per-stage activity returns; only then do they fast-forward.
 2. **The event horizon is conservative.**  ``_event_horizon`` returns a
    cycle no later than the first cycle at which any stage could act:
-   the completion heap's head, the fetch-redirect resume cycle, the
+   the next completion cycle, the fetch-redirect resume cycle, the
    outstanding refill, each front-end queue head's due cycle, and the
    issue window's earliest wakeup.  Extra thresholds only shorten the
    jump, so being conservative is always safe.

@@ -25,9 +25,9 @@ in-order core keeps the paper's Figure 8b shape.
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.backend import (
@@ -51,7 +51,10 @@ from repro.core.kernel import DEADLOCK_LIMIT, NO_EVENT
 from repro.core.stats import CoreStats, EventCounts
 from repro.isa.instruction import DynInst
 from repro.isa.opclass import OpClass
+from repro.isa.registers import RegClass
 from repro.rename.prf import NEVER
+
+_MOV = OpClass.MOV
 
 #: Slot-tree leaf of each rename stall (see ``_classify``).
 _RENAME_STALL_LEAVES = {
@@ -83,7 +86,7 @@ class OutOfOrderCore(CoreBase):
         self.store_sets = StoreSetPredictor()
         self.oxu_bypass = BypassNetwork("oxu", config.total_oxu_fus)
         # The PRF ready lists are prebound per class once: they are
-        # mutated in place and never rebound, so rename can pair each
+        # mutated in place and never rebound, so dispatch can pair each
         # source preg with its list for flat-column operand checks.
         self._ready_lists = {
             cls: prf.ready_cycles for cls, prf in self.renamer.prf.items()
@@ -92,13 +95,17 @@ class OutOfOrderCore(CoreBase):
         # Event-driven wakeup (see _schedule_entry): entries whose
         # operand-arrival cycles are all known sit in the wake heap
         # keyed (wake_cycle, seq); entries waiting on an unscheduled
-        # producer sit in per-preg waiter lists until the producer's
+        # producer sit in that preg's waiter list (one slot per preg of
+        # each class, None while nobody waits) until the producer's
         # completion reveals its arrival cycle.  Woken entries move to
         # the age-ordered ready list the select loop scans — the loop
         # never touches entries that cannot issue yet.
         self._wake_heap: List[Tuple[int, int, InFlight]] = []
         self._ready_entries: List[Tuple[int, InFlight]] = []
-        self._iq_waiters: Dict[Tuple, List[InFlight]] = {}
+        self._iq_waiters: Dict[RegClass, List[Optional[List[InFlight]]]] = {
+            cls: [None] * prf.entries
+            for cls, prf in self.renamer.prf.items()
+        }
         self._last_commit_cycle = 0
         self._iq_reserved = 0
         # PRF read ports claimed this cycle, as one ``(cycle, claimed)``
@@ -150,8 +157,8 @@ class OutOfOrderCore(CoreBase):
     def _tick(self) -> None:
         # Each stage reports whether it moved any state; a tick where
         # nothing moved is provably repeatable and may fast-forward.
-        completions = self._completions
-        quiet = not completions or completions[0][0] > self.cycle
+        completion_cycles = self._completion_cycles
+        quiet = not completion_cycles or completion_cycles[0] > self.cycle
         if not quiet:
             self._process_completions()
         committed = self._commit()
@@ -159,7 +166,10 @@ class OutOfOrderCore(CoreBase):
         dispatched = self._dispatch()
         renamed = self._rename()
         fetch_moved = self._fetch()
-        self.iq.sample_occupancy()
+        # The issue queue's per-cycle occupancy sample.
+        iq = self.iq
+        iq._occupancy_accum += iq._live
+        iq._occupancy_samples += 1
         if self._obs is not None:
             self._obs.on_cycles(self, committed, 1)
         if self._validator is not None:
@@ -211,14 +221,13 @@ class OutOfOrderCore(CoreBase):
         The wake heap's head *is* that cycle: entries waiting on an
         unscheduled producer (arrival ``NEVER``) are not in the heap —
         their producer has yet to complete, which requires an earlier
-        event already covered by the completion heap.  Entries in the
+        event already covered by the completion calendar.  Entries in the
         ready list are ready *now* but blocked structurally; their
         unblocking likewise requires another covered event, so they
         contribute no threshold (this matches the former full scan's
         ``cycle <= threshold`` guard).
         """
         heap = self._wake_heap
-        heappop = heapq.heappop
         while heap:
             wake, _, entry = heap[0]
             if entry.squashed or entry.issued:
@@ -236,111 +245,97 @@ class OutOfOrderCore(CoreBase):
     # ------------------------------------------------------------------
 
     def _rename(self) -> int:
-        self._stall_reason = None
-        frontend_q = self.frontend_q
-        if not frontend_q:
-            return 0
-        cycle = self.cycle
-        width = self.config.rename_width
-        validator = self._validator
-        rob = self.rob
-        rob_entries = rob._entries
+        """Rename delivered entries in program order, up to the rename
+        width, into the ROB, the LSQ and the family's route towards the
+        issue queue (``_after_rename``).
+
+        Each entry first secures every resource it needs: a free
+        physical register for its destination, a ROB slot, an LSQ slot
+        for a memory op, and an IQ route (``_iq_slot_available``).  A
+        move the RENO extension eliminates needs the ROB slot only.
+        The first check that fails stops rename and records which
+        structure blocked it (``_stall_reason``); the stall attributor
+        charges the cycle to it when nothing commits.
+        """
+        reason = None
         renamed = 0
-        while frontend_q and renamed < width:
-            entry = frontend_q[0]
-            if entry.deliver_cycle > cycle:
-                break
-            eliminable = self._is_eliminable(entry.inst)
-            if not self._rename_resources_ready(entry, eliminable):
-                break
-            frontend_q.popleft()
-            if eliminable:
-                # RENO: the move becomes a rename-table update; it still
-                # takes a ROB slot and commits, but never executes.
-                entry.renamed = self.renamer.rename_move(entry.inst)
+        frontend_q = self.frontend_q
+        cycle = self.cycle
+        if frontend_q and frontend_q[0].deliver_cycle <= cycle:
+            config = self.config
+            width = config.rename_width
+            move_elimination = config.move_elimination
+            validator = self._validator
+            rob_entries = self.rob._entries
+            rob_room = self.rob.capacity - len(rob_entries)
+            renamer = self.renamer
+            rename = renamer.rename
+            free_lists = renamer.free
+            lsq = self.lsq
+            store_sets = self.store_sets
+            iq_slot_available = self._iq_slot_available
+            after_rename = self._after_rename
+            while frontend_q and renamed < width:
+                entry = frontend_q[0]
+                if entry.deliver_cycle > cycle:
+                    break
+                inst = entry.inst
+                dest = inst.dest
+                if (inst.op is _MOV and move_elimination
+                        and dest is not None and len(inst.srcs) == 1
+                        and dest.cls is inst.srcs[0].cls):
+                    if renamed >= rob_room:
+                        reason = "rob_full"
+                        break
+                    # RENO: the move becomes a rename-table update; it
+                    # still takes a ROB slot and commits, but never
+                    # executes.
+                    frontend_q.popleft()
+                    entry.renamed = renamer.rename_move(inst)
+                    entry.rename_cycle = cycle
+                    entry.complete_cycle = cycle
+                    if validator is not None:
+                        validator.on_rename(self, entry)
+                    rob_entries.append(entry)
+                    self._schedule_completion(entry, cycle)
+                    renamed += 1
+                    continue
+                if dest is not None and not free_lists[dest.cls]._free:
+                    reason = "prf_full"
+                    break
+                if renamed >= rob_room:
+                    reason = "rob_full"
+                    break
+                if inst.is_mem:
+                    if inst.is_load:
+                        lsq_full = len(lsq._loads) >= lsq.load_capacity
+                    else:
+                        lsq_full = len(lsq._stores) >= lsq.store_capacity
+                    if lsq_full:
+                        reason = "lsq_full"
+                        break
+                if not iq_slot_available(entry):
+                    reason = "iq_full"
+                    break
+                frontend_q.popleft()
+                entry.renamed = rename(inst)
                 entry.rename_cycle = cycle
-                entry.complete_cycle = cycle
                 if validator is not None:
                     validator.on_rename(self, entry)
                 rob_entries.append(entry)
-                rob.allocations += 1
-                self._completion_counter += 1
-                heapq.heappush(
-                    self._completions,
-                    (cycle, self._completion_counter, entry),
-                )
+                if inst.is_load:
+                    lsq.insert_load(entry)
+                    # LFST is read in program order at rename: it holds
+                    # the youngest *older* store of the load's store set.
+                    entry.mem_dep = store_sets.load_dependency(inst.pc)
+                elif inst.is_store:
+                    lsq.insert_store(entry)
+                    store_sets.store_dispatched(inst.pc, entry)
+                after_rename(entry)
                 renamed += 1
-                continue
-            entry.renamed = self.renamer.rename(entry.inst)
-            entry.rename_cycle = cycle
-            if validator is not None:
-                validator.on_rename(self, entry)
-            rob_entries.append(entry)
-            rob.allocations += 1
-            inst = entry.inst
-            if inst.is_load:
-                self.lsq.insert_load(entry)
-                # LFST is read in program order at rename: it holds the
-                # youngest *older* store of the load's store set.
-                entry.mem_dep = self.store_sets.load_dependency(inst.pc)
-            elif inst.is_store:
-                self.lsq.insert_store(entry)
-                self.store_sets.store_dispatched(inst.pc, entry)
-            self._after_rename(entry)
-            renamed += 1
+            self.rob.allocations += renamed
+        self._stall_reason = reason
         return renamed
-
-    def _is_eliminable(self, inst: DynInst) -> bool:
-        """Is this a move the RENO extension can eliminate at rename?
-
-        The op-class identity test leads: it rejects almost every
-        instruction before any config attribute is touched.
-        """
-        return (
-            inst.op is OpClass.MOV
-            and self.config.move_elimination
-            and inst.dest is not None
-            and len(inst.srcs) == 1
-            and inst.dest.cls is inst.srcs[0].cls
-        )
-
-    def _rename_resources_ready(self, entry: InFlight,
-                                 eliminable: bool) -> bool:
-        """Check every resource rename must secure for ``entry``.
-
-        A failed check records which structure blocked rename this
-        cycle (``_stall_reason``); the stall attributor charges the
-        cycle to it when nothing commits.
-        """
-        inst = entry.inst
-        rob = self.rob
-        rob_full = len(rob._entries) >= rob.capacity
-        if eliminable:
-            if rob_full:  # needs no register, IQ or LSQ slot
-                self._stall_reason = "rob_full"
-                return False
-            return True
-        dest = inst.dest
-        if (dest is not None
-                and not self.renamer.free[dest.cls]._free):
-            self._stall_reason = "prf_full"
-            return False
-        if rob_full:
-            self._stall_reason = "rob_full"
-            return False
-        if inst.is_mem:
-            lsq = self.lsq
-            if inst.is_load:
-                if not lsq.loads_free:
-                    self._stall_reason = "lsq_full"
-                    return False
-            elif not lsq.stores_free:
-                self._stall_reason = "lsq_full"
-                return False
-        if not self._iq_slot_available(entry):
-            self._stall_reason = "iq_full"
-            return False
-        return True
 
     def _iq_slot_available(self, entry: InFlight) -> bool:
         """The plain OoO core reserves an IQ slot at rename."""
@@ -358,12 +353,12 @@ class OutOfOrderCore(CoreBase):
 
     def _dispatch(self) -> int:
         dispatch_q = self.dispatch_q
-        if not dispatch_q or dispatch_q[0].dispatch_cycle > self.cycle:
+        cycle = self.cycle
+        if not dispatch_q or dispatch_q[0].dispatch_cycle > cycle:
             return 0
         config = self.config
-        cycle = self.cycle
         width = config.rename_width
-        issue_lat = config.dispatch_to_issue
+        issue_ready = cycle + config.dispatch_to_issue
         iq_dispatch = self.iq.dispatch
         schedule = self._schedule_entry
         moved = 0
@@ -376,14 +371,14 @@ class OutOfOrderCore(CoreBase):
             moved += 1
             if entry.squashed:
                 continue
-            self._iq_reserved -= 1
             entry.iq_cycle = cycle
             # issue_ready is final before dispatch: the wakeup engine
             # folds it into the entry's wake cycle on registration.
-            entry.issue_ready = cycle + issue_lat
+            entry.issue_ready = issue_ready
             iq_dispatch(entry)
             schedule(entry)
             dispatched += 1
+        self._iq_reserved -= dispatched
         return moved
 
     # ------------------------------------------------------------------
@@ -394,7 +389,7 @@ class OutOfOrderCore(CoreBase):
         """Earliest cycle ``entry`` can issue, given every source
         arrival is known (all below ``NEVER``)."""
         wake = entry.issue_ready
-        for ready_cycles, _cls, preg in entry.src_pairs:
+        for ready_cycles, _waiters, preg in entry.src_pairs:
             arrival = ready_cycles[preg]
             if arrival > wake:
                 wake = arrival
@@ -403,51 +398,35 @@ class OutOfOrderCore(CoreBase):
     def _schedule_entry(self, entry: InFlight) -> None:
         """Register a freshly-dispatched entry with the wakeup engine.
 
-        Binds the entry's ``src_pairs`` (only entries that reach the
-        issue queue need them).  If every source's arrival cycle is
-        already known the entry goes straight onto the wake heap;
-        otherwise it parks in the waiter list of each unscheduled source
-        and is re-examined when that producer's completion announces the
-        arrival cycle.
+        Binds the entry's ``src_pairs``, one ``(ready cycles, waiter
+        slots, preg)`` triple per source, the two lists those of the
+        source's register class (only entries that reach the issue
+        queue need them).  If every
+        source's arrival cycle is already known the entry goes straight
+        onto the wake heap; otherwise it parks in the waiter list of
+        each unscheduled source and is re-examined when that producer's
+        completion announces the arrival cycle
+        (``_process_completions``).
         """
         waiting = 0
         waiters = self._iq_waiters
         ready_lists = self._ready_lists
         entry.src_pairs = src_pairs = [
-            (ready_lists[cls], cls, preg)
+            (ready_lists[cls], waiters[cls], preg)
             for cls, preg in entry.renamed.srcs
         ]
-        for ready_cycles, cls, preg in src_pairs:
+        for ready_cycles, slots, preg in src_pairs:
             if ready_cycles[preg] >= NEVER:
-                bucket = waiters.get((cls, preg))
+                bucket = slots[preg]
                 if bucket is None:
-                    waiters[(cls, preg)] = [entry]
+                    slots[preg] = [entry]
                 else:
                     bucket.append(entry)
                 waiting += 1
         entry.wait_count = waiting
         if not waiting:
-            heapq.heappush(
-                self._wake_heap,
-                (self._entry_wake(entry), entry.seq, entry),
-            )
-
-    def _wake_dependents(self, cls, preg: int) -> None:
-        """A producer's arrival cycle is now known: re-examine waiters."""
-        bucket = self._iq_waiters.pop((cls, preg), None)
-        if bucket is None:
-            return
-        heappush = heapq.heappush
-        wake_heap = self._wake_heap
-        for entry in bucket:
-            if entry.squashed or entry.issued:
-                continue
-            entry.wait_count -= 1
-            if not entry.wait_count:
-                heappush(
-                    wake_heap,
-                    (self._entry_wake(entry), entry.seq, entry),
-                )
+            heappush(self._wake_heap,
+                     (self._entry_wake(entry), entry.seq, entry))
 
     def _scheduler_squash(self, boundary_seq: int) -> None:
         """Drop squashed entries from the wakeup structures.
@@ -464,7 +443,7 @@ class OutOfOrderCore(CoreBase):
                 self._wake_heap = [
                     it for it in heap if not it[2].squashed
                 ]
-                heapq.heapify(self._wake_heap)
+                heapify(self._wake_heap)
                 break
 
     def _load_dependence_clear(self, entry: InFlight) -> bool:
@@ -483,7 +462,6 @@ class OutOfOrderCore(CoreBase):
         heap = self._wake_heap
         ready = self._ready_entries
         if heap and heap[0][0] <= cycle:
-            heappop = heapq.heappop
             while heap and heap[0][0] <= cycle:
                 _, seq, entry = heappop(heap)
                 if entry.squashed or entry.issued:
@@ -501,6 +479,7 @@ class OutOfOrderCore(CoreBase):
         width = self.config.issue_width
         fu = self.fu
         iq = self.iq
+        execute = self._execute
         for _, entry in ready:
             if entry.squashed or entry.issued:
                 continue
@@ -509,10 +488,13 @@ class OutOfOrderCore(CoreBase):
                 continue
             if not fu[inst.fu_type].try_issue(inst.op, cycle):
                 continue
-            iq.note_issue()
+            # The entry leaves the queue's live count (a payload read);
+            # the backing list drops it lazily (``remove_issued``).
+            iq.issues += 1
+            iq._live -= 1
             entry.issued = True
             issued += 1
-            self._execute(entry, cycle, in_ixu=False)
+            execute(entry, cycle, False)
             if entry.squashed:
                 # An ordering violation squashed younger state; restart
                 # next cycle.
@@ -545,16 +527,15 @@ class OutOfOrderCore(CoreBase):
                         claimed = 0
                     self._prf_ports = (cycle, claimed + len(srcs))
             if renamed.dest is not None:
-                self.oxu_bypass.broadcast()
+                # The result drives the OXU bypass network.
+                self.oxu_bypass.broadcasts += 1
         if inst.is_load:
-            forwarded = self.lsq.execute_load(entry, in_ixu)
-            if forwarded:
+            if self.lsq.execute_load(entry, in_ixu):
                 self.stats.forwarded_loads += 1
-                latency = 2  # AGU + store-queue forward
+                complete = cycle + 2  # AGU + store-queue forward
             else:
-                result = self.hierarchy.load(inst.mem_addr)
-                latency = 1 + result.latency
-            complete = cycle + latency
+                complete = (cycle + 1
+                            + self.hierarchy.load(inst.mem_addr).latency)
         elif inst.is_store:
             violator = self.lsq.execute_store(entry, in_ixu)
             self.store_sets.store_executed(inst.pc, entry)
@@ -569,40 +550,52 @@ class OutOfOrderCore(CoreBase):
             complete = cycle + inst.latency
         entry.complete_cycle = complete
         entry.written_cycle = complete + 1  # writeback, then readable
-        counter = self._completion_counter + 1
-        self._completion_counter = counter
-        heapq.heappush(self._completions, (complete, counter, entry))
+        self._schedule_completion(entry, complete)
 
     # ------------------------------------------------------------------
     # Completion / writeback
     # ------------------------------------------------------------------
 
     def _process_completions(self) -> None:
-        completions = self._completions
-        if not completions or completions[0][0] > self.cycle:
-            return
-        cycle = self.cycle
-        heappop = heapq.heappop
+        """Mark every entry due this cycle done, publish its result to
+        the PRF and wake the issue-queue entries waiting on it, and
+        resolve completed branches."""
         prf_map = self.renamer.prf
-        while completions and completions[0][0] <= cycle:
-            _, _, entry = heappop(completions)
+        waiters = self._iq_waiters
+        wake_heap = self._wake_heap
+        entry_wake = self._entry_wake
+        iq = self.iq
+        for entry in self._due_completions():
             if entry.squashed:
                 continue
             entry.done = True
             renamed = entry.renamed
-            if (renamed is not None and renamed.dest is not None
-                    and not renamed.eliminated):
-                dest = renamed.dest
+            dest = renamed.dest
+            if dest is not None and not renamed.eliminated:
                 dest_cls = renamed.dest_cls
                 # Inlined PRF mark_ready/mark_written (hot path).
                 prf = prf_map[dest_cls]
                 prf.ready_cycles[dest] = entry.complete_cycle
                 prf.writes += 1
                 prf._written[dest] = entry.written_cycle
-                self._wake_dependents(dest_cls, dest)
+                # The arrival cycle is now known: re-examine the
+                # entries waiting on this register.
+                slots = waiters[dest_cls]
+                bucket = slots[dest]
+                if bucket is not None:
+                    slots[dest] = None
+                    for waiter in bucket:
+                        if waiter.squashed or waiter.issued:
+                            continue
+                        waiter.wait_count -= 1
+                        if not waiter.wait_count:
+                            heappush(wake_heap, (entry_wake(waiter),
+                                                 waiter.seq, waiter))
                 if not entry.executed_in_ixu:
-                    # Completing producers broadcast their tag into the IQ.
-                    self.iq.broadcast_wakeup()
+                    # Completing producers broadcast their tag into the
+                    # IQ, compared against every live entry.
+                    iq.wakeup_broadcasts += 1
+                    iq.wakeup_cam_compares += iq._live
             if entry.inst.is_branch:
                 self._resolve_branch(entry)
 
@@ -717,12 +710,17 @@ class OutOfOrderCore(CoreBase):
     def _commit(self) -> int:
         rob_entries = self.rob._entries
         cycle = self.cycle
+        if (not rob_entries or not rob_entries[0].done
+                or rob_entries[0].complete_cycle > cycle):
+            return 0
         stats = self.stats
         pipeview = self._pipeview
         renamer = self.renamer
         refcounts = renamer._refcount
         free_lists = renamer.free
         validator = self._validator
+        hierarchy = self.hierarchy
+        lsq = self.lsq
         committed = 0
         width = self.config.commit_width
         while committed < width and rob_entries:
@@ -733,29 +731,29 @@ class OutOfOrderCore(CoreBase):
             inst = head.inst
             if inst.is_mem:
                 if inst.is_store:
-                    self.hierarchy.store(inst.mem_addr)
+                    hierarchy.store(inst.mem_addr)
                     stats.committed_stores += 1
                 else:
                     stats.committed_loads += 1
-                self.lsq.commit(head)
+                lsq.commit(head)
             elif inst.is_branch:
                 stats.committed_branches += 1
             elif inst.op in _FP_ARITH:
                 stats.committed_fp += 1
             renamed = head.renamed
             old_dest = renamed.old_dest
-            if renamed.dest_cls is not None and old_dest is not None:
+            if old_dest is not None:
                 # Inlined Renamer.commit/_release (hot path): drop the
                 # previous mapping's reference, reclaim at zero.
-                refcount = refcounts[renamed.dest_cls]
+                dest_cls = renamed.dest_cls
+                refcount = refcounts[dest_cls]
                 remaining = refcount[old_dest] - 1
                 refcount[old_dest] = remaining
                 if remaining == 0:
-                    free_lists[renamed.dest_cls].release(old_dest)
+                    free_lists[dest_cls].release(old_dest)
                 elif remaining < 0:
                     raise RuntimeError(
-                        f"refcount underflow on {renamed.dest_cls} "
-                        f"p{old_dest}"
+                        f"refcount underflow on {dest_cls} p{old_dest}"
                     )
             if head.executed_in_ixu:
                 # FXA's IXU execution profile (Figure 12) counts
@@ -776,9 +774,9 @@ class OutOfOrderCore(CoreBase):
                 validator.on_commit(self, head)
             if pipeview is not None:
                 pipeview.record(head, cycle, flushed=False)
-            stats.committed += 1
             committed += 1
-            self._last_commit_cycle = cycle
+        stats.committed += committed
+        self._last_commit_cycle = cycle
         return committed
 
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ def decode(op: OpClass, dest: Optional[Reg],
     instruction when a program is built, and the trace generator copies
     them into each dynamic instance.
     """
-    return _OP_FIELDS[op] + (tuple(s.flat for s in srcs),
+    return _OP_FIELDS[op] + (tuple([s.flat for s in srcs]),
                              dest.flat if dest is not None else None)
 
 

@@ -140,34 +140,32 @@ class CacheHierarchy:
         return result
 
     def _maybe_prefetch(self, addr: int, l1_hit: bool) -> None:
-        """Prefetch on a demand miss or on a hit to a prefetched line."""
-        if not self.config.prefetch_degree:
-            return
-        line = addr // self.config.line_bytes
-        if l1_hit:
-            if line not in self._prefetched_lines:
-                return
-            self._prefetched_lines.discard(line)
-        self._prefetch(addr)
-
-    def _prefetch(self, addr: int) -> None:
-        """Next-line prefetch into the L1D.
+        """Next-line prefetch into the L1D, on a demand miss or on a hit
+        to a prefetched line: the ``prefetch_degree`` lines after the
+        accessed one are tagged as prefetched, and those not resident
+        in the L1D are installed there and in the L2.
 
         Prefetches are modelled as timely and free of port contention;
         they are counted (for the energy model) but charged no latency.
         """
+        degree = self.config.prefetch_degree
+        if not degree:
+            return
         line = addr // self.config.line_bytes
         prefetched = self._prefetched_lines
+        if l1_hit:
+            if line not in prefetched:
+                return
+            prefetched.discard(line)
         if len(prefetched) > 4096:
             prefetched.clear()
         l1d = self.l1d
         l2 = self.l2
         installed = 0
-        for step in range(1, self.config.prefetch_degree + 1):
-            target_line = line + step
+        for target_line in range(line + 1, line + 1 + degree):
             prefetched.add(target_line)
             if l1d.probe_tag(target_line):
-                continue
+                continue  # resident: its LRU position stays
             installed += 1
             l1d.fill_tag(target_line)
             l2.fill_tag(target_line)

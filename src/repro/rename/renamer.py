@@ -1,8 +1,8 @@
 """Renamer: ties the RATs, free lists and PRFs into one rename port.
 
 The cores call :meth:`Renamer.rename` once per instruction in program
-order; squashes undo youngest-first via the returned records, and commit
-releases the previous mapping of each destination.
+order; squashes undo youngest-first from the returned records, and
+commit releases the previous mapping of each destination.
 """
 
 from __future__ import annotations
@@ -28,16 +28,19 @@ class RenamedOperands:
     """Physical operands of one renamed instruction.
 
     ``srcs`` pairs each source with its register class; ``dest`` is the
-    freshly-allocated physical destination (or None); ``undo`` reverses
-    the RAT update on a squash; ``old_dest`` is released at commit.
-    ``eliminated`` marks a RENO-eliminated move: ``dest`` then *aliases*
-    the source's physical register instead of naming a fresh one.
+    freshly-allocated physical destination (or None) of the logical
+    register ``logical``; ``old_dest`` is the physical register
+    ``logical`` mapped to before, released at commit and restored by a
+    squash (:meth:`Renamer.squash` rebuilds the RAT undo record from
+    these fields).  ``eliminated`` marks a RENO-eliminated move:
+    ``dest`` then *aliases* the source's physical register instead of
+    naming a fresh one.
 
-    A plain slotted record (one is built per renamed instruction, on
-    the simulator's hottest path).
+    A plain slotted record, the one record rename builds per
+    instruction (on the simulator's hottest path).
     """
 
-    __slots__ = ("srcs", "dest_cls", "dest", "old_dest", "undo",
+    __slots__ = ("srcs", "dest_cls", "dest", "old_dest", "logical",
                  "eliminated")
 
     def __init__(
@@ -46,14 +49,14 @@ class RenamedOperands:
         dest_cls: Optional[RegClass],
         dest: Optional[int],
         old_dest: Optional[int],
-        undo: Optional[RenameUndo],
+        logical: Optional[Reg],
         eliminated: bool = False,
     ):
         self.srcs = srcs
         self.dest_cls = dest_cls
         self.dest = dest
         self.old_dest = old_dest
-        self.undo = undo
+        self.logical = logical
         self.eliminated = eliminated
 
 
@@ -122,16 +125,15 @@ class Renamer:
     def rename(self, inst: DynInst) -> RenamedOperands:
         """Rename ``inst``'s operands; caller must check can_rename."""
         rat = self.rat
-        inst_srcs = inst.srcs
-        if inst_srcs:
-            src_list = []
-            for src in inst_srcs:
-                table = rat[src.cls]
+        srcs = inst.srcs
+        if srcs:
+            pairs = []
+            for src in srcs:
+                cls = src.cls
+                table = rat[cls]
                 table.reads += 1
-                src_list.append((src.cls, table._map[src.index]))
-            srcs = tuple(src_list)
-        else:
-            srcs = ()
+                pairs.append((cls, table._map[src.index]))
+            srcs = tuple(pairs)
         dest = inst.dest
         if dest is None:
             return RenamedOperands(srcs, None, None, None, None)
@@ -150,8 +152,7 @@ class Renamer:
         old_preg = tmap[index]
         tmap[index] = new_preg
         table.writes += 1
-        undo = RenameUndo(dest, old_preg, new_preg)
-        return RenamedOperands(srcs, cls, new_preg, old_preg, undo)
+        return RenamedOperands(srcs, cls, new_preg, old_preg, dest)
 
     def rename_move(self, inst: DynInst) -> RenamedOperands:
         """RENO move elimination (paper Section VII-C).
@@ -171,7 +172,7 @@ class Renamer:
         self.moves_eliminated += 1
         return RenamedOperands(
             srcs=((cls, src_preg),), dest_cls=cls, dest=src_preg,
-            old_dest=undo.old_physical, undo=undo, eliminated=True,
+            old_dest=undo.old_physical, logical=inst.dest, eliminated=True,
         )
 
     def _release(self, cls: RegClass, preg: int) -> None:
@@ -189,16 +190,17 @@ class Renamer:
 
     def squash(self, renamed: RenamedOperands) -> None:
         """Undo one rename (call youngest-first across the squash set)."""
-        if renamed.dest_cls is None or renamed.undo is None:
-            return
         cls = renamed.dest_cls
-        self.rat[cls].undo(renamed.undo)
-        if renamed.eliminated:
-            # Drop the alias's reference on the shared register.
-            self._release(cls, renamed.undo.new_physical)
+        if cls is None:
             return
-        self.prf[cls].reset_entry(renamed.undo.new_physical)
-        self._release(cls, renamed.undo.new_physical)
+        new_preg = renamed.dest
+        self.rat[cls].undo(
+            RenameUndo(renamed.logical, renamed.old_dest, new_preg))
+        if not renamed.eliminated:
+            self.prf[cls].reset_entry(new_preg)
+        # An eliminated move drops the alias's reference on the shared
+        # register; a fresh destination goes back to the free list.
+        self._release(cls, new_preg)
 
     def free_regs(self, cls: RegClass) -> int:
         """Free physical registers of ``cls`` (occupancy stats)."""

@@ -62,12 +62,16 @@ class BranchKind(enum.Enum):
     RET = "ret"            # return from a function block
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BranchBehavior:
     """Outcome model for a static branch.
 
     ``taken_prob`` is used by HAMMOCK/RANDOM branches; LOOP branches use
     the owning block's trip count; UNCOND/CALL/RET are always taken.
+
+    Like :class:`StaticInst`, a plain slotted record that is never
+    written after construction (by convention, not ``frozen``: a
+    program builds one per static branch).
     """
 
     kind: BranchKind
@@ -86,12 +90,17 @@ class MemStream:
     stride: int = 8
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class StaticInst:
     """One static instruction of the synthetic program.
 
     ``decoded`` holds its :data:`~repro.isa.instruction.DECODED_FIELDS`,
     resolved once here and copied into every dynamic instance.
+
+    A plain slotted record, compared and hashed by field: a program
+    builds one per static instruction, and a ``frozen`` dataclass pays
+    for its guard on every field it sets.  It is never written after
+    construction, as the trace's ``DynInst`` records are not.
     """
 
     pc: int
@@ -104,8 +113,7 @@ class StaticInst:
     decoded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "decoded",
-                           decode(self.op, self.dest, self.srcs))
+        self.decoded = decode(self.op, self.dest, self.srcs)
 
 
 @dataclass(frozen=True)
@@ -159,26 +167,27 @@ class _RegisterAllocator:
         idx = self._next_rot[cls]
         self._next_rot[cls] = (idx + 1) % _NUM_ROT
         reg = int_reg(idx) if cls is RegClass.INT else fp_reg(idx)
-        self._history[cls].append(reg)
-        if len(self._history[cls]) > 4 * _NUM_ROT:
-            del self._history[cls][0]
+        history = self._history[cls]
+        history.append(reg)
+        if len(history) > 4 * _NUM_ROT:
+            del history[0]
         return reg
 
     def pick_src(self, cls: RegClass) -> Reg:
         """Pick a source register of ``cls`` per the profile's dep model."""
         prof = self._profile
         history = self._history[cls]
-        if not history or self._rng.random() < prof.far_src_frac:
+        random = self._rng.random
+        if not history or random() < prof.far_src_frac:
             index = self._rng.choice(_FAR_REGS)
             return (
                 int_reg(index) if cls is RegClass.INT else fp_reg(index)
             )
         # distance ~ 1 + Geometric(dep_geo_p): 1 is the latest producer.
+        geo_p = prof.dep_geo_p
+        longest = len(history)
         distance = 1
-        while (
-            self._rng.random() > prof.dep_geo_p
-            and distance < len(history)
-        ):
+        while random() > geo_p and distance < longest:
             distance += 1
         return history[-distance]
 
@@ -244,6 +253,11 @@ def _sample_opclass(
     return OpClass.INT_ALU
 
 
+#: Op-class groups :func:`_make_body_inst` branches on.
+_MEM_OPS = frozenset({OpClass.LOAD, OpClass.STORE})
+_FP_OPS = frozenset({OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV})
+
+
 def _make_body_inst(
     pc: int,
     op: OpClass,
@@ -253,7 +267,7 @@ def _make_body_inst(
     stream_ids: _StreamIds,
 ) -> StaticInst:
     """Build one non-branch static instruction at ``pc``."""
-    if op in (OpClass.LOAD, OpClass.STORE):
+    if op in _MEM_OPS:
         is_fp_data = rng.random() < profile.fp_mem_frac
         data_cls = RegClass.FP if is_fp_data else RegClass.INT
         if op is OpClass.LOAD:
@@ -267,14 +281,14 @@ def _make_body_inst(
             addr_src = alloc.pick_src(RegClass.INT)
         else:
             addr_src = int_reg(_BASE_REG)
-        if op in (OpClass.LOAD, OpClass.FP_LOAD):
+        if op is OpClass.LOAD or op is OpClass.FP_LOAD:
             dest = alloc.alloc_dest(data_cls)
             return StaticInst(pc=pc, op=op, dest=dest, srcs=(addr_src,),
                               stream_id=stream_id)
         data_src = alloc.pick_src(data_cls)
         return StaticInst(pc=pc, op=op, srcs=(addr_src, data_src),
                           stream_id=stream_id)
-    if op in (OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV):
+    if op in _FP_OPS:
         dest = alloc.alloc_dest(RegClass.FP)
         srcs = (alloc.pick_src(RegClass.FP), alloc.pick_src(RegClass.FP))
         return StaticInst(pc=pc, op=op, dest=dest, srcs=srcs)
@@ -289,8 +303,10 @@ def _make_body_inst(
     if op is OpClass.INT_ALU and rng.random() < 0.08:
         return StaticInst(pc=pc, op=OpClass.MOV, dest=dest,
                           srcs=(alloc.pick_src(RegClass.INT),))
-    n_srcs = 2 if rng.random() < 0.65 else 1
-    srcs = tuple(alloc.pick_src(RegClass.INT) for _ in range(n_srcs))
+    if rng.random() < 0.65:
+        srcs = (alloc.pick_src(RegClass.INT), alloc.pick_src(RegClass.INT))
+    else:
+        srcs = (alloc.pick_src(RegClass.INT),)
     return StaticInst(pc=pc, op=op, dest=dest, srcs=srcs)
 
 

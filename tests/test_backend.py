@@ -1,9 +1,10 @@
 """Unit tests for the out-of-order backend structures."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend import (
     BypassNetwork,
@@ -13,6 +14,8 @@ from repro.backend import (
     ReorderBuffer,
     StoreSetPredictor,
 )
+from repro.core import build_core, model_config
+from repro.core.inflight import InFlight
 from repro.isa import DynInst, FUType, OpClass, int_reg
 
 
@@ -74,13 +77,24 @@ class TestROB:
 
 class TestIssueQueue:
     def test_dispatch_issue(self):
-        iq = IssueQueue(capacity=4, issue_width=2)
-        a, b = FakeEntry(0), FakeEntry(1)
-        iq.dispatch(a)
-        iq.dispatch(b)
+        """BIG's select loop issues the operand-ready entry: it leaves
+        the live queue and counts one payload read, while its consumer
+        waits in the queue."""
+        core = build_core(model_config("BIG"))
+        iq = core.iq
+        a, b = (InFlight(DynInst(seq=seq, pc=0x100 + 4 * seq,
+                                 op=OpClass.INT_ALU, dest=int_reg(dest),
+                                 srcs=(int_reg(src),)), fetch_cycle=0)
+                for seq, dest, src in ((0, 1, 2), (1, 3, 1)))
+        for entry in (a, b):
+            entry.renamed = core.renamer.rename(entry.inst)
+            entry.issue_ready = 0
+            iq.dispatch(entry)
+            core._schedule_entry(entry)
         assert list(iq) == [a, b]
-        iq.issue(a)
-        assert list(iq) == [b]
+        assert core._issue() == 1
+        assert a.issued and not b.issued
+        assert list(iq) == [b] and len(iq) == 1
         assert iq.dispatches == 2 and iq.issues == 1
 
     def test_overflow(self):
@@ -91,10 +105,20 @@ class TestIssueQueue:
             iq.dispatch(FakeEntry(1))
 
     def test_wakeup_energy_scales_with_occupancy(self):
-        iq = IssueQueue(capacity=8, issue_width=4)
+        """A producer completing in the OXU broadcasts its tag once,
+        compared against every live entry (the core's completion
+        stage updates the queue's counters)."""
+        core = build_core(model_config("BIG"))
+        iq = core.iq
         for i in range(5):
             iq.dispatch(FakeEntry(i))
-        iq.broadcast_wakeup()
+        producer = InFlight(DynInst(seq=5, pc=0x100, op=OpClass.INT_ALU,
+                                    dest=int_reg(1), srcs=(int_reg(2),)),
+                            fetch_cycle=0)
+        producer.renamed = core.renamer.rename(producer.inst)
+        core._schedule_completion(producer, 0)
+        core._process_completions()
+        assert producer.done
         assert iq.wakeup_broadcasts == 1
         assert iq.wakeup_cam_compares == 5
 
@@ -106,12 +130,24 @@ class TestIssueQueue:
         assert [e.seq for e in iq] == [0, 1]
 
     def test_occupancy_sampling(self):
+        """The mean occupancy weighs each sample by the cycles it
+        stands for (one per ticked cycle, the whole gap of a
+        fast-forward jump)."""
         iq = IssueQueue(capacity=8, issue_width=4)
         iq.dispatch(FakeEntry(0))
-        iq.sample_occupancy()
+        iq.sample_occupancy_many(1)
         iq.dispatch(FakeEntry(1))
-        iq.sample_occupancy()
-        assert iq.mean_occupancy == 1.5
+        iq.sample_occupancy_many(3)
+        assert iq.mean_occupancy == 1.75
+
+    @pytest.mark.parametrize("model", ["BIG", "HALF+FX", "CA"])
+    def test_every_cycle_samples_occupancy_once(self, model):
+        """Ticked and fast-forwarded cycles alike add one sample each."""
+        from repro.workloads import generate_trace
+
+        core = build_core(model_config(model))
+        stats = core.run(generate_trace("mcf", 600, seed=1))
+        assert core.iq._occupancy_samples == stats.cycles
 
 
 class TestLSQ:
@@ -205,6 +241,145 @@ class TestLSQ:
         lsq.insert_store(_store(5, 0x200))
         lsq.squash_younger_than(0)
         assert lsq.stores_free == lsq.store_capacity
+
+
+#: Store addresses the property test draws from (few, so loads match).
+_ADDRS = (0x100, 0x108, 0x110)
+
+
+def _two_scan_execute_load(lsq, entry, in_ixu):
+    """The LSQ's load search as two full scans of the store queue: one
+    for a forwarding store, one for the IXU omission's premise."""
+    stats = lsq.stats
+    stats.forward_searches += 1
+    older = [s for s in lsq.stores if s.seq < entry.seq]
+    forwarded = any(s.mem_executed and s.inst.mem_addr == entry.inst.mem_addr
+                    for s in older)
+    if forwarded:
+        stats.forwarded_loads += 1
+    if in_ixu and all(s.mem_executed for s in older):
+        stats.omitted_load_writes += 1
+        entry.lsq_written = False
+    else:
+        stats.load_writes += 1
+        entry.lsq_written = True
+    entry.mem_executed = True
+    if entry.seq > lsq._youngest_executed_load_seq:
+        lsq._youngest_executed_load_seq = entry.seq
+    return forwarded
+
+
+class TestLoadSearch:
+    """``execute_load`` searches the program-ordered store queue once,
+    stopping at the first younger store."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stores=st.lists(st.tuples(st.booleans(), st.sampled_from(_ADDRS),
+                                     st.integers(1, 3)),
+                           max_size=12),
+           load_pos=st.integers(0, 12),
+           load_addr=st.sampled_from(_ADDRS),
+           in_ixu=st.booleans())
+    def test_one_pass_matches_two_scans(self, stores, load_pos, load_addr,
+                                        in_ixu):
+        load_pos = min(load_pos, len(stores))
+        results = []
+        for search in (LoadStoreQueue.execute_load, _two_scan_execute_load):
+            lsq = LoadStoreQueue()
+            seq = 0
+            load = None
+            for index, (executed, addr, gap) in enumerate(stores):
+                if index == load_pos:
+                    load = _load(seq, load_addr)
+                    seq += 1
+                store = _store(seq, addr)
+                store.mem_executed = executed
+                lsq.insert_store(store)
+                seq += gap
+            if load is None:
+                load = _load(seq, load_addr)
+            lsq.insert_load(load)
+            forwarded = search(lsq, load, in_ixu)
+            results.append((forwarded, load.lsq_written, load.mem_executed,
+                            asdict(lsq.stats),
+                            lsq._youngest_executed_load_seq))
+        assert results[0] == results[1]
+
+
+def _collect_execute_store(lsq, entry, in_ixu):
+    """The LSQ's store search as a full scan of the load queue that
+    collects every younger executed, written load to the store's
+    address and returns the oldest."""
+    stats = lsq.stats
+    stats.store_writes += 1
+    entry.mem_executed = True
+    if in_ixu:
+        stats.omitted_violation_searches += 1
+        return None
+    stats.violation_searches += 1
+    violators = [load for load in lsq.loads
+                 if load.lsq_written and load.mem_executed
+                 and load.seq > entry.seq
+                 and load.inst.mem_addr == entry.inst.mem_addr]
+    if not violators:
+        return None
+    stats.violations += 1
+    return min(violators, key=lambda load: load.seq)
+
+
+class TestStoreSearch:
+    """``execute_store`` returns the first violator of the
+    program-ordered load queue, and skips the search when no load
+    younger than the store has executed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(loads=st.lists(st.tuples(st.booleans(), st.booleans(),
+                                    st.sampled_from(_ADDRS),
+                                    st.integers(1, 3)),
+                          max_size=12),
+           store_pos=st.integers(0, 12),
+           store_addr=st.sampled_from(_ADDRS),
+           committed=st.integers(0, 3),
+           squash_gap=st.one_of(st.none(), st.integers(0, 8)),
+           in_ixu=st.booleans())
+    def test_first_violator_matches_collect_then_min(
+            self, loads, store_pos, store_addr, committed, squash_gap,
+            in_ixu):
+        store_pos = min(store_pos, len(loads))
+        results = []
+        for search in (LoadStoreQueue.execute_store, _collect_execute_store):
+            lsq = LoadStoreQueue()
+            seq = 0
+            store = None
+            for index, (executed, written, addr, gap) in enumerate(loads):
+                if index == store_pos:
+                    store = _store(seq, store_addr)
+                    lsq.insert_store(store)
+                    seq += 1
+                load = _load(seq, addr)
+                load.mem_executed = executed
+                load.lsq_written = written
+                lsq.insert_load(load)
+                if executed:
+                    # The bound execute_load keeps.
+                    lsq._youngest_executed_load_seq = seq
+                seq += gap
+            if store is None:
+                store = _store(seq, store_addr)
+                lsq.insert_store(store)
+            # Commit retires loads older than the store from the head;
+            # it leaves the youngest-executed bound where it was.
+            for load in lsq.loads[:committed]:
+                if load.seq > store.seq:
+                    break
+                lsq.commit(load)
+            if squash_gap is not None:
+                lsq.squash_younger_than(store.seq + squash_gap)
+            violator = search(lsq, store, in_ixu)
+            results.append((None if violator is None else violator.seq,
+                            store.mem_executed, asdict(lsq.stats),
+                            lsq._youngest_executed_load_seq))
+        assert results[0] == results[1]
 
 
 class TestStoreSets:
