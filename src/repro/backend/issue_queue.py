@@ -36,11 +36,10 @@ class IssueQueue:
     #: Compact the backing list once this many dead entries accumulate.
     _GC_SLACK = 32
 
-    def __init__(self, capacity: int, issue_width: int):
-        if capacity <= 0 or issue_width <= 0:
-            raise ValueError("capacity and issue width must be positive")
+    def __init__(self, capacity: int):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.issue_width = issue_width
         self._entries: List = []
         self._live = 0
         self.dispatches = 0

@@ -7,13 +7,16 @@ a ROB entry so precise exceptions are preserved (paper footnote 2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, TypeVar
-
-T = TypeVar("T")
+from typing import Deque, Iterator, List
 
 
 class ReorderBuffer:
-    """Bounded FIFO of in-flight instructions in program order."""
+    """Bounded FIFO of in-flight instructions in program order.
+
+    The core's stages work on ``_entries`` directly: rename appends
+    each renamed instruction and adds the stage's count to
+    ``allocations``, commit pops the head.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -36,20 +39,9 @@ class ReorderBuffer:
     def free(self) -> int:
         return self.capacity - len(self._entries)
 
-    def insert(self, entry) -> None:
-        """Allocate the tail entry for a newly-renamed instruction."""
-        if self.full:
-            raise RuntimeError("ROB overflow")
-        self._entries.append(entry)
-        self.allocations += 1
-
     def head(self):
         """Oldest in-flight instruction, or None when empty."""
         return self._entries[0] if self._entries else None
-
-    def pop_head(self):
-        """Retire the oldest instruction."""
-        return self._entries.popleft()
 
     def squash_younger_than(self, seq: int) -> List:
         """Remove every entry with ``entry.seq > seq``, youngest first.

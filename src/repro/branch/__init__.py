@@ -6,14 +6,13 @@ implements those, a return-address stack for calls/returns, and a composite
 :class:`BranchPredictor` front the cores use.
 """
 
-from repro.branch.gshare import GShare, TwoBitCounter
+from repro.branch.gshare import GShare
 from repro.branch.btb import BTB
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.predictor import BranchPredictor, Prediction
 
 __all__ = [
     "GShare",
-    "TwoBitCounter",
     "BTB",
     "ReturnAddressStack",
     "BranchPredictor",

@@ -1,8 +1,8 @@
 """Alternative direction predictors: bimodal and tournament.
 
 The paper's models use g-share (Table I); these are extensions for
-sensitivity studies.  All direction predictors share a two-call protocol
-suited to pipelined training:
+sensitivity studies.  Every direction predictor, g-share included,
+shares a two-call protocol suited to pipelined training:
 
 * ``predict_and_capture(pc, actual_taken) -> (taken, token)`` — predict,
   then speculatively update any history with the resolved outcome (the
@@ -13,48 +13,15 @@ suited to pipelined training:
 
 from __future__ import annotations
 
-from repro.branch.gshare import GShare
+from repro.branch.gshare import CounterTable, GShare
 
 
-class GShareDirection:
-    """Protocol adapter over :class:`GShare`."""
-
-    def __init__(self, pht_entries: int = 4096, history_bits: int = 4):
-        self.gshare = GShare(pht_entries=pht_entries,
-                             history_bits=history_bits)
-
-    def predict_and_capture(self, pc: int, actual_taken: bool):
-        index = self.gshare.index_for(pc)
-        taken = self.gshare.predict(pc)
-        self.gshare.shift_history(actual_taken)
-        return taken, index
-
-    def train(self, token, taken: bool) -> None:
-        self.gshare.train(token, taken)
-
-
-class BimodalDirection:
+class BimodalDirection(CounterTable):
     """Plain PC-indexed 2-bit counters; no history."""
 
-    def __init__(self, pht_entries: int = 4096):
-        if pht_entries & (pht_entries - 1):
-            raise ValueError("pht_entries must be a power of two")
-        self._mask = pht_entries - 1
-        self._pht = bytearray([1]) * pht_entries
-
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) & self._mask
-
     def predict_and_capture(self, pc: int, actual_taken: bool):
-        index = self._index(pc)
+        index = (pc >> 2) & self._mask
         return self._pht[index] >= 2, index
-
-    def train(self, token, taken: bool) -> None:
-        value = self._pht[token]
-        if taken:
-            self._pht[token] = min(3, value + 1)
-        else:
-            self._pht[token] = max(0, value - 1)
 
 
 class TournamentDirection:
@@ -65,9 +32,9 @@ class TournamentDirection:
     """
 
     def __init__(self, pht_entries: int = 4096, history_bits: int = 4):
-        self._gshare = GShareDirection(pht_entries, history_bits)
+        self._gshare = GShare(pht_entries, history_bits)
         self._bimodal = BimodalDirection(pht_entries)
-        self._chooser = bytearray([1]) * pht_entries  # <2 favours bimodal
+        self._chooser = CounterTable(pht_entries)  # <2 favours bimodal
         self._mask = pht_entries - 1
 
     def predict_and_capture(self, pc: int, actual_taken: bool):
@@ -76,7 +43,7 @@ class TournamentDirection:
         b_taken, b_token = self._bimodal.predict_and_capture(
             pc, actual_taken)
         c_index = (pc >> 2) & self._mask
-        use_gshare = self._chooser[c_index] >= 2
+        use_gshare = self._chooser._pht[c_index] >= 2
         taken = g_taken if use_gshare else b_taken
         token = (g_token, b_token, c_index, g_taken, b_taken)
         return taken, token
@@ -86,17 +53,14 @@ class TournamentDirection:
         self._gshare.train(g_token, taken)
         self._bimodal.train(b_token, taken)
         if g_taken != b_taken:
-            value = self._chooser[c_index]
-            if g_taken == taken:
-                self._chooser[c_index] = min(3, value + 1)
-            else:
-                self._chooser[c_index] = max(0, value - 1)
+            # Toward g-share when it was right, toward bimodal otherwise.
+            self._chooser.train(c_index, g_taken == taken)
 
 
 def make_direction_predictor(kind: str, pht_entries: int = 4096):
     """Factory for the direction predictors by config name."""
     if kind == "gshare":
-        return GShareDirection(pht_entries)
+        return GShare(pht_entries, history_bits=4)
     if kind == "bimodal":
         return BimodalDirection(pht_entries)
     if kind == "tournament":

@@ -3,31 +3,40 @@
 from __future__ import annotations
 
 
-class TwoBitCounter:
-    """Classic 2-bit saturating counter: 0,1 predict not-taken; 2,3 taken."""
+class CounterTable:
+    """A table of 2-bit saturating counters: 0 and 1 predict not taken,
+    2 and 3 taken, and every counter starts weakly not taken (1).
 
-    __slots__ = ("value",)
+    Every counter in the predictors trains through :meth:`train`:
+    g-share's and bimodal's pattern-history tables and the tournament
+    predictor's chooser.
 
-    def __init__(self, value: int = 1):
-        if not 0 <= value <= 3:
-            raise ValueError("counter value must be in [0, 3]")
-        self.value = value
+    Args:
+        pht_entries: Table size, a power of two.
+    """
 
-    @property
-    def taken(self) -> bool:
-        """Current direction prediction."""
-        return self.value >= 2
+    def __init__(self, pht_entries: int = 4096):
+        if pht_entries <= 0 or pht_entries & (pht_entries - 1):
+            raise ValueError("pht_entries must be a power of two")
+        self._mask = pht_entries - 1
+        # One byte per counter, stored compactly.
+        self._pht = bytearray([1]) * pht_entries
 
-    def update(self, taken: bool) -> None:
-        """Train toward the observed outcome."""
+    def train(self, index: int, taken: bool) -> None:
+        """Move the counter at ``index`` one step toward the outcome."""
+        value = self._pht[index]
         if taken:
-            self.value = min(3, self.value + 1)
+            self._pht[index] = min(3, value + 1)
         else:
-            self.value = max(0, self.value - 1)
+            self._pht[index] = max(0, value - 1)
 
 
-class GShare:
+class GShare(CounterTable):
     """G-share: PC xor global-history indexes a PHT of 2-bit counters.
+
+    Implements the direction-predictor protocol of
+    :mod:`repro.branch.direction`: :meth:`predict_and_capture` at fetch,
+    :meth:`train` (the captured PHT index) at resolution.
 
     Args:
         pht_entries: Pattern-history-table size; the paper uses 4096.
@@ -35,62 +44,27 @@ class GShare:
     """
 
     def __init__(self, pht_entries: int = 4096, history_bits: int = 0):
-        if pht_entries <= 0 or pht_entries & (pht_entries - 1):
-            raise ValueError("pht_entries must be a power of two")
-        self._mask = pht_entries - 1
-        self._bits = history_bits or pht_entries.bit_length() - 1
+        super().__init__(pht_entries)
+        bits = history_bits or pht_entries.bit_length() - 1
+        self._history_mask = (1 << bits) - 1
         self._history = 0
-        # Weakly-not-taken initial state, stored compactly.
-        self._pht = bytearray([1]) * pht_entries
-
-    @property
-    def pht_entries(self) -> int:
-        """Number of PHT entries (for energy accounting)."""
-        return self._mask + 1
 
     @property
     def history(self) -> int:
         """Current global history register value."""
         return self._history
 
-    def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) & self._mask
+    def predict_and_capture(self, pc: int, actual_taken: bool):
+        """Predict the branch at ``pc``; returns ``(taken, PHT index)``.
 
-    def index_for(self, pc: int) -> int:
-        """PHT index a prediction for ``pc`` would use right now.
-
-        Callers that train at resolution must capture this at predict
-        time: the global history will have shifted by then.
+        The index is captured here because the global history will have
+        shifted by resolution time.  The resolved outcome is shifted in
+        at once: equivalent to the usual speculative history with
+        checkpoint repair in a model that never fetches down the wrong
+        path.
         """
-        return self._index(pc)
-
-    def predict(self, pc: int) -> bool:
-        """Predict the direction of the branch at ``pc``."""
-        return self._pht[self._index(pc)] >= 2
-
-    def shift_history(self, taken: bool) -> None:
-        """Shift the global history by one outcome.
-
-        Called at predict time with the resolved outcome — equivalent to
-        the usual speculative-history-with-checkpoint-repair scheme in a
-        model that never fetches down the wrong path.
-        """
-        history_mask = (1 << self._bits) - 1
-        self._history = ((self._history << 1) | int(taken)) & history_mask
-
-    def train(self, index: int, taken: bool) -> None:
-        """Train the counter at ``index`` toward the outcome."""
-        value = self._pht[index]
-        if taken:
-            self._pht[index] = min(3, value + 1)
-        else:
-            self._pht[index] = max(0, value - 1)
-
-    def update(self, pc: int, taken: bool) -> None:
-        """Train the counter for ``pc``, then shift the history.
-
-        Convenience for in-order (predict-then-immediately-resolve) use;
-        pipelined cores use index_for/train/shift_history instead.
-        """
-        self.train(self._index(pc), taken)
-        self.shift_history(taken)
+        history = self._history
+        index = ((pc >> 2) ^ history) & self._mask
+        self._history = (
+            (history << 1) | int(actual_taken)) & self._history_mask
+        return self._pht[index] >= 2, index

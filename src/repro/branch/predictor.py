@@ -15,6 +15,7 @@ from typing import Optional
 from repro.isa.instruction import DynInst
 from repro.isa.opclass import OpClass
 from repro.branch.btb import BTB
+from repro.branch.direction import make_direction_predictor
 from repro.branch.gshare import GShare
 from repro.branch.ras import ReturnAddressStack
 
@@ -55,21 +56,14 @@ class BranchPredictor:
         history_bits: int = 4,
         kind: str = "gshare",
     ):
-        from repro.branch.direction import (
-            GShareDirection,
-            make_direction_predictor,
-        )
-
         if kind == "gshare":
             # 4 history bits (rather than log2(PHT)) trades some pattern
             # capacity for much faster training — the right point for
             # the synthetic workloads' mix of periodic loops and weakly-
             # correlated data-dependent branches.
-            self.direction = GShareDirection(pht_entries, history_bits)
+            self.direction = GShare(pht_entries, history_bits)
         else:
             self.direction = make_direction_predictor(kind, pht_entries)
-        # Back-compat attribute for gshare-based setups.
-        self.gshare = getattr(self.direction, "gshare", None)
         self.btb = BTB(entries=btb_entries)
         self.ras = ReturnAddressStack(depth=ras_depth)
         self.lookups = 0

@@ -22,6 +22,7 @@ from repro.core.inorder import InOrderCore
 from repro.core.clustered import ClusteredCore
 from repro.core.fxa import FXACore
 from repro.core.presets import (
+    KNOWN_MODELS,
     MODEL_NAMES,
     big_config,
     ca_config,
@@ -47,6 +48,7 @@ __all__ = [
     "InOrderCore",
     "FXACore",
     "SimulationError",
+    "KNOWN_MODELS",
     "MODEL_NAMES",
     "big_config",
     "half_config",

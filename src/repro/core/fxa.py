@@ -49,7 +49,7 @@ class FXACore(OutOfOrderCore):
         ixu = config.ixu
         self.ixu_config = ixu
         self._track_prf_ports = True  # regread shares OXU read ports
-        self.ixu_bypass = BypassNetwork("ixu", ixu.total_fus)
+        self.ixu_bypass = BypassNetwork()
         self._bypass_registry = BypassRegistry(
             ixu.depth, ixu.bypass_stage_limit,
             {cls: prf.entries for cls, prf in self.renamer.prf.items()},

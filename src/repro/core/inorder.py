@@ -55,7 +55,7 @@ class InOrderCore(CoreBase):
 
     def __init__(self, config: CoreConfig, obs=None, validator=None):
         super().__init__(config, obs, validator)
-        self.bypass = BypassNetwork("inorder", config.total_oxu_fus)
+        self.bypass = BypassNetwork()
         # Per-tick scratch for early/late ALU pairing, holding flat
         # register indices (cleared, never reallocated, in _issue).
         self._early_results: set = set()
@@ -244,7 +244,7 @@ class InOrderCore(CoreBase):
             self._load_dest[flat] = inst.is_load
             self._load_wait[flat] = complete - cycle
             self._rf_writes += 1
-            self.bypass.broadcast()
+            self.bypass.broadcasts += 1
         self._schedule_completion(entry, complete)
         # Commit accounting: in-order issue means the instruction will
         # retire; count it now and classify.

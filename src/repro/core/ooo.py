@@ -81,10 +81,10 @@ class OutOfOrderCore(CoreBase):
         self.renamer = Renamer(config.int_prf_entries,
                                config.fp_prf_entries)
         self.rob = ReorderBuffer(config.rob_entries)
-        self.iq = IssueQueue(config.iq_entries, config.issue_width)
+        self.iq = IssueQueue(config.iq_entries)
         self.lsq = LoadStoreQueue(config.lq_entries, config.sq_entries)
         self.store_sets = StoreSetPredictor()
-        self.oxu_bypass = BypassNetwork("oxu", config.total_oxu_fus)
+        self.oxu_bypass = BypassNetwork()
         # The PRF ready lists are prebound per class once: they are
         # mutated in place and never rebound, so dispatch can pair each
         # source preg with its list for flat-column operand checks.
@@ -573,7 +573,8 @@ class OutOfOrderCore(CoreBase):
             dest = renamed.dest
             if dest is not None and not renamed.eliminated:
                 dest_cls = renamed.dest_cls
-                # Inlined PRF mark_ready/mark_written (hot path).
+                # The value is bypassable from its complete cycle and
+                # in the PRF from its written cycle; one PRF write.
                 prf = prf_map[dest_cls]
                 prf.ready_cycles[dest] = entry.complete_cycle
                 prf.writes += 1
@@ -715,9 +716,7 @@ class OutOfOrderCore(CoreBase):
             return 0
         stats = self.stats
         pipeview = self._pipeview
-        renamer = self.renamer
-        refcounts = renamer._refcount
-        free_lists = renamer.free
+        release = self.renamer.release
         validator = self._validator
         hierarchy = self.hierarchy
         lsq = self.lsq
@@ -743,18 +742,8 @@ class OutOfOrderCore(CoreBase):
             renamed = head.renamed
             old_dest = renamed.old_dest
             if old_dest is not None:
-                # Inlined Renamer.commit/_release (hot path): drop the
-                # previous mapping's reference, reclaim at zero.
-                dest_cls = renamed.dest_cls
-                refcount = refcounts[dest_cls]
-                remaining = refcount[old_dest] - 1
-                refcount[old_dest] = remaining
-                if remaining == 0:
-                    free_lists[dest_cls].release(old_dest)
-                elif remaining < 0:
-                    raise RuntimeError(
-                        f"refcount underflow on {dest_cls} p{old_dest}"
-                    )
+                # The destination's previous mapping is dead.
+                release(renamed.dest_cls, old_dest)
             if head.executed_in_ixu:
                 # FXA's IXU execution profile (Figure 12) counts
                 # committed instructions only.

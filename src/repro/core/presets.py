@@ -24,6 +24,10 @@ MODEL_NAMES: Tuple[str, ...] = (
     "LITTLE", "BIG", "BIG+FX", "HALF", "HALF+FX"
 )
 
+#: Every name :func:`model_config` accepts: Table I's models plus the
+#: clustered related-work comparator, so every core class is among them.
+KNOWN_MODELS: Tuple[str, ...] = MODEL_NAMES + ("CA",)
+
 #: The paper's IXU: three stages, [3,1,1] FUs, bypass limited to two
 #: stages (Section VI-B).
 PAPER_IXU = IXUConfig(stage_fus=(3, 1, 1), bypass_stage_limit=2)
@@ -118,7 +122,7 @@ def model_config(name: str) -> CoreConfig:
     try:
         return factories[name]()
     except KeyError:
-        known = ", ".join(MODEL_NAMES)
+        known = ", ".join(KNOWN_MODELS)
         raise KeyError(f"unknown model {name!r}; known: {known}") from None
 
 

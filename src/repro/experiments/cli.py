@@ -52,7 +52,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.atomicio import replace_json, replacing
-from repro.core import MODEL_NAMES, model_config
+from repro.core import KNOWN_MODELS, model_config
 from repro.experiments import (
     figure7, figure8, figure9, figure10, figure11, figure12, figure13,
     headline, related_work, reno, sensitivity, tables,
@@ -82,10 +82,6 @@ from repro.obs import (
 from repro.obs.diffrun import append_trajectory
 from repro.obs.traceevent import export_timelines
 from repro.workloads import ALL_BENCHMARKS
-
-#: Models the observability passes simulate ("CA" included: the
-#: related-work comparator stalls differently than the Table I models).
-_OBS_MODELS = MODEL_NAMES + ("CA",)
 
 _SIM_EXPERIMENTS = {
     "figure7": figure7,
@@ -128,7 +124,8 @@ def _obs_pass(benchmarks: Optional[List[str]], measure: int,
               with_topdown: bool = False) -> Tuple[Dict, Dict]:
     """One observed re-simulation of every model, shared by
     ``--stall-report``, ``--stall-report-csv``, ``--metrics-json``,
-    ``--topdown`` and ``--report``.
+    ``--topdown`` and ``--report`` ("CA" included: the related-work
+    comparator stalls differently than the Table I models).
 
     Observed runs bypass both caches (the cached records were produced
     without attribution), so this re-simulates; prefer a ``--benchmarks``
@@ -139,7 +136,7 @@ def _obs_pass(benchmarks: Optional[List[str]], measure: int,
     """
     observed: Dict = {}
     topdowns: Dict = {}
-    for model in _OBS_MODELS:
+    for model in KNOWN_MODELS:
         config = model_config(model)
         for benchmark in benchmarks or ALL_BENCHMARKS:
             topdown = TopDownCollector() if with_topdown else None
@@ -497,7 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(default 2000).",
     )
     parser.add_argument(
-        "--pipeview-model", default="HALF+FX", choices=list(_OBS_MODELS),
+        "--pipeview-model", default="HALF+FX", choices=list(KNOWN_MODELS),
         help="Model the pipeline trace simulates (default HALF+FX).",
     )
     parser.add_argument(
@@ -508,7 +505,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "top functions by cumulative time.",
     )
     parser.add_argument(
-        "--profile-model", default="HALF+FX", choices=list(_OBS_MODELS),
+        "--profile-model", default="HALF+FX", choices=list(KNOWN_MODELS),
         help="Model the profiled simulation runs (default HALF+FX).",
     )
     parser.add_argument(

@@ -119,7 +119,13 @@ class DiskCache:
 
     def load(self, job):
         """Return ``job``'s cached :class:`BenchmarkRun` or None on a
-        miss."""
+        miss.
+
+        An entry that does not parse, or parses but does not rehydrate
+        (say ``"stats": []``), is dropped and counted as a miss, so the
+        job is simulated again instead of failing every sweep that
+        names it (as :meth:`load_failure` treats a failure record).
+        """
         from repro.experiments.runner import BenchmarkRun
 
         path = self._path(job.digest)
@@ -130,7 +136,7 @@ class DiskCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             # Torn/corrupt entry: drop it and re-simulate.
             try:
                 path.unlink()

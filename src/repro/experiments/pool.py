@@ -144,6 +144,33 @@ class JobResult:
     def ok(self) -> bool:
         return True
 
+    def to_dict(self) -> Dict:
+        """``source``, the run and the attempt accounting: the result
+        part of a spool ``done/`` marker.  The job, pid and start time
+        stay out (the reader holds the live job; another host's pid
+        names no process here)."""
+        return {
+            "source": self.source,
+            "run": self.run.to_dict(),
+            "wall_seconds": self.wall_seconds,
+            "attempts": self.attempts,
+        }
+
+    @classmethod
+    def from_dict(cls, job: SimJob, data: Dict) -> "JobResult":
+        """Rehydrate :meth:`to_dict`'s form against the live ``job``,
+        with ``worker_pid`` 0."""
+        from repro.experiments.runner import BenchmarkRun
+
+        return cls(
+            job=job,
+            run=BenchmarkRun.from_dict(data["run"]),
+            source=data.get("source", "simulated"),
+            wall_seconds=float(data.get("wall_seconds", 0.0)),
+            attempts=int(data.get("attempts", 0)),
+            worker_pid=0,
+        )
+
 
 @dataclass
 class JobFailure:

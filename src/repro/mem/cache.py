@@ -88,6 +88,19 @@ class Cache:
         """``probe`` with the line number already extracted."""
         return tag in self._sets[tag & self._set_mask]
 
+    def _install(self, entry_set: Dict[int, bool], tag: int,
+                 dirty: bool) -> bool:
+        """Insert an absent line at MRU, evicting the LRU line of a full
+        set; returns whether that victim was dirty (a counted
+        writeback)."""
+        victim_dirty = False
+        if len(entry_set) >= self.ways:
+            victim_dirty = entry_set.pop(next(iter(entry_set)))
+            if victim_dirty:
+                self.stats.writebacks += 1
+        entry_set[tag] = dirty
+        return victim_dirty
+
     def fill_tag(self, tag: int) -> None:
         """``fill`` with the line number already extracted."""
         entry_set = self._sets[tag & self._set_mask]
@@ -95,11 +108,7 @@ class Cache:
         if dirty is not None:
             entry_set[tag] = dirty
             return
-        if len(entry_set) >= self.ways:
-            victim = next(iter(entry_set))
-            if entry_set.pop(victim):
-                self.stats.writebacks += 1
-        entry_set[tag] = False
+        self._install(entry_set, tag, False)
 
     def access(self, addr: int, is_write: bool) -> Tuple[bool, bool]:
         """Access the line containing ``addr``.
@@ -124,20 +133,8 @@ class Cache:
             stats.write_misses += 1
         else:
             stats.read_misses += 1
-        victim_dirty = False
-        if len(entry_set) >= self.ways:
-            victim = next(iter(entry_set))
-            victim_dirty = entry_set.pop(victim)
-            if victim_dirty:
-                stats.writebacks += 1
-        entry_set[tag] = is_write
-        return False, victim_dirty
+        return False, self._install(entry_set, tag, is_write)
 
     def fill(self, addr: int) -> None:
         """Install a line without touching demand statistics (prefetch)."""
         self.fill_tag(addr // self.line_bytes)
-
-    def invalidate_all(self) -> None:
-        """Drop every line (used by tests)."""
-        for entry_set in self._sets:
-            entry_set.clear()

@@ -9,9 +9,10 @@ from typing import Deque, Iterable, Iterator
 class FreeList:
     """FIFO pool of free physical-register ids.
 
-    Ids are handed out oldest-first and returned at commit/squash; the
-    FIFO ordering mirrors hardware free lists and keeps allocation
-    deterministic.
+    Ids are handed out oldest-first (:meth:`Renamer.rename
+    <repro.rename.Renamer.rename>` pops ``_free`` itself) and returned
+    at commit/squash; the FIFO ordering mirrors hardware free lists and
+    keeps allocation deterministic.
     """
 
     def __init__(self, ids: Iterable[int], capacity: int = 0):
@@ -43,10 +44,6 @@ class FreeList:
     def can_allocate(self, count: int = 1) -> bool:
         """True when ``count`` ids are available."""
         return len(self._free) >= count
-
-    def allocate(self) -> int:
-        """Take one id; raises IndexError when empty."""
-        return self._free.popleft()
 
     def release(self, reg_id: int) -> None:
         """Return an id to the pool."""

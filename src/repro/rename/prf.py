@@ -4,6 +4,11 @@ The timing model represents a physical register's *value* by the cycle it
 becomes available (``ready_cycle``).  A register is ready at cycle ``c``
 when ``ready_cycle <= c`` — this one comparison implements both the PRF
 scoreboard check and operand wakeup.
+
+The stages write the fields themselves: :meth:`Renamer.rename
+<repro.rename.Renamer.rename>` marks a new destination pending
+(``NEVER``), the completion stage stores its two cycles and counts the
+write, and the register-read stages count the reads.
 """
 
 from __future__ import annotations
@@ -48,20 +53,6 @@ class PhysicalRegisterFile:
         self.reads = 0
         self.writes = 0
 
-    def mark_pending(self, reg_id: int) -> None:
-        """A new producer was renamed onto ``reg_id``; value not ready."""
-        self.ready_cycles[reg_id] = NEVER
-        self._written[reg_id] = NEVER
-
-    def mark_ready(self, reg_id: int, cycle: int) -> None:
-        """The value is bypassable from ``cycle``; counts the PRF write."""
-        self.ready_cycles[reg_id] = cycle
-        self.writes += 1
-
-    def mark_written(self, reg_id: int, cycle: int) -> None:
-        """The value is readable *from the PRF* from ``cycle``."""
-        self._written[reg_id] = cycle
-
     def ready_cycle(self, reg_id: int) -> int:
         """Cycle at which the value is bypassable (wakeup view)."""
         return self.ready_cycles[reg_id]
@@ -69,11 +60,6 @@ class PhysicalRegisterFile:
     def is_ready(self, reg_id: int, cycle: int) -> bool:
         """Scoreboard view: is the value *in the PRF* at ``cycle``?"""
         return self._written[reg_id] <= cycle
-
-    def read(self, reg_id: int) -> int:
-        """Read a value (counts a PRF read); returns its written cycle."""
-        self.reads += 1
-        return self._written[reg_id]
 
     def reset_entry(self, reg_id: int) -> None:
         """Reclaim an entry on squash: it holds no pending value."""

@@ -1,8 +1,9 @@
 """Renamer: ties the RATs, free lists and PRFs into one rename port.
 
 The cores call :meth:`Renamer.rename` once per instruction in program
-order; squashes undo youngest-first from the returned records, and
-commit releases the previous mapping of each destination.
+order; squashes undo youngest-first from the returned records, and the
+commit stage calls :meth:`Renamer.release` with the previous mapping of
+each committed destination.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ class RenamedOperands:
     ``srcs`` pairs each source with its register class; ``dest`` is the
     freshly-allocated physical destination (or None) of the logical
     register ``logical``; ``old_dest`` is the physical register
-    ``logical`` mapped to before, released at commit and restored by a
-    squash (:meth:`Renamer.squash` rebuilds the RAT undo record from
-    these fields).  ``eliminated`` marks a RENO-eliminated move:
+    ``logical`` mapped to before, released at commit
+    (:meth:`Renamer.release`) and restored by a squash
+    (:meth:`Renamer.squash` rebuilds the RAT undo record from these
+    fields).  ``eliminated`` marks a RENO-eliminated move:
     ``dest`` then *aliases* the source's physical register instead of
     naming a fresh one.
 
@@ -138,9 +140,10 @@ class Renamer:
         if dest is None:
             return RenamedOperands(srcs, None, None, None, None)
         cls = dest.cls
-        # Inlined FreeList.allocate / PRF.mark_pending / RAT.rename —
-        # one rename per committed instruction makes this the hottest
-        # allocation site in the simulator.
+        # Pop a free register, mark it pending and point the RAT at it,
+        # all as stores on the structures' fields: one rename per
+        # committed instruction makes this the hottest allocation site
+        # in the simulator.
         new_preg = self.free[cls]._free.popleft()
         self._refcount[cls][new_preg] = 1
         prf = self.prf[cls]
@@ -175,18 +178,20 @@ class Renamer:
             old_dest=undo.old_physical, logical=inst.dest, eliminated=True,
         )
 
-    def _release(self, cls: RegClass, preg: int) -> None:
-        """Drop one reference; reclaim the register at zero."""
-        self._refcount[cls][preg] -= 1
-        if self._refcount[cls][preg] < 0:
-            raise RuntimeError(f"refcount underflow on {cls} p{preg}")
-        if self._refcount[cls][preg] == 0:
-            self.free[cls].release(preg)
+    def release(self, cls: RegClass, preg: int) -> None:
+        """Drop one reference to ``preg``; reclaim it at zero.
 
-    def commit(self, renamed: RenamedOperands) -> None:
-        """Instruction committed: its previous mapping is dead."""
-        if renamed.dest_cls is not None and renamed.old_dest is not None:
-            self._release(renamed.dest_cls, renamed.old_dest)
+        The commit stage calls it once per committed destination, with
+        the previous mapping (now dead); :meth:`squash` with the
+        squashed instruction's own register.
+        """
+        refcount = self._refcount[cls]
+        remaining = refcount[preg] - 1
+        refcount[preg] = remaining
+        if remaining == 0:
+            self.free[cls].release(preg)
+        elif remaining < 0:
+            raise RuntimeError(f"refcount underflow on {cls} p{preg}")
 
     def squash(self, renamed: RenamedOperands) -> None:
         """Undo one rename (call youngest-first across the squash set)."""
@@ -200,7 +205,7 @@ class Renamer:
             self.prf[cls].reset_entry(new_preg)
         # An eliminated move drops the alias's reference on the shared
         # register; a fresh destination goes back to the free list.
-        self._release(cls, new_preg)
+        self.release(cls, new_preg)
 
     def free_regs(self, cls: RegClass) -> int:
         """Free physical registers of ``cls`` (occupancy stats)."""

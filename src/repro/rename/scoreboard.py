@@ -22,7 +22,8 @@ class Scoreboard:
     def __init__(self, prf: PhysicalRegisterFile):
         self._prf = prf
         # The PRF's written-cycle list is mutated in place and never
-        # rebound, so binding it once keeps is_ready to one list index.
+        # rebound: FXA's register read binds it once and checks one
+        # operand's bit as one list index, counting the read itself.
         self._written = prf._written
         self.reads = 0
 
@@ -30,8 +31,3 @@ class Scoreboard:
     def entries(self) -> int:
         """Flag count (equals the PRF entry count)."""
         return self._prf.entries
-
-    def is_ready(self, reg_id: int, cycle: int) -> bool:
-        """Check one operand's availability bit (counts a read)."""
-        self.reads += 1
-        return self._written[reg_id] <= cycle

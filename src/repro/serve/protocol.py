@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core import MODEL_NAMES, CoreConfig, model_config
+from repro.core import KNOWN_MODELS, CoreConfig, model_config
 from repro.experiments.dse import (
     SpaceError,
     _validate_overrides,
@@ -41,9 +41,6 @@ from repro.experiments.dse import (
 from repro.experiments.pool import SimJob
 from repro.experiments.runner import DEFAULT_MEASURE, DEFAULT_WARMUP
 from repro.workloads import ALL_BENCHMARKS
-
-#: Models a job spec may name (the CLI's observed-model list).
-SERVE_MODELS: Tuple[str, ...] = MODEL_NAMES + ("CA",)
 
 _JOB_KEYS = frozenset(
     {"model", "overrides", "benchmark", "measure", "warmup", "seed"})
@@ -142,9 +139,9 @@ def parse_job(data: object) -> JobSpec:
             f"unknown benchmark {benchmark!r}; known: "
             f"{sorted(ALL_BENCHMARKS)}")
     model = data.get("model", "HALF+FX")
-    if model not in SERVE_MODELS:
+    if model not in KNOWN_MODELS:
         raise ProtocolError(
-            f"unknown model {model!r}; known: {sorted(SERVE_MODELS)}")
+            f"unknown model {model!r}; known: {sorted(KNOWN_MODELS)}")
     overrides = data.get("overrides") or {}
     try:
         _validate_overrides(overrides, "overrides")
@@ -205,7 +202,6 @@ def parse_batch(data: object, max_jobs: Optional[int] = None) -> BatchSpec:
 
 
 __all__ = [
-    "SERVE_MODELS",
     "ProtocolError",
     "JobSpec",
     "BatchSpec",

@@ -61,7 +61,6 @@ from repro.experiments.pool import (
     set_fault_injector,
 )
 from repro.experiments.runner import (
-    BenchmarkRun,
     SweepSettings,
     build_manifest,
     cached_outcome,
@@ -605,14 +604,7 @@ class SimServer:
                 job = distinct[digest][0]
                 try:
                     if state == "done":
-                        outcome = JobResult(
-                            job=job,
-                            run=BenchmarkRun.from_dict(payload["run"]),
-                            source=payload.get("source", "simulated"),
-                            wall_seconds=float(
-                                payload.get("wall_seconds", 0.0)),
-                            attempts=int(payload.get("attempts", 0)),
-                            worker_pid=0)
+                        outcome = JobResult.from_dict(job, payload)
                     else:
                         outcome = JobFailure.from_dict(
                             job, payload.get("failure", {}))

@@ -93,12 +93,16 @@ class Spool:
 
         The ``os.replace`` into ``claimed/`` under this worker's name
         is the entire claim protocol: exactly one racing worker wins,
-        the rest lose the rename and try the next file.
+        the rest lose the rename and try the next file.  An entry that
+        does not hold a request object is quarantined, not returned.
         """
-        queued = sorted(self.root.glob("queued/*.json"),
-                        key=lambda p: (p.stat().st_mtime, p.name)
-                        if p.exists() else (0.0, p.name))
-        for path in queued:
+        queued = []
+        for path in self.root.glob("queued/*.json"):
+            try:
+                queued.append((path.stat().st_mtime, path.name, path))
+            except OSError:
+                continue  # another worker claimed it since the listing
+        for _, _, path in sorted(queued):
             digest = path.stem
             target = (self.root / "claimed"
                       / f"{digest}.{self.worker_id}.json")
@@ -118,7 +122,9 @@ class Spool:
             try:
                 with open(target) as stream:
                     request = json.load(stream)["request"]
-            except (OSError, ValueError, KeyError):
+                if not isinstance(request, dict):
+                    raise TypeError("spool request is not an object")
+            except (OSError, ValueError, KeyError, TypeError):
                 # Torn or malformed queue entry: quarantine it.
                 self._publish("failed", digest, {
                     "digest": digest, "status": "failed",
@@ -291,10 +297,7 @@ def execute_claim(claim: SpoolClaim, cache) -> Dict:
     if outcome.ok:
         return _finish({
             "digest": claim.digest, "status": "ok",
-            "source": outcome.source,
-            "run": outcome.run.to_dict(),
-            "wall_seconds": outcome.wall_seconds,
-            "attempts": outcome.attempts,
+            **outcome.to_dict(),
             "worker": worker})
     return _finish({
         "digest": claim.digest, "status": "failed",

@@ -23,7 +23,6 @@ from repro.validate.checker import (
 )
 from repro.validate.differential import (
     VALIDATE_BENCHMARKS,
-    VALIDATE_MODELS,
     validate_all,
     validate_core,
     validate_model,
@@ -43,7 +42,6 @@ __all__ = [
     "GoldenOracle",
     "OracleResult",
     "VALIDATE_BENCHMARKS",
-    "VALIDATE_MODELS",
     "ValidationError",
     "ValidationReport",
     "Validator",

@@ -11,15 +11,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CoreConfig
-from repro.core.presets import MODEL_NAMES, build_core, model_config
+from repro.core.presets import KNOWN_MODELS, build_core, model_config
 from repro.isa.instruction import DynInst
 from repro.validate.checker import ValidationReport, Validator
 from repro.validate.oracle import GoldenOracle, OracleResult
 from repro.workloads.generator import generate_trace
-
-#: Models the ``--validate`` sweep covers: all Table I models plus the
-#: clustered comparator, i.e. every core class in the repository.
-VALIDATE_MODELS: Tuple[str, ...] = MODEL_NAMES + ("CA",)
 
 #: Default ``--validate`` workload subset: one IXU-friendly integer
 #: benchmark, one memory-ordering-heavy one, one FP-heavy one.
@@ -66,7 +62,7 @@ def validate_model(model: str, benchmark: str, n: int = 2000,
 
 
 def validate_all(benchmarks: Optional[Sequence[str]] = None,
-                 models: Sequence[str] = VALIDATE_MODELS,
+                 models: Sequence[str] = KNOWN_MODELS,
                  n: int = 2000, seed: int = 0,
                  invariants: bool = True) -> List[ValidationReport]:
     """Validate every model on every benchmark; one report per pair.

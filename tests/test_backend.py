@@ -1,13 +1,12 @@
 """Unit tests for the out-of-order backend structures."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import (
-    BypassNetwork,
     FUPool,
     IssueQueue,
     LoadStoreQueue,
@@ -44,28 +43,44 @@ def _store(seq, addr):
         srcs=(int_reg(30), int_reg(2)), mem_addr=addr, mem_size=8))
 
 
+def _delivered(core, count):
+    """Queue ``count`` independent INT ALU ops for ``core``'s rename
+    stage, delivered at cycle 0."""
+    entries = [InFlight(DynInst(seq=seq, pc=0x100 + 4 * seq,
+                                op=OpClass.INT_ALU, dest=int_reg(1 + seq),
+                                srcs=()), fetch_cycle=0, deliver_cycle=0)
+               for seq in range(count)]
+    core.frontend_q.extend(entries)
+    return entries
+
+
 class TestROB:
     def test_fifo(self):
-        rob = ReorderBuffer(4)
-        entries = [FakeEntry(i) for i in range(3)]
-        for entry in entries:
-            rob.insert(entry)
+        """Rename fills the ROB in program order; commit retires the
+        head."""
+        core = build_core(model_config("BIG"))
+        rob = core.rob
+        entries = _delivered(core, 3)
+        assert core._rename() == 3
+        assert list(rob) == entries and rob.allocations == 3
         assert rob.head() is entries[0]
-        assert rob.pop_head() is entries[0]
+        entries[0].done = True
+        entries[0].complete_cycle = 0
+        assert core._commit() == 1
+        assert rob.head() is entries[1]
         assert len(rob) == 2
 
     def test_capacity(self):
-        rob = ReorderBuffer(2)
-        rob.insert(FakeEntry(0))
-        rob.insert(FakeEntry(1))
-        assert rob.full and rob.free == 0
-        with pytest.raises(RuntimeError):
-            rob.insert(FakeEntry(2))
+        """Rename stops at a full ROB and names it as the stall."""
+        core = build_core(replace(model_config("BIG"), rob_entries=2))
+        _delivered(core, 3)
+        assert core._rename() == 2
+        assert core._stall_reason == "rob_full"
+        assert core.rob.full and core.rob.free == 0
 
     def test_squash_younger(self):
         rob = ReorderBuffer(8)
-        for i in range(5):
-            rob.insert(FakeEntry(i))
+        rob._entries.extend(FakeEntry(i) for i in range(5))
         removed = rob.squash_younger_than(2)
         assert [e.seq for e in removed] == [4, 3]
         assert len(rob) == 3
@@ -98,7 +113,7 @@ class TestIssueQueue:
         assert iq.dispatches == 2 and iq.issues == 1
 
     def test_overflow(self):
-        iq = IssueQueue(capacity=1, issue_width=1)
+        iq = IssueQueue(capacity=1)
         iq.dispatch(FakeEntry(0))
         assert iq.full
         with pytest.raises(RuntimeError):
@@ -123,7 +138,7 @@ class TestIssueQueue:
         assert iq.wakeup_cam_compares == 5
 
     def test_squash(self):
-        iq = IssueQueue(capacity=8, issue_width=4)
+        iq = IssueQueue(capacity=8)
         for i in range(5):
             iq.dispatch(FakeEntry(i))
         iq.squash_younger_than(1)
@@ -133,7 +148,7 @@ class TestIssueQueue:
         """The mean occupancy weighs each sample by the cycles it
         stands for (one per ticked cycle, the whole gap of a
         fast-forward jump)."""
-        iq = IssueQueue(capacity=8, issue_width=4)
+        iq = IssueQueue(capacity=8)
         iq.dispatch(FakeEntry(0))
         iq.sample_occupancy_many(1)
         iq.dispatch(FakeEntry(1))
@@ -458,8 +473,20 @@ class TestFUPool:
 
 class TestBypass:
     def test_counts(self):
-        net = BypassNetwork("ixu", fu_count=5)
-        net.broadcast()
-        net.broadcast()
-        assert net.broadcasts == 2
-        assert net.fu_count == 5
+        """Each executed instruction with a destination drives its
+        network's result wire: the in-order core's, or on FXA the
+        IXU's or the OXU's, whichever executed it."""
+        from repro.workloads import generate_trace
+
+        trace = generate_trace("hmmer", 600)
+        writers = sum(1 for inst in trace if inst.dest is not None)
+        little = build_core(model_config("LITTLE"))
+        little.run(trace)
+        assert little.bypass.broadcasts == writers
+        fxa = build_core(model_config("HALF+FX"))
+        fxa.run(trace)
+        assert fxa.ixu_bypass.broadcasts > 0
+        assert fxa.oxu_bypass.broadcasts > 0
+        # A replayed instruction broadcasts again.
+        assert (fxa.ixu_bypass.broadcasts + fxa.oxu_bypass.broadcasts
+                >= writers)

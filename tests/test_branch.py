@@ -8,8 +8,8 @@ from repro.branch import (
     GShare,
     Prediction,
     ReturnAddressStack,
-    TwoBitCounter,
 )
+from repro.branch.gshare import CounterTable
 from repro.isa import DynInst, OpClass, int_reg
 
 
@@ -19,27 +19,35 @@ def _branch(seq, pc, taken, target=None):
                    target=target if taken else None)
 
 
+def _resolve(predictor, pc, outcome):
+    """Predict the branch at ``pc``, then train on ``outcome`` (the
+    fetch-then-resolve protocol); returns the prediction."""
+    taken, index = predictor.predict_and_capture(pc, outcome)
+    predictor.train(index, outcome)
+    return taken
+
+
 class TestTwoBitCounter:
+    """The 2-bit saturating counters every predictor table trains."""
+
     def test_initial_weakly_not_taken(self):
-        assert not TwoBitCounter().taken
+        assert set(CounterTable(16)._pht) == {1}
+        assert not GShare(16).predict_and_capture(0, True)[0]
 
     def test_saturates_high(self):
-        counter = TwoBitCounter()
+        table = CounterTable(4)
         for _ in range(10):
-            counter.update(True)
-        assert counter.value == 3
-        counter.update(False)
-        assert counter.taken  # still predicts taken after one miss
+            table.train(0, True)
+        assert table._pht[0] == 3
+        table.train(0, False)
+        assert table._pht[0] >= 2  # still predicts taken after one miss
 
     def test_saturates_low(self):
-        counter = TwoBitCounter(3)
+        table = CounterTable(4)
+        table._pht[0] = 3
         for _ in range(10):
-            counter.update(False)
-        assert counter.value == 0
-
-    def test_rejects_bad_value(self):
-        with pytest.raises(ValueError):
-            TwoBitCounter(4)
+            table.train(0, False)
+        assert table._pht[0] == 0
 
 
 class TestGShare:
@@ -48,8 +56,8 @@ class TestGShare:
         pc = 0x4000
         # History must saturate (10 bits) before the index stabilises.
         for _ in range(30):
-            predictor.update(pc, True)
-        assert predictor.predict(pc)
+            _resolve(predictor, pc, True)
+        assert _resolve(predictor, pc, True)
 
     def test_learns_alternating_pattern_via_history(self):
         """History-based indexing should learn a strict T/NT alternation."""
@@ -58,10 +66,9 @@ class TestGShare:
         outcomes = [bool(i % 2) for i in range(4000)]
         correct = 0
         for i, outcome in enumerate(outcomes):
-            if predictor.predict(pc) == outcome:
+            if _resolve(predictor, pc, outcome) == outcome:
                 if i > 1000:
                     correct += 1
-            predictor.update(pc, outcome)
         assert correct / (len(outcomes) - 1001) > 0.95
 
     def test_rejects_non_power_of_two(self):
@@ -70,9 +77,8 @@ class TestGShare:
 
     def test_history_shifts(self):
         predictor = GShare(pht_entries=16)
-        predictor.update(0, True)
-        predictor.update(0, False)
-        predictor.update(0, True)
+        for outcome in (True, False, True):
+            _resolve(predictor, 0, outcome)
         assert predictor.history & 0b111 == 0b101
 
 

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from repro.branch import BranchPredictor
+from repro.branch import BranchPredictor, GShare
 from repro.branch.direction import (
     BimodalDirection,
-    GShareDirection,
     TournamentDirection,
     make_direction_predictor,
 )
@@ -43,12 +42,28 @@ class TestBimodal:
         with pytest.raises(ValueError):
             BimodalDirection(1000)
 
+    def test_rejects_empty_table(self):
+        with pytest.raises(ValueError):
+            BimodalDirection(0)
+
 
 class TestGShareDirection:
+    """G-share under the same protocol."""
+
     def test_learns_alternation(self):
         outcomes = [bool(i % 2) for i in range(400)]
-        misses = _feed(GShareDirection(1024, history_bits=4), outcomes)
+        misses = _feed(GShare(1024, history_bits=4), outcomes)
         assert misses < 10
+
+    def test_history_bits_per_builder(self):
+        """The factory, the tournament and the core's predictor build
+        g-share with 4 history bits; g-share's own default is log2 of
+        its table."""
+        built = (make_direction_predictor("gshare", 1024),
+                 TournamentDirection(1024)._gshare,
+                 BranchPredictor(pht_entries=1024).direction)
+        assert [g._history_mask for g in built] == [0b1111] * 3
+        assert GShare(1024)._history_mask == 1023
 
 
 class TestTournament:
@@ -99,6 +114,5 @@ class TestPredictorKindInCore:
 
     def test_branch_predictor_kind_param(self):
         predictor = BranchPredictor(kind="tournament")
-        assert predictor.gshare is None
-        predictor = BranchPredictor()  # default keeps the attribute
-        assert predictor.gshare is not None
+        assert isinstance(predictor.direction, TournamentDirection)
+        assert isinstance(BranchPredictor().direction, GShare)

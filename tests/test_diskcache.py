@@ -12,6 +12,7 @@ from repro.experiments.runner import (
     BenchmarkRun,
     clear_cache,
     run_benchmark,
+    run_sweep,
     set_disk_cache,
 )
 
@@ -103,6 +104,31 @@ class TestDiskCache:
         entry.write_text("{ torn json")
         assert cache.load(SimJob(*_params(big))) is None
         assert not entry.exists()
+
+    @pytest.mark.parametrize("run", [
+        {"stats": [], "energy": {}},
+        {"stats": {"events": []}, "energy": {}},
+        {"stats": {}, "energy": {"model": "BIG", "benchmark": "hmmer",
+                                 "cycles": 1, "committed": 1,
+                                 "dynamic": []}},
+    ], ids=["stats-list", "events-list", "dynamic-list"])
+    def test_entry_that_does_not_rehydrate_is_dropped(self, tmp_path, run):
+        """An entry that parses but does not rebuild a run is a miss:
+        dropped from disk, and the next sweep simulates the job again
+        and stores a good entry."""
+        cache = DiskCache(tmp_path / "cache")
+        job = SimJob(*_params(model_config("BIG")))
+        entry = cache._path(job.digest)
+        entry.parent.mkdir(parents=True)
+        entry.write_text(json.dumps(
+            {"run": {"model": "BIG", "benchmark": "hmmer", **run}}))
+        assert cache.load(job) is None
+        assert cache.misses == 1
+        assert not entry.exists()
+        [outcome] = run_sweep([job], cache=cache)
+        assert outcome.ok and outcome.source == "simulated"
+        assert cache.stores == 1
+        assert cache.load(job).to_dict() == outcome.run.to_dict()
 
     def test_clear_and_len(self, cache):
         run_benchmark(model_config("BIG"), "hmmer", **SMALL)

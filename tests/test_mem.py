@@ -63,11 +63,17 @@ class TestCache:
         assert stats.accesses == 3
         assert abs(stats.miss_rate - 2 / 3) < 1e-12
 
-    def test_invalidate_all(self):
-        cache = Cache("T", 32, 8)
-        cache.access(0, False)
-        cache.invalidate_all()
-        assert not cache.probe(0)
+    def test_fill_evicts_like_a_miss(self):
+        """A prefetch fill evicts the LRU line of a full set and counts
+        a dirty victim's writeback, as a demand miss does, but counts
+        no access."""
+        cache = Cache("T", size_kb=1, ways=1, line_bytes=64)
+        stride = cache.num_sets * 64
+        cache.access(0, True)                    # dirty line
+        cache.fill(stride)
+        assert not cache.probe(0) and cache.probe(stride)
+        assert cache.stats.writebacks == 1
+        assert cache.stats.accesses == 1
 
 
 class TestHierarchy:

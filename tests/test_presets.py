@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     CoreConfig,
     IXUConfig,
+    KNOWN_MODELS,
     MODEL_NAMES,
     build_core,
     model_config,
@@ -70,6 +71,17 @@ class TestTable1Conformance:
     def test_unknown_model(self):
         with pytest.raises(KeyError):
             model_config("MEDIUM")
+
+    def test_unknown_model_error_names_every_model(self):
+        """The error lists every name ``model_config`` accepts, CA
+        included, and each listed name is accepted."""
+        with pytest.raises(KeyError) as error:
+            model_config("nope")
+        assert error.value.args[0].endswith(
+            "known: LITTLE, BIG, BIG+FX, HALF, HALF+FX, CA")
+        assert KNOWN_MODELS == MODEL_NAMES + ("CA",)
+        assert [model_config(name).name for name in KNOWN_MODELS] == list(
+            KNOWN_MODELS)
 
     def test_build_core_types(self):
         from repro.core import FXACore, InOrderCore, OutOfOrderCore

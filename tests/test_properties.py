@@ -68,8 +68,8 @@ def test_cache_stats_consistent(addrs):
 def test_gshare_counters_stay_saturating(events):
     predictor = GShare(256)
     for pc, taken in events:
-        predictor.predict(pc * 4)
-        predictor.update(pc * 4, taken)
+        _, index = predictor.predict_and_capture(pc * 4, taken)
+        predictor.train(index, taken)
     assert all(0 <= v <= 3 for v in predictor._pht)
 
 
@@ -120,7 +120,7 @@ def test_renamer_random_walk_preserves_registers(seed):
         elif action < 0.75 and live:
             renamed, logical, _ = live.pop(0)
             # Commit oldest: live entries renamed after it remain valid.
-            renamer.commit(renamed)
+            renamer.release(RegClass.INT, renamed.old_dest)
         elif live:
             renamed, logical, before = live.pop()
             renamer.squash(renamed)
@@ -128,7 +128,7 @@ def test_renamer_random_walk_preserves_registers(seed):
     # Drain: free count must reconcile exactly.
     while live:
         renamed, _, _ = live.pop(0)
-        renamer.commit(renamed)
+        renamer.release(RegClass.INT, renamed.old_dest)
     assert renamer.free_regs(RegClass.INT) == total
 
 
@@ -168,8 +168,8 @@ def test_rob_squash_keeps_order(seqs):
 
     seqs = sorted(seqs)
     rob = ReorderBuffer(128)
-    for seq in seqs:
-        rob.insert(E(seq))
+    # Rename appends to the ROB's entries in program order.
+    rob._entries.extend(E(seq) for seq in seqs)
     boundary = seqs[len(seqs) // 2]
     removed = rob.squash_younger_than(boundary)
     kept = [e.seq for e in rob]

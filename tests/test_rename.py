@@ -1,16 +1,17 @@
 """Unit tests for register renaming."""
 
+import sys
+from collections import Counter
+
 import pytest
 
+from repro.core import build_core, model_config
+from repro.core.inflight import InFlight
+from repro.core.ooo import OutOfOrderCore
 from repro.isa import DynInst, OpClass, RegClass, fp_reg, int_reg
-from repro.rename import (
-    FreeList,
-    PhysicalRegisterFile,
-    RAT,
-    Renamer,
-    Scoreboard,
-)
-from repro.rename.prf import ALWAYS_READY, NEVER
+from repro.rename import FreeList, RAT, Renamer
+from repro.rename.prf import NEVER
+from repro.workloads import generate_trace
 
 
 def _alu(seq, dest, srcs):
@@ -20,18 +21,22 @@ def _alu(seq, dest, srcs):
 
 class TestFreeList:
     def test_fifo_order(self):
-        free = FreeList([5, 6, 7])
-        assert free.allocate() == 5
-        assert free.allocate() == 6
-        free.release(5)
-        assert free.allocate() == 7
-        assert free.allocate() == 5
+        """Rename takes the oldest free register; a released one goes
+        to the back of the list."""
+        renamer = Renamer(int_prf_entries=35, fp_prf_entries=33)
+        first = renamer.rename(_alu(0, int_reg(1), ()))
+        assert first.dest == 32
+        assert renamer.rename(_alu(1, int_reg(2), ())).dest == 33
+        renamer.release(RegClass.INT, first.old_dest)
+        assert renamer.rename(_alu(2, int_reg(3), ())).dest == 34
+        assert renamer.rename(_alu(3, int_reg(4), ())).dest == 1
 
     def test_can_allocate(self):
-        free = FreeList([1, 2])
+        renamer = Renamer(int_prf_entries=34, fp_prf_entries=33)
+        free = renamer.free[RegClass.INT]
         assert free.can_allocate(2)
         assert not free.can_allocate(3)
-        free.allocate()
+        renamer.rename(_alu(0, int_reg(1), ()))
         assert not free.can_allocate(2)
 
     def test_overflow_guard(self):
@@ -70,44 +75,71 @@ class TestRAT:
         assert rat.reads == 1 and rat.writes == 1
 
 
+def _producer(core, dest, srcs=()):
+    """A renamed INT ALU entry of ``core``, ready to execute."""
+    entry = InFlight(_alu(0, dest, srcs), fetch_cycle=0)
+    entry.renamed = core.renamer.rename(entry.inst)
+    return entry
+
+
 class TestPRF:
     def test_ready_lifecycle(self):
-        prf = PhysicalRegisterFile(8)
+        """Rename marks a destination pending; the completion stage
+        makes it bypassable at its complete cycle and readable from the
+        PRF (the scoreboard view) only at its written cycle."""
+        core = build_core(model_config("BIG"))
+        prf = core.renamer.prf[RegClass.INT]
         assert prf.is_ready(3, 0)
-        prf.mark_pending(3)
-        assert not prf.is_ready(3, 100)
+        entry = _producer(core, int_reg(3))
+        preg = entry.renamed.dest
+        assert not prf.is_ready(preg, 100)
+        assert prf.ready_cycle(preg) == NEVER
         # Bypass readiness and PRF visibility are distinct timestamps.
-        prf.mark_ready(3, 17)
-        assert prf.ready_cycle(3) == 17
-        assert not prf.is_ready(3, 17)   # not yet written back
-        prf.mark_written(3, 19)
-        assert not prf.is_ready(3, 18)
-        assert prf.is_ready(3, 19)
+        entry.complete_cycle, entry.written_cycle = 17, 19
+        core._schedule_completion(entry, 17)
+        core.cycle = 17
+        core._process_completions()
+        assert prf.ready_cycle(preg) == 17
+        assert not prf.is_ready(preg, 17)   # not yet written back
+        assert not prf.is_ready(preg, 18)
+        assert prf.is_ready(preg, 19)
 
     def test_port_counters(self):
-        prf = PhysicalRegisterFile(8)
-        prf.read(0)
-        prf.mark_ready(1, 5)
+        """An OXU-executed instruction reads its source at register
+        read; its completion writes the PRF."""
+        core = build_core(model_config("BIG"))
+        prf = core.renamer.prf[RegClass.INT]
+        entry = _producer(core, int_reg(1), (int_reg(2),))
+        core._execute(entry, 0, False)
+        core.cycle = entry.complete_cycle
+        core._process_completions()
         assert prf.reads == 1 and prf.writes == 1
 
     def test_reset_entry(self):
-        prf = PhysicalRegisterFile(8)
-        prf.mark_pending(2)
-        prf.reset_entry(2)
-        assert prf.is_ready(2, 0)
+        renamer = Renamer()
+        prf = renamer.prf[RegClass.INT]
+        preg = renamer.rename(_alu(0, int_reg(2), ())).dest
+        prf.reset_entry(preg)
+        assert prf.is_ready(preg, 0)
 
 
 class TestScoreboard:
     def test_tracks_prf(self):
-        prf = PhysicalRegisterFile(8)
-        board = Scoreboard(prf)
-        prf.mark_pending(4)
-        assert not board.is_ready(4, 50)
-        prf.mark_ready(4, 10)
-        prf.mark_written(4, 10)
-        assert board.is_ready(4, 10)
+        """FXA's register read checks one scoreboard bit per source,
+        counting the read, and captures only values already in the
+        PRF."""
+        core = build_core(model_config("HALF+FX"))
+        pending = _producer(core, int_reg(4)).renamed.dest
+        consumer = InFlight(_alu(1, int_reg(6), (int_reg(4), int_reg(5))),
+                            fetch_cycle=0)
+        consumer.renamed = core.renamer.rename(consumer.inst)
+        core._regread_q.append(consumer)
+        core._enter_pipe(core._ixu_ring[0])
+        board = core.renamer.scoreboard[RegClass.INT]
+        assert consumer.ixu_uncaptured == ((RegClass.INT, pending),)
         assert board.reads == 2
-        assert board.entries == 8
+        assert core.renamer.prf[RegClass.INT].reads == 1
+        assert board.entries == 128
 
 
 class TestRenamer:
@@ -129,7 +161,7 @@ class TestRenamer:
         before = renamer.free_regs(RegClass.INT)
         renamed = renamer.rename(_alu(0, int_reg(5), ()))
         assert renamer.free_regs(RegClass.INT) == before - 1
-        renamer.commit(renamed)
+        renamer.release(renamed.dest_cls, renamed.old_dest)
         assert renamer.free_regs(RegClass.INT) == before
 
     def test_squash_restores_map_and_freelist(self):
@@ -230,14 +262,14 @@ class TestRenamerRecovery:
         move = DynInst(seq=1, pc=4, op=OpClass.MOV, dest=int_reg(2),
                        srcs=(int_reg(1),))
         renamed_move = renamer.rename_move(move)
-        renamer.commit(producer)
-        renamer.commit(renamed_move)
+        for committed in (producer, renamed_move):
+            renamer.release(RegClass.INT, committed.old_dest)
         assert renamer.refcounts(RegClass.INT)[shared] == 2
         squashed = renamer.rename(_alu(2, int_reg(2), ()))
         renamer.squash(squashed)
         assert renamer.refcounts(RegClass.INT)[shared] == 2
         committed = renamer.rename(_alu(3, int_reg(2), ()))
-        renamer.commit(committed)
+        renamer.release(RegClass.INT, committed.old_dest)
         assert renamer.refcounts(RegClass.INT)[shared] == 1
 
     def test_rat_checkpoint_restore_at_every_depth(self):
@@ -257,3 +289,29 @@ class TestRenamerRecovery:
             assert rat.lookup(int_reg(7)) == mappings[level]
             renamer.squash(live.pop())
         assert rat.lookup(int_reg(7)) == mappings[0]
+
+
+@pytest.mark.parametrize("model", ["BIG", "HALF+FX"])
+def test_commit_stage_releases_through_renamer(model):
+    """The commit stage frees each committed destination's previous
+    mapping with one call of ``Renamer.release``, the code the tests
+    above drive; the only other caller is a squash."""
+    trace = generate_trace("hmmer", 1500, seed=2)
+    core = build_core(model_config(model))
+    release = Renamer.release.__code__
+    callers = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is release:
+            callers[frame.f_back.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        stats = core.run(trace)
+    finally:
+        sys.setprofile(previous)
+    assert stats.committed == len(trace)
+    freeing = sum(1 for inst in trace if inst.dest is not None)
+    assert callers.pop(OutOfOrderCore._commit.__code__) == freeing
+    assert set(callers) <= {Renamer.squash.__code__}

@@ -50,8 +50,9 @@ class TestRenamerMoveElimination:
         # A later instruction overwrites r5: its commit releases the
         # alias reference, not the register.
         writer = renamer.rename(_alu(1, int_reg(5), ()))
-        renamer.commit(mov)
-        renamer.commit(writer)   # releases old r5 mapping == shared alias
+        renamer.release(RegClass.INT, mov.old_dest)
+        # The writer's old r5 mapping is the shared alias.
+        renamer.release(RegClass.INT, writer.old_dest)
         # The register is still reachable through r2.
         assert renamer.rat[RegClass.INT].lookup(int_reg(2)) == shared
         assert shared not in renamer.free[RegClass.INT]
@@ -62,10 +63,10 @@ class TestRenamerMoveElimination:
         mov = renamer.rename_move(_mov(0, int_reg(5), int_reg(2)))
         writer_a = renamer.rename(_alu(1, int_reg(5), ()))
         writer_b = renamer.rename(_alu(2, int_reg(2), ()))
-        renamer.commit(mov)
-        renamer.commit(writer_a)
+        renamer.release(RegClass.INT, mov.old_dest)
+        renamer.release(RegClass.INT, writer_a.old_dest)
         assert shared not in renamer.free[RegClass.INT]
-        renamer.commit(writer_b)
+        renamer.release(RegClass.INT, writer_b.old_dest)
         assert shared in renamer.free[RegClass.INT]
 
     def test_squash_restores_alias(self):

@@ -16,7 +16,12 @@ import repro
 from repro.core import model_config
 from repro.experiments import runner
 from repro.experiments.diskcache import DiskCache, fingerprint
-from repro.experiments.pool import FaultSpec, SimJob, set_fault_injector
+from repro.experiments.pool import (
+    FaultSpec,
+    JobResult,
+    SimJob,
+    set_fault_injector,
+)
 from repro.experiments.runner import run_sweep
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import (
@@ -30,7 +35,7 @@ from repro.serve.quota import (
     TenantPolicy,
 )
 from repro.serve.server import FINISHED_BATCHES_KEPT, start_in_background
-from repro.serve.spool import Spool, run_worker
+from repro.serve.spool import Spool, execute_claim, run_worker
 
 SMALL = {"measure": 600, "warmup": 1500}
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -203,6 +208,65 @@ class TestSpoolUnit:
         assert spool.forget_failure("d1") is True
         assert spool.forget_failure("d1") is False
         assert spool.state("d1") == (None, None)
+
+    @pytest.mark.parametrize("entry", ["null", "[]", '"x"',
+                                       '{"request": 5}'])
+    def test_claim_quarantines_a_poison_entry(self, tmp_path, entry):
+        """A queued entry that parses but holds no request object gets
+        a failed marker and loses its claim; the worker goes on."""
+        spool = Spool(tmp_path)
+        (tmp_path / "queued" / "d1.json").write_text(entry)
+        assert spool.claim() is None
+        state, payload = spool.state("d1")
+        assert state == "failed"
+        assert payload["failure"]["error"] == "unreadable spool entry"
+        assert spool.depth()["claimed"] == 0
+        assert run_worker(spool, poll=0, idle_exit=0) == 0
+
+    def test_claim_skips_an_entry_claimed_while_listing(
+            self, tmp_path, monkeypatch):
+        """Another worker may rename a listed entry away before this
+        one reads its age; the claim moves on to the next entry."""
+        spool = Spool(tmp_path)
+        spool.enqueue("d1", {"job": {}})
+        spool.enqueue("d2", {"job": {}})
+        victim = tmp_path / "queued" / "d1.json"
+        stat, exists = Path.stat, Path.exists
+        probing = []
+
+        def racing_stat(path, *args, **kwargs):
+            if path == victim and not probing and os.path.isfile(victim):
+                os.replace(victim, tmp_path / "claimed" / "d1.other.json")
+            return stat(path, *args, **kwargs)
+
+        def probing_exists(path, *args, **kwargs):
+            probing.append(path)
+            try:
+                return exists(path, *args, **kwargs)
+            finally:
+                probing.pop()
+
+        monkeypatch.setattr(Path, "stat", racing_stat)
+        monkeypatch.setattr(Path, "exists", probing_exists)
+        claim = spool.claim()
+        assert claim is not None and claim.digest == "d2"
+
+    def test_done_marker_round_trips_a_job_result(self, tmp_path):
+        """A done marker carries the result's wire form, keys in the
+        order markers have always had, and rehydrates to the same
+        result."""
+        spool = Spool(tmp_path / "spool")
+        spec = parse_job(job_spec())
+        job = spec.sim_job()
+        spool.enqueue(job.digest, {"job": spec.to_dict()})
+        payload = json.loads(json.dumps(execute_claim(
+            spool.claim(), DiskCache(tmp_path / "cache"))))
+        assert list(payload) == ["digest", "status", "source", "run",
+                                 "wall_seconds", "attempts", "worker"]
+        result = JobResult.from_dict(job, payload)
+        assert result.job is job and result.worker_pid == 0
+        assert result.to_dict() == {key: payload[key] for key in (
+            "source", "run", "wall_seconds", "attempts")}
 
     def test_worker_executes_a_real_job(self, tmp_path):
         spool = Spool(tmp_path / "spool")
