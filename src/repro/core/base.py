@@ -77,6 +77,10 @@ class CoreBase:
             per hook site and collects nothing.
         validator: Optional :class:`~repro.validate.Validator`; same
             contract as ``obs``.
+        warm_state: Optional ``(CacheHierarchy, BranchPredictor)`` pair
+            to run on instead of cold ones built from ``config``: a copy
+            of the state another core of the same geometry left after
+            its functional warm-up (``runner.simulate`` passes it).
     """
 
     #: The ``CoreConfig.core_type`` this family simulates.
@@ -85,18 +89,22 @@ class CoreBase:
     #: cycle of a misprediction's resolution window.
     WRONGPATH_SHARE = 0.5
 
-    def __init__(self, config: CoreConfig, obs=None, validator=None):
+    def __init__(self, config: CoreConfig, obs=None, validator=None,
+                 warm_state=None):
         if config.core_type != self.CORE_TYPE:
             raise ValueError(f"{type(self).__name__} requires an "
                              f"{self.CORE_TYPE!r} config")
         self.config = config
-        self.predictor = BranchPredictor(
-            pht_entries=config.pht_entries,
-            btb_entries=config.btb_entries,
-            ras_depth=config.ras_depth,
-            kind=config.predictor_kind,
-        )
-        self.hierarchy = CacheHierarchy(config.hierarchy)
+        if warm_state is not None:
+            self.hierarchy, self.predictor = warm_state
+        else:
+            self.predictor = BranchPredictor(
+                pht_entries=config.pht_entries,
+                btb_entries=config.btb_entries,
+                ras_depth=config.ras_depth,
+                kind=config.predictor_kind,
+            )
+            self.hierarchy = CacheHierarchy(config.hierarchy)
         self.fu = {
             FUType.INT: FUPool(FUType.INT, config.fu_int),
             FUType.MEM: FUPool(FUType.MEM, config.fu_mem),

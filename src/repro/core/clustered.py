@@ -36,10 +36,11 @@ from repro.isa.registers import RegClass
 class ClusteredCore(OutOfOrderCore):
     """Alpha 21264-style clustered out-of-order core."""
 
-    def __init__(self, config: CoreConfig, obs=None, validator=None):
+    def __init__(self, config: CoreConfig, obs=None, validator=None,
+                 warm_state=None):
         if config.clusters is None:
             raise ValueError("ClusteredCore requires a cluster config")
-        super().__init__(config, obs, validator)
+        super().__init__(config, obs, validator, warm_state)
         clusters = config.clusters
         self.cluster_config = clusters
         # Private integer FU pools per cluster; MEM/FP stay shared.

@@ -42,10 +42,11 @@ from repro.ixu.pipeline import BypassRegistry
 class FXACore(OutOfOrderCore):
     """Front-end execution architecture (BIG+FX / HALF+FX)."""
 
-    def __init__(self, config: CoreConfig, obs=None, validator=None):
+    def __init__(self, config: CoreConfig, obs=None, validator=None,
+                 warm_state=None):
         if config.ixu is None:
             raise ValueError("FXACore requires an IXU configuration")
-        super().__init__(config, obs, validator)
+        super().__init__(config, obs, validator, warm_state)
         ixu = config.ixu
         self.ixu_config = ixu
         self._track_prf_ports = True  # regread shares OXU read ports

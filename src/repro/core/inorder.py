@@ -53,8 +53,9 @@ class InOrderCore(CoreBase):
     #: A short in-order pipe flushes little wrong-path work.
     WRONGPATH_SHARE = 0.25
 
-    def __init__(self, config: CoreConfig, obs=None, validator=None):
-        super().__init__(config, obs, validator)
+    def __init__(self, config: CoreConfig, obs=None, validator=None,
+                 warm_state=None):
+        super().__init__(config, obs, validator, warm_state)
         self.bypass = BypassNetwork()
         # Per-tick scratch for early/late ALU pairing, holding flat
         # register indices (cleared, never reallocated, in _issue).

@@ -73,8 +73,9 @@ class OutOfOrderCore(CoreBase):
 
     CORE_TYPE = "ooo"
 
-    def __init__(self, config: CoreConfig, obs=None, validator=None):
-        super().__init__(config, obs, validator)
+    def __init__(self, config: CoreConfig, obs=None, validator=None,
+                 warm_state=None):
+        super().__init__(config, obs, validator, warm_state)
         # Renamer import is local to avoid a cycle with repro.rename docs.
         from repro.rename import Renamer
 

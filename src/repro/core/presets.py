@@ -126,19 +126,22 @@ def model_config(name: str) -> CoreConfig:
         raise KeyError(f"unknown model {name!r}; known: {known}") from None
 
 
-def build_core(spec: Union[str, CoreConfig], obs=None, validator=None):
+def build_core(spec: Union[str, CoreConfig], obs=None, validator=None,
+               warm_state=None):
     """Instantiate the right core class for a model name or config.
 
     ``obs`` is an optional :class:`repro.obs.Observability` bundle; the
     returned core collects metrics/stalls/pipeline traces into it.
     ``validator`` is an optional :class:`repro.validate.Validator`; the
     returned core runs under differential + invariant checking.
+    ``warm_state`` is a restored cache hierarchy and predictor for the
+    core to run on (see :class:`~repro.core.base.CoreBase`).
     """
     config = model_config(spec) if isinstance(spec, str) else spec
     if config.core_type == "inorder":
-        return InOrderCore(config, obs, validator)
+        return InOrderCore(config, obs, validator, warm_state)
     if config.has_ixu:
-        return FXACore(config, obs, validator)
+        return FXACore(config, obs, validator, warm_state)
     if config.clusters is not None:
-        return ClusteredCore(config, obs, validator)
-    return OutOfOrderCore(config, obs, validator)
+        return ClusteredCore(config, obs, validator, warm_state)
+    return OutOfOrderCore(config, obs, validator, warm_state)

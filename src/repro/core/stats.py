@@ -6,7 +6,8 @@ so the disk cache and the CLI ``--json`` output share one codepath.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import copy
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 
@@ -64,8 +65,9 @@ class EventCounts:
     prefetches: int = 0
 
     def to_dict(self) -> Dict:
-        """Plain-dict form (JSON-serializable)."""
-        return asdict(self)
+        """Plain-dict form (JSON-serializable), fields in declaration
+        order."""
+        return {name: getattr(self, name) for name in _EVENT_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "EventCounts":
@@ -155,14 +157,18 @@ class CoreStats:
     def to_dict(self) -> Dict:
         """Plain-dict form (JSON-serializable).
 
-        ``ixu_by_stage`` keys become strings so the dict survives a JSON
-        round trip unchanged; :meth:`from_dict` converts them back.
+        Fields in declaration order, every container copied, so the
+        dict shares nothing with the record.  ``ixu_by_stage`` keys
+        become strings so the dict survives a JSON round trip unchanged;
+        :meth:`from_dict` converts them back.
         """
-        data = asdict(self)
-        data["events"] = self.events.to_dict()
+        data = {name: getattr(self, name) for name in _STATS_FIELDS}
         data["ixu_by_stage"] = {
             str(k): v for k, v in self.ixu_by_stage.items()
         }
+        data["stalls"] = dict(self.stalls)
+        data["metrics"] = copy.deepcopy(self.metrics)
+        data["events"] = self.events.to_dict()
         return data
 
     @classmethod
@@ -186,3 +192,7 @@ class CoreStats:
         if self.ixu_executed:
             parts.append(f"IXU rate {self.ixu_executed_rate:.1%}")
         return " ".join(parts)
+
+
+_EVENT_FIELDS = tuple(f.name for f in fields(EventCounts))
+_STATS_FIELDS = tuple(f.name for f in fields(CoreStats))

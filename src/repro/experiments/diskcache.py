@@ -31,6 +31,7 @@ it.  These are the resume keys of the fault-tolerant runner.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -84,7 +85,7 @@ def fingerprint(config, benchmark: str, measure: int, warmup: int,
     payload = {
         "format": CACHE_FORMAT,
         "code": code_version(),
-        "config": dataclasses.asdict(config),
+        "config": _config_form(config, repr(config)),
         "benchmark": benchmark,
         "measure": measure,
         "warmup": warmup,
@@ -92,6 +93,17 @@ def fingerprint(config, benchmark: str, measure: int, warmup: int,
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=1024)
+def _config_form(config, text: str) -> dict:
+    """``dataclasses.asdict(config)``, derived once per config: a sweep
+    fingerprints each config once per benchmark and interval.  ``text``
+    is ``repr(config)``: configs that compare equal may still hold
+    differently typed values (``16`` and ``16.0``, ``1`` and ``True``)
+    that serialise differently, so the memo tells them apart by it.
+    Callers only read the dict."""
+    return dataclasses.asdict(config)
 
 
 class DiskCache:

@@ -22,6 +22,11 @@ worker processes:
   failures before quarantining them; ``fail_fast`` instead aborts on the
   first exhausted job with :class:`SweepAborted`, which carries every
   result completed before the abort.
+* **Kept busy**: while more jobs than workers are left, a busy worker
+  holds one more job of its own trace (or of one no worker is on) in
+  its pipe, so it starts the next job as soon as it hands its result
+  back instead of waiting for the parent; the hand-back carries the
+  run, not the job, which the parent already holds.
 * **Graceful fallback**: ``workers <= 1`` or a single job runs as a
   plain serial loop in-process, unless ``isolate`` asks for a worker
   process anyway; so does a platform with no start method at all.
@@ -30,15 +35,17 @@ worker processes:
 
 Timeout semantics: ``timeout`` bounds a job's *execution* time, measured
 from the moment a worker actually starts it — time spent queued behind
-other jobs while ``workers < len(jobs)`` is never charged (each job is
-sent to a free worker and its deadline starts at that worker's own
-start message).  A job past its deadline has its worker terminated
-(SIGTERM, then SIGKILL).  In the serial path the check is necessarily
-post-hoc: the job has already run to completion in-process when the
-over-budget wall time is observed, so it is quarantined without retry
-(a deterministic job would only run long again) and all prior completed
-results are kept.  A caller that must enforce the deadline, or survive
-a job that kills its process, passes ``isolate=True``.
+other jobs while ``workers < len(jobs)`` is never charged, whether in
+the parent or in a worker's pipe behind its running job (a job's
+deadline starts at its worker's start message for that job).  A job
+past its deadline has its worker terminated (SIGTERM, then SIGKILL);
+a job waiting behind it goes back to the parent's queue uncharged.  In
+the serial path the check is necessarily post-hoc: the job has already
+run to completion in-process when the over-budget wall time is
+observed, so it is quarantined without retry (a deterministic job would
+only run long again) and all prior completed results are kept.  A
+caller that must enforce the deadline, or survive a job that kills its
+process, passes ``isolate=True``.
 """
 
 from __future__ import annotations
@@ -58,6 +65,10 @@ from repro.experiments import diskcache
 #: Extra allowance on top of ``timeout`` for a worker that never even
 #: reported its execution start (covers process startup / import cost).
 _START_GRACE_SECONDS = 5.0
+#: Jobs a busy worker holds in its pipe behind the one it runs, so it
+#: goes straight on to the next instead of waiting for the parent to
+#: read its result and send more (see :func:`_run_parallel`).
+_JOBS_AHEAD = 1
 #: Ceiling on the exponential retry backoff.  Uncapped,
 #: ``backoff * 2**(n-1)`` passes an hour by attempt 14 — a generous
 #: retry budget must never strand a job that long between attempts.
@@ -356,14 +367,16 @@ def _execute_job(job: SimJob) -> JobResult:
 
 
 def _worker_loop(conn, parent_end, injector) -> None:
-    """Persistent worker body: run the tasks ``conn`` brings, one at a time.
+    """Persistent worker body: run the tasks ``conn`` brings, in order.
 
-    A task is ``(job, attempt)``.  The worker answers ``("started",
-    None)`` and then ``("ok", JobResult)`` or ``("error", (type,
-    message, seconds))``, and stops at the ``None`` sentinel or when the
-    parent's end closes.  Its trace memo holds what the parent's held
-    when it forked, plus at most one trace this worker generated: that
-    one is dropped when the worker moves on to a job of another trace.
+    A task is ``(job, attempt)``; the next one may already wait in the
+    pipe while this one runs.  The worker answers ``("started", None)``
+    and then ``("ok", (run, seconds, started_ts))`` (the parent holds
+    the job and reattaches it) or ``("error", (type, message,
+    seconds))``, and stops at the ``None`` sentinel or when the parent's
+    end closes.  Its trace memo holds what the parent's held when it
+    forked, plus at most one trace this worker generated: that one is
+    dropped when the worker moves on to a job of another trace.
     """
     import signal
 
@@ -392,7 +405,9 @@ def _worker_loop(conn, parent_end, injector) -> None:
                 conn.send(("started", None))
                 if injector is not None:
                     injector(job, attempt)
-                conn.send(("ok", _execute_job(job)))
+                result = _execute_job(job)
+                conn.send(("ok", (result.run, result.wall_seconds,
+                                  result.started_ts)))
             except Exception as exc:  # isolation is the point: serve on
                 conn.send(("error", (type(exc).__name__, str(exc),
                                      time.perf_counter() - started)))
@@ -413,9 +428,14 @@ def _terminate(proc) -> None:
 
 
 class _Worker:
-    """Parent-side handle on one worker process and its task in flight."""
+    """Parent-side handle on one worker process and its tasks in flight.
 
-    __slots__ = ("proc", "conn", "key", "index", "attempt", "launched",
+    ``tasks`` holds the ``(index, attempt)`` pairs sent and not yet
+    answered, in the order sent: the head is running (or about to), the
+    rest wait in the pipe behind it.  The clock fields time the head.
+    """
+
+    __slots__ = ("proc", "conn", "key", "tasks", "launched",
                  "launched_ts", "exec_started", "exec_started_ts",
                  "deadline")
 
@@ -423,21 +443,34 @@ class _Worker:
         self.proc = proc
         self.conn = conn
         self.key: Optional[Tuple] = None   # trace of the latest task
-        self.index: Optional[int] = None   # job in flight; None = idle
+        self.tasks: deque = deque()        # empty = idle
+        self.deadline: Optional[float] = None
 
     def assign(self, index: int, attempt: int, key: Tuple,
                timeout: Optional[float]) -> None:
-        self.index = index
-        self.attempt = attempt
+        self.tasks.append((index, attempt))
         self.key = key
+        if len(self.tasks) == 1:
+            self._start_clock(timeout)
+
+    def finish(self, timeout: Optional[float]) -> Tuple[int, int]:
+        """Pop the head task; the next one, if any, runs from now."""
+        task = self.tasks.popleft()
+        if self.tasks:
+            self._start_clock(timeout)
+        else:
+            self.deadline = None
+        return task
+
+    def _start_clock(self, timeout: Optional[float]) -> None:
         self.launched = time.monotonic()
         self.launched_ts = time.time()
         self.exec_started: Optional[float] = None
         self.exec_started_ts: Optional[float] = None
         # Until the worker reports the start, allow for a slow start.
-        self.deadline: Optional[float] = (
-            None if timeout is None
-            else self.launched + timeout + _START_GRACE_SECONDS)
+        self.deadline = (None if timeout is None
+                         else self.launched + timeout
+                         + _START_GRACE_SECONDS)
 
 
 def _notify_attempt(on_attempt, job: SimJob, attempt: int,
@@ -465,25 +498,34 @@ def _run_parallel(
     on_attempt=None,
 ) -> List[Union[JobResult, JobFailure]]:
     """Persistent-worker scheduler: at most ``workers`` processes, forked
-    at first need, each fed one task at a time over its own pipe.
+    at first need, each fed over its own pipe.
 
-    A job's execution deadline starts at its worker's "started"
-    message, so queue wait is never charged against ``timeout``.
-    Outcomes are reassembled into submission order regardless of
-    completion order.
+    An idle worker gets the next job.  While more jobs than ``workers``
+    remain unassigned, a busy worker also gets :data:`_JOBS_AHEAD` more,
+    which wait in its pipe, so it starts the next job as soon as it
+    sends a result.  A job sent cannot be taken back, so the last
+    ``workers`` jobs go to idle workers only: none waits behind a long
+    job while another worker has nothing to do.  A job's execution
+    deadline starts at its worker's "started" message for that job, so
+    queue wait is never charged against ``timeout``.  Outcomes are
+    reassembled into submission order regardless of completion order.
 
-    Jobs queue per trace, traces in order of first appearance.  A free
-    worker takes the next job of the trace it ran last, else the first
+    Jobs queue per trace, traces in order of first appearance.  A worker
+    takes the next job of the trace it was sent last, else the first
     trace no busy worker is on, else one from the trace with the most
     jobs left, so a trace's jobs mostly share the worker that generated
     it (see :func:`_worker_loop`); the parent's memo is only read.
     Every worker that runs a trace's jobs generates that trace, so
     workers beyond the number of traces, which start on a trace another
-    worker is on, trade one generation each for parallelism.  An
+    worker is on, trade one generation each for parallelism; only an
+    idle worker makes that trade, so a busy one is sent a job ahead
+    only from its own trace or from one no worker is on.  An
     exception leaves its worker serving.  A timeout terminates the
     worker; EOF on a worker's pipe, read after all it sent, means it
-    died, and the task it held fails with its exit code.  A worker lost
-    either way is replaced only when a pending job finds no free one.
+    died.  Either way the running job fails (a timeout, or a death with
+    the exit code), and any job waiting behind it goes back to the
+    front of its trace's queue with no attempt charged.  A lost worker
+    is replaced only when a pending job finds no free one.
     """
     from multiprocessing.connection import wait
 
@@ -514,14 +556,34 @@ def _run_parallel(
             raise error(failure, completed())
 
     def take(worker: _Worker) -> Tuple[int, int]:
-        """The next (index, attempt) for free ``worker``."""
+        """The next (index, attempt) for ``worker``."""
         queue = pending.get(worker.key)
         if not queue:
-            busy = {w.key for w in pool if w.index is not None}
+            busy = {w.key for w in pool if w.tasks}
             queue = next((q for key, q in pending.items()
                           if q and key not in busy),
                          None) or max(pending.values(), key=len)
         return queue.popleft()
+
+    def next_worker() -> Optional[_Worker]:
+        """The worker to send the next job to: an idle one, else a new
+        one, else, while more jobs than ``workers`` are unassigned, a
+        busy one with room in its pipe and a job to take that no other
+        worker's trace holds: one of its own trace, or one of a trace
+        no worker is on; None when there is none."""
+        ready = [w for w in pool if not w.tasks]
+        if not ready:
+            if len(pool) < workers:
+                return spawn()
+            if sum(map(len, pending.values())) <= workers:
+                return None
+            keys = {w.key for w in pool}
+            free_trace = any(q and key not in keys
+                             for key, q in pending.items())
+            ready = [w for w in pool if len(w.tasks) <= _JOBS_AHEAD
+                     and (free_trace or pending.get(w.key))]
+        return next((w for w in ready if pending.get(w.key)),
+                    ready[0] if ready else None)
 
     def spawn() -> _Worker:
         ours, theirs = context.Pipe()
@@ -540,16 +602,28 @@ def _run_parallel(
 
     def fail(worker: _Worker, cause: str, error: str, error_type: str,
              wall: float) -> None:
-        """Charge ``worker``'s task with a failed attempt."""
-        index, attempt, pid = worker.index, worker.attempt, worker.proc.pid
-        worker.index = None
-        _notify_attempt(on_attempt, jobs[index], attempt,
-                        worker.exec_started_ts or worker.launched_ts,
+        """Charge ``worker``'s running task with a failed attempt."""
+        started_ts = worker.exec_started_ts or worker.launched_ts
+        index, attempt = worker.finish(timeout)
+        pid = worker.proc.pid
+        _notify_attempt(on_attempt, jobs[index], attempt, started_ts,
                         wall, cause, pid)
         settle(index, JobFailure(
             job=jobs[index], cause=cause, error=error,
             error_type=error_type, attempts=attempt, wall_seconds=wall,
             worker_pid=pid))
+
+    def lose(worker: _Worker, cause: str, error: str,
+             error_type: str) -> None:
+        """Retire ``worker``: the tasks waiting behind its running one go
+        back to the front of their queues uncharged, and the running
+        one fails."""
+        retire(worker)
+        while len(worker.tasks) > 1:
+            index, attempt = worker.tasks.pop()
+            pending[jobs[index].trace_key].appendleft((index, attempt))
+        if worker.tasks:
+            fail(worker, cause, error, error_type, ran_for(worker))
 
     def ran_for(worker: _Worker) -> float:
         return time.monotonic() - (worker.exec_started
@@ -565,27 +639,26 @@ def _run_parallel(
                 for _, index, attempt in due:
                     pending[jobs[index].trace_key].append((index, attempt))
             while any(pending.values()):
-                idle = [w for w in pool if w.index is None]
-                if idle:
-                    worker = next((w for w in idle if pending.get(w.key)),
-                                  idle[0])
-                elif len(pool) < workers:
-                    worker = spawn()
-                else:
+                worker = next_worker()
+                if worker is None:
                     break
                 index, attempt = take(worker)
                 try:
                     worker.conn.send((jobs[index], attempt))
-                except OSError:  # it died idle: replace it, charge nobody
+                except OSError:
+                    # It died: nobody is charged for this job.  An idle
+                    # worker is replaced now; a busy one's EOF, read
+                    # below, fails the job it was running.
                     pending[jobs[index].trace_key].appendleft(
                         (index, attempt))
+                    if worker.tasks:
+                        break
                     retire(worker)
                     continue
                 worker.assign(index, attempt, jobs[index].trace_key,
                               timeout)
             wakeups = [ready_at for ready_at, _, _ in waiting] + [
-                w.deadline for w in pool
-                if w.index is not None and w.deadline is not None]
+                w.deadline for w in pool if w.deadline is not None]
             wait_for = (max(0.0, min(wakeups) - time.monotonic())
                         if wakeups else None)
             by_conn = {w.conn: w for w in pool}
@@ -595,13 +668,10 @@ def _run_parallel(
                     kind, payload = conn.recv()
                 except (EOFError, OSError):
                     worker.proc.join(1.0)  # reap it for its exit code
-                    retire(worker)
-                    if worker.index is not None:
-                        fail(worker, "worker-death",
-                             f"worker pid {worker.proc.pid} exited with "
-                             f"code {worker.proc.exitcode} before "
-                             f"returning a result",
-                             "WorkerDeath", ran_for(worker))
+                    lose(worker, "worker-death",
+                         f"worker pid {worker.proc.pid} exited with "
+                         f"code {worker.proc.exitcode} before "
+                         f"returning a result", "WorkerDeath")
                     continue
                 if kind == "started":
                     worker.exec_started = time.monotonic()
@@ -609,40 +679,39 @@ def _run_parallel(
                     if timeout is not None:
                         worker.deadline = worker.exec_started + timeout
                 elif kind == "ok":
-                    index, attempt = worker.index, worker.attempt
-                    worker.index = None
-                    payload.attempts = attempt
-                    outcomes[index] = payload
+                    index, attempt = worker.finish(timeout)
+                    run, wall, started_ts = payload
+                    result = JobResult(
+                        job=jobs[index], run=run, wall_seconds=wall,
+                        worker_pid=worker.proc.pid, attempts=attempt,
+                        started_ts=started_ts)
+                    outcomes[index] = result
                     _notify_attempt(on_attempt, jobs[index], attempt,
-                                    payload.started_ts,
-                                    payload.wall_seconds, "ok",
-                                    payload.worker_pid)
+                                    started_ts, wall, "ok",
+                                    result.worker_pid)
                     if on_result is not None:
-                        on_result(payload)
+                        on_result(result)
                 else:  # "error"
                     error_type, error, wall = payload
                     fail(worker, "exception", error, error_type, wall)
             now = time.monotonic()
-            for worker in [w for w in pool if w.index is not None]:
+            for worker in [w for w in pool if w.deadline is not None]:
                 # A message already in the pipe (a result that came in
                 # while the parent was busy) is read next round first.
-                if (worker.deadline is not None and now > worker.deadline
-                        and not worker.conn.poll()):
-                    retire(worker)
-                    fail(worker, "timeout",
+                if now > worker.deadline and not worker.conn.poll():
+                    lose(worker, "timeout",
                          f"exceeded the {timeout:.1f}s per-job "
-                         f"execution timeout",
-                         "JobTimeoutError", ran_for(worker))
+                         f"execution timeout", "JobTimeoutError")
         return list(outcomes)
     finally:
         for worker in pool:
-            if worker.index is None:
+            if not worker.tasks:
                 try:
                     worker.conn.send(None)
                 except OSError:
                     pass
         for worker in pool:
-            if worker.index is None:
+            if not worker.tasks:
                 worker.proc.join(1.0)
             _terminate(worker.proc)
             worker.conn.close()

@@ -216,8 +216,8 @@ class Interval:
     maps a :func:`warm_state_key` to the pickled ``(CacheHierarchy,
     BranchPredictor)`` pair that a functional warm-up on the interval's
     warm-up stream leaves behind; the stream itself is not kept, and
-    :meth:`warm_up` regenerates it from ``program`` for a key it has not
-    seen.  Every model replaying the interval shares ``trace``: the
+    :meth:`warm_up` regenerates it from ``program`` when its caller does
+    not hold it.  Every model replaying the interval shares ``trace``: the
     cores never write to a trace record.
     """
 
@@ -230,25 +230,36 @@ class Interval:
         self.trace = trace
         self.warm_states: Dict[Tuple, bytes] = {}
 
+    def warmed_core(self, config: CoreConfig, obs=None,
+                    warm_trace: Optional[list] = None):
+        """A core for ``config`` whose caches and predictor stand as a
+        functional warm-up on this interval leaves them: built around a
+        copy of the pair memoised for its :func:`warm_state_key`, or,
+        while no core of that key has warmed up here, built cold and
+        warmed up (:meth:`warm_up`).  (A pickle round trip is several
+        times faster than ``copy.deepcopy`` of the same state.)
+        """
+        state = self.warm_states.get(warm_state_key(config))
+        if state is not None:
+            return build_core(config, obs=obs,
+                              warm_state=pickle.loads(state))
+        core = build_core(config, obs=obs)
+        self.warm_up(core, warm_trace)
+        return core
+
     def warm_up(self, core, warm_trace: Optional[list] = None) -> None:
-        """Leave ``core``'s caches and predictor as a functional warm-up
-        on this interval would, restoring a memoised state if another
-        core of the same :func:`warm_state_key` has warmed up here.
+        """Run a functional warm-up of ``core`` on this interval and
+        memoise the caches and predictor it leaves under the core's
+        :func:`warm_state_key`.
 
         ``warm_trace`` is the warm-up stream when the caller already
-        has it.  (A pickle round trip is several times faster than
-        ``copy.deepcopy`` of the same state.)
+        has it.
         """
-        key = warm_state_key(core.config)
-        state = self.warm_states.get(key)
-        if state is not None:
-            core.hierarchy, core.predictor = pickle.loads(state)
-            return
         if warm_trace is None:
             warm_trace = TraceGenerator(
                 self.program, seed=self.seed).generate(self.warmup)
         functional_warmup(core, warm_trace)
-        self.warm_states[key] = pickle.dumps(
+        self.warm_states[warm_state_key(core.config)] = pickle.dumps(
             (core.hierarchy, core.predictor), pickle.HIGHEST_PROTOCOL)
 
 
@@ -348,7 +359,9 @@ def simulate(
     trace, and every model of the same :func:`warm_state_key` starts
     from one memoised warm-up, both memoised in this process: in a
     parallel sweep, the worker that runs the interval's jobs (its memo
-    also holds what the parent's held when it was forked).
+    also holds what the parent's held when it was forked).  A core
+    after the first of its key is built around a copy of that warm
+    state, so it constructs no caches or predictor of its own.
 
     ``obs`` optionally attaches a :class:`repro.obs.Observability`
     bundle to the simulated core (stall attribution, occupancy metrics,
@@ -356,8 +369,7 @@ def simulate(
     entry points don't take it.
     """
     entry, warm_trace = _interval(benchmark, measure, warmup, seed)
-    core = build_core(config, obs=obs)
-    entry.warm_up(core, warm_trace)
+    core = entry.warmed_core(config, obs, warm_trace)
     stats = core.run(entry.trace)
     stats.benchmark = benchmark
     energy = EnergyModel(config).evaluate(stats)
@@ -492,10 +504,9 @@ def run_sweep(
 
     def _landed(result: JobResult) -> None:
         # Completion-order incremental persistence + streaming: an
-        # interrupted sweep loses nothing.  In pool mode the JobResult
-        # crossed a process boundary, so its job is an equal (not
-        # identical) copy, digest included — which still finds its
-        # slots in ``indices``.
+        # interrupted sweep loses nothing.  The result's job is the
+        # miss itself (the pool reattaches the job it sent), so its
+        # digest is the one computed for the cache lookup above.
         if cache is not None:
             cache.store(result.job, result.run)
         _emit(result.job, result)

@@ -277,20 +277,20 @@ def execute_claim(claim: SpoolClaim, cache) -> Dict:
 
     try:
         spec = parse_job(claim.request.get("job"))
+        policy = _parse_policy(claim.request.get("policy"))
     except ProtocolError as error:
         return _finish({
             "digest": claim.digest, "status": "failed",
             "failure": {"cause": "exception", "error": str(error),
                         "error_type": "ProtocolError", "attempts": 1},
             "worker": worker})
-    policy = claim.request.get("policy") or {}
     outcome = run_sweep(
         [spec.sim_job()],
         workers=1,
         cache=cache,
-        timeout=policy.get("timeout"),
-        retries=int(policy.get("retries", 0)),
-        retry_backoff=float(policy.get("retry_backoff", 0.25)),
+        timeout=policy.timeout,
+        retries=policy.retries,
+        retry_backoff=policy.retry_backoff,
         resume=bool(claim.request.get("resume", False)),
         on_attempt=on_attempt,
     )[0]
@@ -303,6 +303,27 @@ def execute_claim(claim: SpoolClaim, cache) -> Dict:
         "digest": claim.digest, "status": "failed",
         "failure": outcome.to_dict(),
         "worker": worker})
+
+
+def _parse_policy(data: object):
+    """The fault policy of a spool request (the server writes its
+    ``timeout``, ``retries`` and ``retry_backoff``) as a
+    :class:`~repro.experiments.runner.SweepSettings`; raises
+    :class:`~repro.serve.protocol.ProtocolError` when it is not an
+    object of in-bounds values."""
+    from repro.experiments.runner import SweepSettings
+    from repro.serve.protocol import ProtocolError
+
+    policy = data or {}
+    if not isinstance(policy, dict):
+        raise ProtocolError(f"policy must be an object, got {data!r}")
+    try:
+        return SweepSettings(
+            timeout=policy.get("timeout"),
+            retries=int(policy.get("retries", 0)),
+            retry_backoff=float(policy.get("retry_backoff", 0.25)))
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"bad policy {data!r}: {error}") from None
 
 
 def run_worker(spool: Spool, cache=None, poll: float = 0.5,

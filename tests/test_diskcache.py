@@ -15,6 +15,7 @@ from repro.experiments.runner import (
     run_sweep,
     set_disk_cache,
 )
+from repro.serve.protocol import parse_job
 
 SMALL = dict(measure=600, warmup=1500)
 
@@ -68,6 +69,24 @@ class TestFingerprint:
                                    l1d_kb=big.hierarchy.l1d_kb * 2)
         )
         assert fingerprint(*_params(big)) != fingerprint(*_params(altered))
+
+    @pytest.mark.parametrize("values", [(4096, 4096.0), (4096.0, 4096),
+                                        (1, True)])
+    def test_equal_configs_of_other_value_types_keep_their_digests(
+            self, values):
+        """Configs that compare equal but hold an int and a float (or a
+        bool) of one value serialise differently, so each keeps its own
+        digest in one process, whichever is fingerprinted first; served
+        job specs of the two override forms included."""
+        big = model_config("BIG")
+        configs = [replace(big, pht_entries=value) for value in values]
+        assert configs[0] == configs[1]
+        digests = [fingerprint(*_params(config)) for config in configs]
+        assert digests[0] != digests[1]
+        specs = [parse_job({"model": "BIG", "benchmark": "hmmer",
+                            "overrides": {"pht_entries": value}})
+                 for value in values]
+        assert specs[0].sim_job().digest != specs[1].sim_job().digest
 
 
 class TestDiskCache:

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment pool (determinism, accounting)."""
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -15,6 +16,7 @@ from repro.experiments.pool import (
     JobResult,
     JobTimeoutError,
     SimJob,
+    SweepAborted,
     retry_delay,
     run_jobs,
     set_fault_injector,
@@ -173,6 +175,40 @@ class _FirstAttemptOnly:
     def __call__(self, job, attempt):
         if attempt == 1:
             self.fault(job, attempt)
+
+
+class _Chain:
+    """Picklable injector: apply each fault in turn."""
+
+    def __init__(self, *faults):
+        self.faults = faults
+
+    def __call__(self, job, attempt):
+        for fault in self.faults:
+            fault(job, attempt)
+
+
+class _SlowJob:
+    """Picklable injector: sleep before one model's job on one
+    benchmark."""
+
+    def __init__(self, model, bench, seconds):
+        self.model, self.bench, self.seconds = model, bench, seconds
+
+    def __call__(self, job, attempt):
+        if (job.config.name, job.benchmark) == (self.model, self.bench):
+            time.sleep(self.seconds)
+
+
+def _queued_ahead_jobs():
+    """Six jobs for two workers: the first gets lbm, the second hmmer,
+    and while more jobs than workers are left each also holds one job
+    in its pipe: another hmmer job, and mcf behind lbm."""
+    return [SimJob(config=model_config(model), benchmark=bench,
+                   measure=300, warmup=600)
+            for model, bench in (("LITTLE", "lbm"), ("LITTLE", "hmmer"),
+                                 ("BIG", "hmmer"), ("HALF", "hmmer"),
+                                 ("LITTLE", "mcf"), ("BIG", "mcf"))]
 
 
 class TestSharedTraces:
@@ -384,4 +420,72 @@ class TestPersistentWorkers:
         pids = [pid for _, _, pid in attempts]
         assert pids.count(lost[0]) == 1
         assert len(set(pids)) <= 3 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault, status, timeout", [
+        (_Chain(FaultSpec("sleep", "lbm", 0.5), FaultSpec("die", "lbm")),
+         "worker-death", None),
+        (FaultSpec("hang", "lbm", 60), "timeout", 2.0),
+    ], ids=["die", "hang"])
+    def test_job_queued_behind_a_lost_worker_is_not_charged(
+            self, fault, status, timeout):
+        jobs = _queued_ahead_jobs()
+        serial = run_jobs(jobs, workers=1)
+        attempts = []
+
+        def on_attempt(job, attempt, started_ts, duration, status, pid):
+            attempts.append((jobs.index(job), attempt, status))
+
+        previous = set_fault_injector(fault)
+        try:
+            parallel = run_jobs(jobs, workers=2, timeout=timeout,
+                                on_attempt=on_attempt)
+        finally:
+            set_fault_injector(previous)
+        assert [o.job for o in parallel] == jobs
+        assert parallel[0].cause == status and parallel[0].attempts == 1
+        assert all(o.ok and o.attempts == 1 for o in parallel[1:])
+        assert ([o.run.to_dict() for o in parallel[1:]]
+                == [r.run.to_dict() for r in serial[1:]])
+        assert sorted(attempts) == [(0, 1, status)] + [
+            (index, 1, "ok") for index in range(1, len(jobs))]
+        assert multiprocessing.active_children() == []
+
+    def test_busy_worker_takes_no_job_ahead_from_anothers_trace(self):
+        """One worker runs lbm's two jobs, the second of them slow; the
+        other runs hmmer's ten.  The first, busy with the slow lbm job
+        and left with no lbm job, is sent no hmmer job ahead: it would
+        wait there while the other worker runs out of work, and cost a
+        second generation of hmmer's trace."""
+        jobs = [SimJob(config=model_config(model), benchmark="lbm",
+                       measure=300, warmup=600)
+                for model in ("LITTLE", "BIG")]
+        jobs[1:1] = [SimJob(config=dataclasses.replace(
+                                model_config("LITTLE"), name=f"L{n}"),
+                            benchmark="hmmer", measure=300, warmup=600)
+                     for n in range(10)]
+        previous = set_fault_injector(_SlowJob("BIG", "lbm", 1.5))
+        try:
+            outcomes = run_jobs(jobs, workers=2)
+        finally:
+            set_fault_injector(previous)
+        assert all(o.ok for o in outcomes)
+        pids = {bench: {o.worker_pid for o in outcomes
+                        if o.job.benchmark == bench}
+                for bench in ("lbm", "hmmer")}
+        assert len(pids["lbm"]) == len(pids["hmmer"]) == 1
+        assert pids["lbm"] != pids["hmmer"]
+        assert multiprocessing.active_children() == []
+
+    def test_fail_fast_abort_with_jobs_queued_ahead_stops_every_worker(
+            self):
+        fault = _Chain(FaultSpec("sleep", "lbm", 0.3),
+                       FaultSpec("crash", "lbm"))
+        previous = set_fault_injector(fault)
+        try:
+            with pytest.raises(SweepAborted) as aborted:
+                run_jobs(_queued_ahead_jobs(), workers=2, fail_fast=True)
+        finally:
+            set_fault_injector(previous)
+        assert aborted.value.failure.job.benchmark == "lbm"
         assert multiprocessing.active_children() == []

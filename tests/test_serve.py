@@ -223,6 +223,22 @@ class TestSpoolUnit:
         assert spool.depth()["claimed"] == 0
         assert run_worker(spool, poll=0, idle_exit=0) == 0
 
+    @pytest.mark.parametrize("policy", [
+        5, {"retries": "many"}, {"retries": -1},
+    ], ids=["not-an-object", "non-integer", "negative"])
+    def test_malformed_policy_fails_its_claim_not_the_worker(
+            self, tmp_path, policy):
+        spool = Spool(tmp_path)
+        spec = parse_job(job_spec())
+        spool.enqueue(spec.sim_job().digest,
+                      {"job": spec.to_dict(), "policy": policy})
+        assert run_worker(spool, poll=0, idle_exit=0) == 1
+        assert spool.depth() == {"queued": 0, "claimed": 0, "done": 0,
+                                 "failed": 1}
+        state, payload = spool.state(spec.sim_job().digest)
+        assert payload["failure"]["error_type"] == "ProtocolError"
+        assert payload["failure"]["attempts"] == 1
+
     def test_claim_skips_an_entry_claimed_while_listing(
             self, tmp_path, monkeypatch):
         """Another worker may rename a listed entry away before this

@@ -1,11 +1,24 @@
 """Tests for CoreStats helpers and the functional warm-up pass."""
 
+import dataclasses
+import json
+
 import pytest
 
-from repro.core import CoreStats, build_core
+from repro.core import CoreStats, build_core, model_config
 from repro.core.stats import EventCounts
 from repro.core.warmup import functional_warmup, reset_event_counters
+from repro.experiments.runner import simulate
+from repro.obs import Observability
 from repro.workloads import generate_trace
+
+
+def _asdict_reference(stats):
+    """``CoreStats.to_dict`` as it was built on ``dataclasses.asdict``."""
+    data = dataclasses.asdict(stats)
+    data["events"] = dataclasses.asdict(stats.events)
+    data["ixu_by_stage"] = {str(k): v for k, v in stats.ixu_by_stage.items()}
+    return data
 
 
 class TestCoreStats:
@@ -34,6 +47,31 @@ class TestCoreStats:
         events = EventCounts()
         assert events.iq_dispatches == 0
         assert events.wrongpath_ops == 0.0
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["unobserved", "observed"])
+    def test_to_dict_matches_asdict(self, observed):
+        """Same keys, order, values and JSON as ``asdict``, and a copy:
+        mutating the dict leaves the record as it was."""
+        obs = Observability() if observed else None
+        stats = simulate(model_config("HALF+FX"), "hmmer", 600, 2000,
+                         obs=obs).stats
+        assert stats.ixu_by_stage
+        assert bool(stats.stalls) == bool(stats.metrics) == observed
+        reference = _asdict_reference(stats)
+        data = stats.to_dict()
+        assert data == reference
+        assert json.dumps(data) == json.dumps(reference)
+        assert list(data["events"]) == list(reference["events"])
+        assert stats.events.to_dict() == reference["events"]
+        data["ixu_by_stage"]["1"] = -1
+        data["events"]["cycles"] = -1
+        for name in ("stalls", "metrics"):
+            data[name]["planted"] = -1
+        if observed:
+            counters = data["metrics"]["counters"]
+            counters[next(iter(counters))] = -1
+        assert _asdict_reference(stats) == reference
 
 
 class TestFunctionalWarmup:

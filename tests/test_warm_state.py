@@ -13,9 +13,10 @@ import json
 
 import pytest
 
-from repro.core import model_config
+from repro.branch import BranchPredictor
+from repro.core import MODEL_NAMES, model_config
 from repro.experiments import runner
-from repro.mem.hierarchy import HierarchyConfig
+from repro.mem.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.obs import Observability, TimelineCollector, TopDownCollector
 from repro.validate.fuzz import sample_case
 
@@ -124,6 +125,28 @@ class TestRestoreMatchesFreshWarmup:
         assert _restored(model_config("BIG"), config, "mcf",
                          observe=True) == fresh
         assert warmups == ["BIG"]
+
+
+class TestCoresBuiltAroundTheirWarmState:
+    def test_one_hierarchy_and_predictor_per_key(self, warmups,
+                                                 monkeypatch):
+        """Figure 7's five models on one interval construct one cache
+        hierarchy and one predictor per warm-state key: a core after
+        the first of its key runs on the restored pair."""
+        built = []
+        for cls in (CacheHierarchy, BranchPredictor):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        configs = [model_config(model) for model in MODEL_NAMES]
+        keys = {runner.warm_state_key(config) for config in configs}
+        assert len(keys) < len(configs)
+        for config in configs:
+            runner.simulate(config, "mcf", MEASURE, WARMUP)
+        assert sorted(built) == (["BranchPredictor"] * len(keys)
+                                 + ["CacheHierarchy"] * len(keys))
+        assert len(warmups) == len(keys)
 
 
 class TestWarmStateKey:
